@@ -66,6 +66,7 @@ from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
 from repro.ingest.dedup import clean_batch
 from repro.ingest.loader import (
+    TraceFormatError,
     iter_record_batches_csv,
     read_record_batch_csv,
     read_stations_csv,
@@ -788,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fan the streamed chunks out to this many multiprocessing "
         "workers (shared-memory shard grids; -1 uses all cores; requires "
-        "--trace with --chunk-size; default is serial)",
+        "--input with --chunk-size; default is serial)",
     )
     fit.add_argument("--clusters", type=int, default=None, help="fixed number of clusters")
     fit.add_argument("--max-clusters", type=int, default=10, help="tuner upper bound")
@@ -949,14 +950,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    Operational failures (missing files, corrupt or version-mismatched model
-    bundles) exit with code 2 and a single path-qualified line on stderr.
+    Operational failures (missing files, malformed trace rows, corrupt or
+    version-mismatched model bundles) exit with code 2 and a single
+    path-qualified line on stderr.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return int(args.handler(args))
-    except (CLIError, PersistError) as err:
+    except (CLIError, PersistError, TraceFormatError) as err:
         print(f"repro-traffic: error: {err}", file=sys.stderr)
         return 2
 

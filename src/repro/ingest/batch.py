@@ -36,7 +36,11 @@ NETWORK_NAMES: tuple[str, ...] = ("3G", "LTE")
 
 
 def encode_networks(networks: Sequence[str] | np.ndarray) -> np.ndarray:
-    """Encode network labels (``"3G"``/``"LTE"``) as a ``uint8`` code array."""
+    """Encode network labels (``"3G"``/``"LTE"``) as a ``uint8`` code array.
+
+    Labels may be ``str`` or ``bytes`` (the CSV block parser reads them as
+    ``bytes``); integer arrays are taken as codes and range-checked.
+    """
     labels = np.asarray(networks)
     if labels.dtype.kind in ("u", "i"):
         bad = (labels < 0) | (labels >= len(NETWORK_NAMES))
@@ -47,9 +51,10 @@ def encode_networks(networks: Sequence[str] | np.ndarray) -> np.ndarray:
                 f"of {sorted(NETWORK_CODES.values())}"
             )
         return labels.astype(np.uint8)
+    as_bytes = labels.dtype.kind == "S"
     codes = np.full(labels.shape, 255, dtype=np.uint8)
     for name, code in NETWORK_CODES.items():
-        codes[labels == name] = code
+        codes[labels == (name.encode() if as_bytes else name)] = code
     if codes.size and np.any(codes == 255):
         bad_index = int(np.flatnonzero(codes == 255)[0])
         raise ValueError(

@@ -11,6 +11,9 @@ families are provided:
   :func:`iter_record_batches_jsonl`) yielding columnar
   :class:`~repro.ingest.batch.RecordBatch` objects of a configurable chunk
   size — the fast path, which also bounds memory for traces larger than RAM.
+  The CSV one parses each chunk of lines with a single :func:`numpy.loadtxt`
+  call and replays the file through :mod:`csv` from the first chunk that
+  call cannot take exactly as :mod:`csv` would.
 
 All readers are streaming and malformed lines raise
 :class:`TraceFormatError` naming the file path and the offending line.
@@ -20,6 +23,7 @@ Writers accept either an iterable of records or a :class:`RecordBatch`.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn
@@ -30,6 +34,15 @@ from repro.ingest.batch import RecordBatch
 from repro.ingest.records import BaseStationInfo, TrafficRecord
 
 _RECORD_FIELDS = ("user_id", "tower_id", "start_s", "end_s", "bytes_used", "network")
+#: One CSV record as the block parser reads it.  The label field holds four
+#: bytes, one more than the longest label, so a longer label is never cut
+#: down to a valid one.
+_RECORD_DTYPE = np.dtype(list(zip(_RECORD_FIELDS, ("i8", "i8", "f8", "f8", "f8", "S4"))))
+#: Characters :func:`numpy.loadtxt` reads differently from the row loop: a
+#: NUL is indistinguishable from the padding of the label field, and
+#: ``\x1c``–``\x1f`` are stripped around numbers where :mod:`numpy`'s string
+#: casts reject them.
+_BLOCK_UNSAFE_CHARS = "\x00\x1c\x1d\x1e\x1f"
 _STATION_FIELDS = ("tower_id", "address", "lat", "lon")
 
 #: Default number of records per batch for the chunked readers.
@@ -239,40 +252,112 @@ def _batch_from_csv_rows(
         _raise_locating_bad_row(path, numbered_rows, error)
 
 
+def _parse_block(lines: list[str]) -> RecordBatch | None:
+    """Parse a block of CSV record lines with one :func:`numpy.loadtxt` call.
+
+    Returns ``None`` when the block must go through the row loop instead,
+    because ``loadtxt`` could read it differently from :mod:`csv` and the
+    column casts of :func:`_batch_from_csv_rows`:
+
+    * a blank line, which ``loadtxt`` drops (that would move the
+      record-count chunk boundaries);
+    * non-ASCII text (``loadtxt`` reads some non-ASCII letters as digits)
+      or one of :data:`_BLOCK_UNSAFE_CHARS`;
+    * a line longer than :mod:`csv` allows a field to be;
+    * a line ``loadtxt`` rejects: quoted fields, ``1_000``, a wrong field
+      count, ...;
+    * an unknown label, or a record that fails :class:`RecordBatch`
+      validation.
+
+    The row loop then either accepts the block or names the offending line.
+    """
+    if lines[0] in ("\n", "\r\n", "\r"):
+        # Spares ``loadtxt`` a block of blank lines only, on which it warns.
+        return None
+    text = "".join(lines)
+    if (
+        not text.isascii()
+        or any(char in text for char in _BLOCK_UNSAFE_CHARS)
+        or max(map(len, lines)) > csv.field_size_limit()
+    ):
+        return None
+    try:
+        table = np.loadtxt(
+            lines, dtype=_RECORD_DTYPE, delimiter=",", comments=None,
+            quotechar=None, ndmin=1,
+        )
+    except ValueError:
+        return None
+    if len(table) != len(lines):
+        return None
+    try:
+        return RecordBatch(
+            **{name: np.ascontiguousarray(table[name]) for name in _RECORD_FIELDS[:-1]},
+            network=table["network"],
+        )
+    except ValueError:
+        return None
+
+
+def _iter_csv_rows(
+    path: Path, lines: Iterable[str], first_line: int, chunk_size: int
+) -> Iterator[RecordBatch]:
+    """The row loop: :mod:`csv` rows from ``lines``, ``chunk_size`` records a batch.
+
+    ``first_line`` is the line number of the first of ``lines``.  Blank
+    rows are skipped and do not count towards a chunk; malformed rows raise
+    :class:`TraceFormatError` naming ``path`` and the line.
+    """
+    pending: list[tuple[int, list[str]]] = []
+    for line_number, row in enumerate(csv.reader(lines), start=first_line):
+        if not row:
+            continue
+        if len(row) != len(_RECORD_FIELDS):
+            raise TraceFormatError(
+                f"{path}:{line_number}: expected {len(_RECORD_FIELDS)} fields, got {len(row)}"
+            )
+        pending.append((line_number, row))
+        if len(pending) >= chunk_size:
+            yield _batch_from_csv_rows(path, pending)
+            pending = []
+    if pending:
+        yield _batch_from_csv_rows(path, pending)
+
+
 def iter_record_batches_csv(
     path: str | Path, *, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> Iterator[RecordBatch]:
     """Stream a CSV trace as columnar batches of up to ``chunk_size`` records.
 
-    The fast counterpart of :func:`read_records_csv`: rows are parsed in
-    bulk per chunk, so memory stays bounded by the chunk size and the
-    per-record Python overhead disappears.  Malformed rows raise
-    :class:`TraceFormatError` naming the file path and line.
+    The fast counterpart of :func:`read_records_csv`.  Each block of
+    ``chunk_size`` lines is parsed by one :func:`numpy.loadtxt` call, so
+    memory stays bounded by the chunk size and no Python object is built
+    per field.  From the first block that call cannot parse exactly as
+    :mod:`csv` would (see :func:`_parse_block`), the rest of the file goes
+    through the row loop, so the batches — chunk boundaries included — are
+    always those of the row loop over the whole file.  Files written by
+    :func:`write_records_csv` never leave the block parser.  Malformed rows
+    raise :class:`TraceFormatError` naming the file path and line.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     path = Path(path)
     with path.open("r", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        header = next(csv.reader(handle), None)
         if header is None or tuple(header) != _RECORD_FIELDS:
             raise TraceFormatError(
                 f"{path}: unexpected header {header!r}, expected {_RECORD_FIELDS}"
             )
-        pending: list[tuple[int, list[str]]] = []
-        for line_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_RECORD_FIELDS):
-                raise TraceFormatError(
-                    f"{path}:{line_number}: expected {len(_RECORD_FIELDS)} fields, got {len(row)}"
+        line_number = 2
+        while lines := list(itertools.islice(handle, chunk_size)):
+            batch = _parse_block(lines)
+            if batch is None:
+                yield from _iter_csv_rows(
+                    path, itertools.chain(lines, handle), line_number, chunk_size
                 )
-            pending.append((line_number, row))
-            if len(pending) >= chunk_size:
-                yield _batch_from_csv_rows(path, pending)
-                pending = []
-        if pending:
-            yield _batch_from_csv_rows(path, pending)
+                return
+            yield batch
+            line_number += len(lines)
 
 
 def read_record_batch_csv(path: str | Path) -> RecordBatch:

@@ -1,10 +1,52 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import csv
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+#: ``--chunk-size``/``--workers`` variants of one streamed read: whole file,
+#: chunked, and chunked through the two-worker shard pool.
+STREAMING_VARIANTS = pytest.mark.parametrize(
+    "streaming",
+    [[], ["--chunk-size", "3"], ["--chunk-size", "3", "--workers", "2"]],
+    ids=["whole", "chunked", "parallel"],
+)
+
+
+def _malformed_trace(tmp_path):
+    """Generate a small trace, then give its line 6 the unknown label ``4G``."""
+    trace_dir = tmp_path / "gen"
+    assert main(
+        [
+            "generate",
+            "--towers", "12",
+            "--users", "40",
+            "--days", "3",
+            "--seed", "5",
+            "--output", str(trace_dir),
+        ]
+    ) == 0
+    trace = trace_dir / "trace.csv"
+    lines = trace.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",4G"
+    trace.write_text("\n".join(lines) + "\n")
+    return trace, trace_dir / "stations.csv"
+
+
+def _shm_segments():
+    """Names of the multiprocessing shared-memory segments that exist now."""
+    shm = Path("/dev/shm")
+    return {path.name for path in shm.glob("psm_*")} if shm.is_dir() else set()
+
+
+def _assert_one_line_trace_error(capsys, trace):
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro-traffic: error: {trace}:6: ")
+    assert "'4G'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestParser:
@@ -171,6 +213,53 @@ class TestFit:
     def test_input_without_stations_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["fit", "--input", str(tmp_path / "missing.csv"), "--days", "7"])
+
+    @STREAMING_VARIANTS
+    def test_malformed_trace_row_exits_2_with_one_liner(self, streaming, tmp_path, capsys):
+        trace, stations = _malformed_trace(tmp_path)
+        capsys.readouterr()
+        segments = _shm_segments()
+        exit_code = main(
+            [
+                "fit",
+                "--input", str(trace),
+                "--stations", str(stations),
+                "--days", "3",
+                "--clusters", "3",
+                *streaming,
+            ]
+        )
+        assert exit_code == 2
+        _assert_one_line_trace_error(capsys, trace)
+        assert _shm_segments() - segments == set()
+
+
+class TestUpdate:
+    @STREAMING_VARIANTS
+    def test_malformed_trace_row_exits_2_with_one_liner(self, streaming, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        assert main(
+            [
+                "fit",
+                "--towers", "12",
+                "--users", "40",
+                "--days", "3",
+                "--seed", "5",
+                "--clusters", "3",
+                "--save", str(bundle),
+            ]
+        ) == 0
+        trace, _ = _malformed_trace(tmp_path)
+        capsys.readouterr()
+        segments = _shm_segments()
+        exit_code = main(
+            ["update", "--model", str(bundle), "--input", str(trace), *streaming]
+        )
+        assert exit_code == 2
+        _assert_one_line_trace_error(capsys, trace)
+        assert _shm_segments() - segments == set()
+        # The failed update left the bundle as it was.
+        assert main(["query", "--model", str(bundle)]) == 0
 
 
 class TestDecompose:

@@ -44,8 +44,9 @@ def make_records(n=20, seed=0):
 
 
 class TestNetworkCodes:
-    def test_encode_decode_roundtrip(self):
-        labels = np.array(["LTE", "3G", "LTE"])
+    @pytest.mark.parametrize("dtype", ["U3", "S4"])
+    def test_encode_decode_roundtrip(self, dtype):
+        labels = np.array(["LTE", "3G", "LTE"], dtype=dtype)
         codes = encode_networks(labels)
         assert codes.dtype == np.uint8
         assert list(decode_networks(codes)) == ["LTE", "3G", "LTE"]
@@ -54,9 +55,10 @@ class TestNetworkCodes:
         codes = encode_networks(np.array([0, 1], dtype=np.uint8))
         assert codes.tolist() == [0, 1]
 
-    def test_encode_rejects_unknown_label(self):
+    @pytest.mark.parametrize("dtype", ["U3", "S4"])
+    def test_encode_rejects_unknown_label(self, dtype):
         with pytest.raises(ValueError, match="5G"):
-            encode_networks(np.array(["LTE", "5G"]))
+            encode_networks(np.array(["LTE", "5G"], dtype=dtype))
 
     def test_encode_rejects_out_of_range_integer_codes(self):
         # 256 would silently wrap to 0 ("3G") through a bare uint8 cast
