@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import warnings
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn
 
@@ -266,14 +267,14 @@ def _parse_block(lines: list[str]) -> RecordBatch | None:
     * a line longer than :mod:`csv` allows a field to be;
     * a line ``loadtxt`` rejects: quoted fields, ``1_000``, a wrong field
       count, ...;
+    * a warning from ``loadtxt``: an empty block, or (numpy 1.23–1.26) a
+      float such as ``1.5`` in an integer field, which those versions read
+      as a double and cast, only warning that this is deprecated;
     * an unknown label, or a record that fails :class:`RecordBatch`
       validation.
 
     The row loop then either accepts the block or names the offending line.
     """
-    if lines[0] in ("\n", "\r\n", "\r"):
-        # Spares ``loadtxt`` a block of blank lines only, on which it warns.
-        return None
     text = "".join(lines)
     if (
         not text.isascii()
@@ -282,11 +283,13 @@ def _parse_block(lines: list[str]) -> RecordBatch | None:
     ):
         return None
     try:
-        table = np.loadtxt(
-            lines, dtype=_RECORD_DTYPE, delimiter=",", comments=None,
-            quotechar=None, ndmin=1,
-        )
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                lines, dtype=_RECORD_DTYPE, delimiter=",", comments=None,
+                quotechar=None, ndmin=1,
+            )
+    except (ValueError, Warning):
         return None
     if len(table) != len(lines):
         return None
