@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.cluster.backends import BACKEND_CHOICES, DEFAULT_TILE_SIZE
@@ -100,8 +101,10 @@ class ModelConfig:
             )
         if self.num_clusters is not None and self.num_clusters < 1:
             raise ValueError(f"num_clusters must be positive, got {self.num_clusters}")
-        if self.poi_radius_km <= 0:
-            raise ValueError(f"poi_radius_km must be positive, got {self.poi_radius_km}")
+        if not math.isfinite(self.poi_radius_km) or self.poi_radius_km <= 0:
+            raise ValueError(
+                f"poi_radius_km must be positive and finite, got {self.poi_radius_km}"
+            )
         if not self.decomposition_feature:
             raise ValueError("decomposition_feature must not be empty")
         if self.workers < -1:

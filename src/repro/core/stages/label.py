@@ -54,13 +54,17 @@ class LabelStage:
             coordinates = np.array(
                 [(city.tower(tid).lat, city.tower(tid).lon) for tid in vectorized.tower_ids]
             )
-            poi_profile = compute_poi_profiles(
-                vectorized.tower_ids,
-                coordinates[:, 0],
-                coordinates[:, 1],
-                city.pois,
-                radius_km=cfg.poi_radius_km,
-            )
+            with context.tracer.span("poi_profile") as span:
+                poi_profile = compute_poi_profiles(
+                    vectorized.tower_ids,
+                    coordinates[:, 0],
+                    coordinates[:, 1],
+                    city.pois,
+                    radius_km=cfg.poi_radius_km,
+                )
+                span.count("towers", poi_profile.num_towers)
+                span.count("pois", len(city.pois))
+                span.count("pois_in_range", int(poi_profile.counts.sum()))
         else:
             poi_profile = context.require("poi_profile_prior")
         labeling = label_clusters(poi_profile, clustering.labels)

@@ -8,12 +8,13 @@ the distribution to label and validate the traffic-pattern clusters
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.synth.poi import POI, POICategory, poi_coordinate_arrays
-from repro.utils.geometry import haversine_km
+from repro.utils.geometry import EARTH_RADIUS_KM, haversine_km
 from repro.utils.stats import min_max_normalize
 
 
@@ -46,8 +47,7 @@ class POIProfile:
             )
         if self.counts.shape[0] != self.tower_ids.shape[0]:
             raise ValueError("tower_ids must align with count rows")
-        if self.radius_km <= 0:
-            raise ValueError(f"radius_km must be positive, got {self.radius_km}")
+        _check_radius(self.radius_km)
 
     @property
     def num_towers(self) -> int:
@@ -83,26 +83,50 @@ def compute_poi_profiles(
     """Count POIs of each category within ``radius_km`` of every tower.
 
     The default radius of 0.2 km matches the paper's 200 m.
+
+    Only the POIs whose latitude lies within ``radius_km`` of a tower's (a
+    band found by binary search over the sorted POI latitudes) are measured:
+    a great circle is never shorter than the meridian arc between its end
+    latitudes, so no POI outside the band is within the radius.  That bound
+    needs latitudes in [-90, 90].  The band is widened by a relative 1e-6,
+    for the rounding of the computed distance, and by 1e-12 degrees, for the
+    rounding of the latitudes themselves (it decides at micrometre radii),
+    so the counts are identical to measuring every POI.  NaN coordinates
+    count nothing.
     """
     ids = np.asarray(tower_ids, dtype=int)
     lats = np.asarray(tower_lats, dtype=float)
     lons = np.asarray(tower_lons, dtype=float)
     if not (ids.shape == lats.shape == lons.shape):
         raise ValueError("tower_ids, tower_lats and tower_lons must have equal shapes")
-    if radius_km <= 0:
-        raise ValueError(f"radius_km must be positive, got {radius_km}")
+    _check_radius(radius_km)
 
     poi_lats, poi_lons, poi_categories = poi_coordinate_arrays(pois)
-    counts = np.zeros((ids.size, len(POICategory.ordered())))
-    if poi_lats.size:
-        for row in range(ids.size):
-            distances = haversine_km(lats[row], lons[row], poi_lats, poi_lons)
-            nearby = np.asarray(distances) <= radius_km
-            if np.any(nearby):
-                counts[row] = np.bincount(
-                    poi_categories[nearby], minlength=len(POICategory.ordered())
-                )
+    for what, values in (("tower", lats), ("POI", poi_lats)):
+        outside = np.abs(values) > 90.0
+        if np.any(outside):
+            raise ValueError(
+                f"{what} latitudes must lie in [-90, 90], got {values[outside][0]}"
+            )
+    order = np.argsort(poi_lats)
+    poi_lats, poi_lons, poi_categories = poi_lats[order], poi_lons[order], poi_categories[order]
+    half_band = np.degrees(radius_km / EARTH_RADIUS_KM) * (1.0 + 1e-6) + 1e-12
+    starts = np.searchsorted(poi_lats, lats - half_band, side="left")
+    stops = np.searchsorted(poi_lats, lats + half_band, side="right")
+
+    num_categories = len(POICategory.ordered())
+    counts = np.zeros((ids.size, num_categories))
+    for row in np.nonzero(stops > starts)[0]:
+        band = slice(starts[row], stops[row])
+        distances = haversine_km(lats[row], lons[row], poi_lats[band], poi_lons[band])
+        nearby = distances <= radius_km
+        counts[row] = np.bincount(poi_categories[band][nearby], minlength=num_categories)
     return POIProfile(tower_ids=ids, counts=counts, radius_km=radius_km)
+
+
+def _check_radius(radius_km: float) -> None:
+    if not math.isfinite(radius_km) or radius_km <= 0:
+        raise ValueError(f"radius_km must be positive and finite, got {radius_km}")
 
 
 def normalized_poi_by_cluster(

@@ -38,8 +38,10 @@ class POICategory(enum.Enum):
     @property
     def index(self) -> int:
         """Return the 0-based column index of this category."""
-        return POICategory.ordered().index(self)
+        return _CATEGORY_INDEX[self]
 
+
+_CATEGORY_INDEX = {category: index for index, category in enumerate(POICategory.ordered())}
 
 #: Mapping from pure region type to the matching POI category.
 REGION_TO_POI = {

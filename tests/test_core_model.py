@@ -32,6 +32,11 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(decomposition_feature=())
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_non_finite_poi_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="poi_radius_km must be positive and finite"):
+            ModelConfig(poi_radius_km=radius)
+
 
 class TestFittedModel:
     def test_five_patterns_identified(self, fitted_model):

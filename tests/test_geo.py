@@ -79,6 +79,16 @@ class TestPOIProfile:
                 scenario.traffic.tower_ids, lats, lons, scenario.city.pois, radius_km=0.0
             )
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_non_finite_radius_rejected(self, scenario, radius):
+        lats, lons = scenario.city.tower_coordinates()
+        with pytest.raises(ValueError, match="radius_km must be positive and finite"):
+            compute_poi_profiles(
+                scenario.traffic.tower_ids, lats, lons, scenario.city.pois, radius_km=radius
+            )
+        with pytest.raises(ValueError, match="radius_km must be positive and finite"):
+            POIProfile(tower_ids=np.arange(2), counts=np.zeros((2, 4)), radius_km=radius)
+
 
 class TestNormalizedPOITables:
     def test_table_shape_and_range(self, scenario, poi_profile):

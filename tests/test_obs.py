@@ -430,13 +430,17 @@ class TestRenderTraceTree:
 
 class TestPipelineIntegration:
     @pytest.fixture(scope="class")
-    def traced_fit(self):
-        from repro.core.model import TrafficPatternModel
+    def scenario(self):
         from repro.synth.scenario import ScenarioConfig, generate_scenario
 
-        scenario = generate_scenario(
+        return generate_scenario(
             ScenarioConfig(num_towers=15, num_users=40, num_days=7, seed=2)
         )
+
+    @pytest.fixture(scope="class")
+    def traced_fit(self, scenario):
+        from repro.core.model import TrafficPatternModel
+
         tracer = Tracer()
         model = TrafficPatternModel()
         result = model.fit(scenario.traffic, city=scenario.city, tracer=tracer)
@@ -465,6 +469,31 @@ class TestPipelineIntegration:
         cluster = tracer.find("cluster")
         assert cluster.counters["merges"] == 14
         assert cluster.attributes["towers"] == 15
+
+    def test_label_times_poi_profiling_in_its_own_span(self, scenario, traced_fit):
+        tracer, result = traced_fit
+        label = tracer.find("label")
+        assert [child.name for child in label.children] == ["poi_profile"]
+        assert label.children[0].counters == {
+            "towers": 15,
+            "pois": len(scenario.city.pois),
+            "pois_in_range": int(result.poi_profile.counts.sum()),
+        }
+        assert result.poi_profile.counts.sum() > 0
+
+    def test_prior_profile_path_has_no_poi_profile_span(self, scenario, tmp_path):
+        from repro.core.model import TrafficPatternModel
+        from repro.ingest.batch import RecordBatch
+
+        model = TrafficPatternModel()
+        model.fit(scenario.traffic, city=scenario.city)
+        reloaded = TrafficPatternModel.load(model.save(tmp_path / "bundle"))
+        tracer = Tracer()
+        updated = reloaded.update(RecordBatch.empty(), tracer=tracer)
+        label = tracer.find("label")
+        assert label.attributes["source"] == "prior"
+        assert label.children == []
+        assert updated.labeling.as_dict() == model.result.labeling.as_dict()
 
     def test_untraced_fit_produces_equal_result(self):
         from repro.core.model import TrafficPatternModel

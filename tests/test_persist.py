@@ -254,6 +254,18 @@ class TestFailureModes:
         with pytest.raises(PersistError):
             load_model(bundle)
 
+    @pytest.mark.parametrize(
+        "section, key", [("config", "poi_radius_km"), ("poi_profile", "radius_km")]
+    )
+    def test_nan_poi_radius_is_corrupt(self, fitted_model, tmp_path, section, key):
+        bundle = fitted_model.save(tmp_path / "bundle")
+        manifest = json.loads((bundle / MANIFEST_NAME).read_text())
+        manifest[section][key] = float("nan")
+        (bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match="corrupt manifest: .*radius_km") as err:
+            load_model(bundle)
+        assert "\n" not in str(err.value)
+
     def test_messages_are_path_qualified(self, tmp_path):
         missing = tmp_path / "absent"
         with pytest.raises(PersistError, match=str(missing)):
