@@ -28,10 +28,9 @@ Seven subcommands cover the everyday workflow without writing Python:
     first (trace or fresh synthetic scenario).
 
 ``repro-traffic serve``
-    Serve a persisted model bundle over HTTP: concurrent asyncio front-end
-    with micro-batched decompose/region queries, a fingerprint-keyed
-    read-through result cache and atomic hot-swap via ``POST /reload``
-    (:mod:`repro.io.service`).
+    Serve a persisted model bundle over HTTP: an asyncio front-end that
+    answers every query by row lookup and hot-swaps bundles atomically via
+    ``POST /reload`` (:mod:`repro.io.service`).
 
 ``repro-traffic stats``
     Print a persisted bundle's provenance — versions, window, fit
@@ -600,28 +599,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     if not 0 <= args.port <= 65535:
         raise CLIError(f"--port must be within 0..65535, got {args.port}")
-    if args.serve_workers < 1:
-        raise CLIError(f"--workers must be >= 1, got {args.serve_workers}")
-    if args.batch_window_ms < 0:
-        raise CLIError(
-            f"--batch-window-ms must be >= 0, got {args.batch_window_ms}"
-        )
-    if args.max_batch < 1:
-        raise CLIError(f"--max-batch must be >= 1, got {args.max_batch}")
-    if args.cache_size < 0:
-        raise CLIError(f"--cache-size must be >= 0, got {args.cache_size}")
     from repro.io.service import ModelService, run_service
 
     # Loads (and validates) the bundle before binding the socket, so a bad
     # bundle is the usual one-line exit-2 error instead of a serving 500.
-    service = ModelService(
-        args.model,
-        pool_workers=args.serve_workers,
-        batch_window_s=args.batch_window_ms / 1000.0,
-        max_batch=args.max_batch,
-        cache_entries=args.cache_size,
-        mmap=not args.no_mmap,
-    )
+    service = ModelService(args.model, mmap=not args.no_mmap)
 
     def on_ready(host: str, port: int) -> None:
         print(f"serving model bundle {args.model} at http://{host}:{port}")
@@ -671,7 +653,6 @@ def _cmd_stats_url(url: str) -> int:
     payload = _fetch_live_stats(url)
     service = payload.get("service", {})
     server = payload.get("server", {})
-    counters = payload.get("metrics", {}).get("counters", {})
 
     print(f"live serving stats from {url}")
     print(f"  model fingerprint: {service.get('model_fingerprint')}")
@@ -681,27 +662,8 @@ def _cmd_stats_url(url: str) -> int:
     print(f"  requests:          {service.get('requests', 0):,} "
           f"({service.get('errors', 0):,} errors)")
     print(f"  request latency:   {_format_latency(service.get('request_latency'))}")
-    cache = service.get("cache", {})
-    print(f"  result cache:      {cache.get('size', 0):,} entries "
-          f"(cap {cache.get('max_entries', 0):,}): "
-          f"{counters.get('service.cache_hits', 0):,} hits, "
-          f"{counters.get('service.cache_misses', 0):,} misses, "
-          f"{counters.get('service.cache_evictions', 0):,} evictions")
-    batched = sum(
-        value for name, value in counters.items()
-        if name.startswith("service.batched_requests.")
-    )
-    flushes = sum(
-        value for name, value in counters.items()
-        if name.startswith("service.batch_flushes.")
-    )
-    print(f"  micro-batching:    {batched:,} batched requests in "
-          f"{flushes:,} flushes")
     print("  model server:")
     print(f"    queries:         {server.get('queries', 0):,}")
-    print(f"    decompose cache: {server.get('decompose_cache_hits', 0):,} hits, "
-          f"{server.get('decompose_cache_misses', 0):,} misses, "
-          f"{server.get('batch_reuse', 0):,} batch reuses")
     print(f"    query latency:   {_format_latency(server.get('query_latency'))}")
     return 0
 
@@ -897,32 +859,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve",
         help="serve a persisted model bundle over HTTP/JSON "
-        "(micro-batched queries, result cache, hot-swap via POST /reload)",
+        "(row-lookup queries, hot-swap via POST /reload)",
     )
     serve.add_argument("--model", required=True, help="model bundle written by 'fit --save'")
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     serve.add_argument(
         "--port", type=int, default=8350,
         help="TCP port (default 8350; 0 picks an ephemeral port)",
-    )
-    serve.add_argument(
-        "--workers", dest="serve_workers", type=int, default=4,
-        help="threads answering numpy-bound queries off the event loop (default 4)",
-    )
-    serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="how long a decompose/region request waits for companions to "
-        "coalesce into one batched solve (default 2 ms; 0 flushes per tick)",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=64,
-        help="flush a micro-batch immediately at this many pending queries "
-        "(default 64)",
-    )
-    serve.add_argument(
-        "--cache-size", type=int, default=4096,
-        help="read-through result cache capacity in entries "
-        "(default 4096; 0 disables caching)",
     )
     serve.add_argument(
         "--no-mmap", action="store_true",

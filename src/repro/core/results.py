@@ -113,13 +113,15 @@ class ModelResult:
 
     def percentage_table(self) -> list[dict[str, object]]:
         """Return Table 1 (cluster index, functional region, percentage)."""
+        percentages = self.clustering.percentages()
         rows = []
-        for summary in self.summaries():
+        for cluster_label in range(self.num_clusters):
+            region = self.region_of_cluster(cluster_label)
             rows.append(
                 {
-                    "cluster": summary.cluster_label + 1,
-                    "region": summary.region.value if summary.region else "unlabelled",
-                    "percentage": round(summary.percentage, 2),
+                    "cluster": cluster_label + 1,
+                    "region": region.value if region else "unlabelled",
+                    "percentage": round(float(percentages[cluster_label]), 2),
                 }
             )
         return rows

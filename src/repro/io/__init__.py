@@ -5,13 +5,12 @@
   :func:`~repro.io.persist.load_model` round-trips;
 * :mod:`repro.io.server` — the in-process :class:`~repro.io.server.ModelServer`
   answering decompose / region / summary / pattern queries against a fitted
-  or loaded model without re-running the fit;
-* :mod:`repro.io.service` — the networked serving plane: a concurrent
-  HTTP/JSON front-end (:class:`~repro.io.service.ModelService`) with
-  micro-batched queries, a fingerprint-keyed read-through result cache and
-  atomic hot-swap of new bundles;
-* :mod:`repro.io.loadgen` — a multi-client HTTP load generator
-  (:func:`~repro.io.loadgen.run_load`) for benchmarking the service.
+  or loaded model without re-running the fit: it decomposes the whole city
+  once when built, so every query is a row lookup;
+* :mod:`repro.io.service` — the networked serving plane: an asyncio
+  HTTP/JSON front-end (:class:`~repro.io.service.ModelService`) answering
+  each query inline from the active server, with atomic hot-swap of new
+  bundles.
 """
 
 from repro.io.persist import (
@@ -27,7 +26,6 @@ from repro.io.persist import (
 from repro.io.server import ModelServer, TowerPattern
 from repro.io.service import (
     ModelService,
-    ResultCache,
     ServiceError,
     ServiceHandle,
     model_fingerprint,
@@ -43,7 +41,6 @@ __all__ = [
     "ModelServer",
     "ModelService",
     "PersistError",
-    "ResultCache",
     "ServiceError",
     "ServiceHandle",
     "TowerPattern",

@@ -5,20 +5,22 @@ traces is interrogated repeatedly for cluster summaries, convex
 decompositions and region predictions.  :class:`ModelServer` is the serving
 seam for that workflow — it wraps a :class:`~repro.core.model.TrafficPatternModel`
 (freshly fitted, or loaded from a :mod:`repro.io.persist` bundle) and
-answers every query without ever re-running the fit, memoising the
-per-tower decompositions (the only non-trivial per-query computation).
+answers every query without ever re-running the fit.
+
+Any tower's decomposition is a pure function of the fitted model, so the
+server solves the whole city once, in one batched call, when it is built;
+every query after that is a row lookup.  A server never changes: a new model
+gets a new server.
 
 Serving statistics are backed by a :class:`~repro.obs.metrics.MetricsRegistry`
 (supply your own to aggregate across servers, or let the server own one):
-queries served, decompose-cache hits/misses, memoised-batch reuse and a
-query-latency histogram, all snapshotted by :meth:`ModelServer.stats`.  An
-optional :class:`~repro.obs.trace.Tracer` records one ``query:<name>`` span
-per query.
+queries served and a query-latency histogram, snapshotted by
+:meth:`ModelServer.stats`.  An optional :class:`~repro.obs.trace.Tracer`
+records one ``query:<name>`` span per query.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -90,21 +92,17 @@ class ModelServer:
     ) -> None:
         self._model = model
         self._result = model.result  # fail fast when not fitted
-        self._decompose_cache: dict[int, ConvexDecomposition] = {}
-        self._batch_decomposition: BatchDecomposition | None = None
-        self._known_towers = frozenset(int(t) for t in self._result.tower_ids)
-        # One server may be shared by a thread pool (repro.io.service); the
-        # lock guards the memoised whole-city batch so concurrent callers
-        # solve it exactly once (double-checked: the fast path reads the
-        # reference without locking, which is safe because the batch is
-        # immutable once published).
-        self._lock = threading.Lock()
+        self._row_of = {int(t): row for row, t in enumerate(self._result.tower_ids)}
+        # The whole-city decomposition, one row per tower in model order;
+        # None when the fit produced no primary components.
+        self._decomposition: BatchDecomposition | None = None
+        if self._result.representatives is not None:
+            self._decomposition = model.decompose_all()
+            if not np.array_equal(self._decomposition.tower_ids, self._result.tower_ids):
+                raise ValueError("frequency-feature rows are not in the model's tower order")
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._queries = self.metrics.counter("server.queries")
-        self._cache_hits = self.metrics.counter("server.decompose_cache_hits")
-        self._cache_misses = self.metrics.counter("server.decompose_cache_misses")
-        self._batch_reuse = self.metrics.counter("server.batch_reuse")
         self._latency = self.metrics.histogram("server.query_seconds")
 
     @classmethod
@@ -147,15 +145,23 @@ class ModelServer:
         return [int(tower_id) for tower_id in self._result.tower_ids]
 
     def has_tower(self, tower_id: int) -> bool:
-        """Whether ``tower_id`` is known to the model.
+        """Whether ``tower_id`` is known to the model."""
+        return int(tower_id) in self._row_of
 
-        Front-ends batching several clients' requests into one solve use
-        this to reject an unknown tower up front instead of failing the
-        whole coalesced batch.
-        """
-        return int(tower_id) in self._known_towers
+    # -- lookups -------------------------------------------------------
 
-    # -- query bookkeeping ---------------------------------------------
+    def _row(self, tower_id: int) -> int:
+        row = self._row_of.get(int(tower_id))
+        if row is None:
+            raise KeyError(f"tower {int(tower_id)} not present")
+        return row
+
+    def _whole_city(self) -> BatchDecomposition:
+        if self._decomposition is None:
+            raise RuntimeError(
+                "no representative towers available; fit with enough clusters first"
+            )
+        return self._decomposition
 
     @contextmanager
     def _query(self, name: str) -> Iterator[None]:
@@ -192,86 +198,42 @@ class ModelServer:
             return self._result.summaries()[cluster_label]
 
     def decompose(self, tower_id: int) -> ConvexDecomposition:
-        """Return the convex decomposition of one tower (memoised).
+        """Return the convex decomposition of one tower.
 
-        Served from the per-tower cache, then from the whole-city batch when
-        :meth:`decompose_all` has already run, and only then solved — as a
-        one-row call into the batched kernel.
+        Raises
+        ------
+        RuntimeError
+            If the model has no primary components.
+        KeyError
+            If the tower is unknown.
         """
         with self._query("decompose"):
-            key = int(tower_id)
-            cached = self._decompose_cache.get(key)
-            if cached is not None:
-                self._cache_hits.inc()
-                return cached
-            # Read the memoised batch reference once: a concurrent
-            # invalidate() may swap it to None between check and use.
-            batch = self._batch_decomposition
-            if batch is not None:
-                decomposition = batch.decomposition_of(key)
-                self._cache_hits.inc()
-                self._batch_reuse.inc()
-            else:
-                self._cache_misses.inc()
-                decomposition = self._model.decompose(key)
-            self._decompose_cache[key] = decomposition
-            return decomposition
+            return self._whole_city().at(self._row(tower_id))
 
     def decompose_many(self, tower_ids: Sequence[int]) -> BatchDecomposition:
-        """Decompose several towers as one batched solve.
-
-        Sliced out of the memoised whole-city batch when available;
-        otherwise a single vectorized call covers every requested tower, and
-        the per-tower cache is populated from its rows.
-        """
+        """Return the decompositions of several towers, in the given order."""
         with self._query("decompose_many"):
-            ids = [int(tower_id) for tower_id in tower_ids]
-            memoised = self._batch_decomposition
-            if memoised is not None:
-                self._cache_hits.inc()
-                self._batch_reuse.inc()
-                rows = np.array([memoised.row_of(key) for key in ids], dtype=int)
-                return memoised.take(rows)
-            self._cache_misses.inc()
-            batch = self._model.decompose_towers(ids)
-            for index, key in enumerate(ids):
-                self._decompose_cache.setdefault(key, batch.at(index))
-            return batch
+            whole = self._whole_city()
+            return whole.take(np.array([self._row(t) for t in tower_ids], dtype=int))
 
     def decompose_all(self) -> BatchDecomposition:
-        """Decompose every tower in one vectorized call (memoised).
-
-        The first call runs the batched simplex kernel over the whole
-        ``(towers × feature_dim)`` matrix; afterwards every
-        :meth:`decompose` / :meth:`decompose_many` query is a slice of the
-        cached result.
-        """
+        """Return the decomposition of every tower (solved once, at construction)."""
         with self._query("decompose_all"):
-            batch = self._batch_decomposition
-            if batch is None:
-                # Double-checked lock: concurrent first callers must agree on
-                # exactly one whole-city solve, not race to run it N times.
-                with self._lock:
-                    batch = self._batch_decomposition
-                    if batch is None:
-                        self._cache_misses.inc()
-                        batch = self._model.decompose_all()
-                        self._batch_decomposition = batch
-                        return batch
-            self._cache_hits.inc()
-            self._batch_reuse.inc()
-            return batch
+            return self._whole_city()
 
     def predict_region(self, tower_id: int) -> RegionType:
         """Return the urban functional region inferred for one tower."""
         with self._query("predict_region"):
-            return self._model.predict_region(int(tower_id))
+            result = self._result
+            if result.labeling is None:
+                raise RuntimeError("the model was fitted without geographic labelling")
+            return result.labeling.region_of(int(result.labels[self._row(tower_id)]))
 
     def pattern_of(self, tower_id: int) -> TowerPattern:
         """Return the full pattern record of one tower."""
         with self._query("pattern_of"):
             result = self._result
-            row = result.vectorized.row_of(int(tower_id))
+            row = self._row(tower_id)
             cluster = int(result.labels[row])
             return TowerPattern(
                 tower_id=int(tower_id),
@@ -290,36 +252,10 @@ class ModelServer:
 
             {
               "queries": int,                  # every query served
-              "decompose_cache_hits": int,     # served from cache or batch
-              "decompose_cache_misses": int,   # required a fresh solve
-              "decompose_cache_size": int,     # towers memoised right now
-              "decompose_batch_rows": int,     # rows of the memoised batch
-              "batch_reuse": int,              # queries served off the batch
               "query_latency": {count, sum, min, max, p50, p95, p99},
             }
-
-        Counters are cumulative for the server's lifetime and survive
-        :meth:`invalidate` (which only drops memoised results).
         """
-        batch = self._batch_decomposition
         return {
             "queries": self._queries.snapshot(),
-            "decompose_cache_hits": self._cache_hits.snapshot(),
-            "decompose_cache_misses": self._cache_misses.snapshot(),
-            "decompose_cache_size": len(self._decompose_cache),
-            "decompose_batch_rows": 0 if batch is None else len(batch),
-            "batch_reuse": self._batch_reuse.snapshot(),
             "query_latency": self._latency.snapshot(),
         }
-
-    def invalidate(self) -> None:
-        """Drop memoised query results (call after updating the model).
-
-        The cumulative counters are *not* reset — they describe the
-        server's lifetime, not the current cache generation.
-        """
-        with self._lock:
-            self._result = self._model.result
-            self._known_towers = frozenset(int(t) for t in self._result.tower_ids)
-            self._decompose_cache.clear()
-            self._batch_decomposition = None

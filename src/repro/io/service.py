@@ -1,29 +1,16 @@
-"""Networked serving plane: a concurrent HTTP/JSON front-end over the model.
+"""Networked serving plane: an HTTP/JSON front-end over the model.
 
 The paper's workflow is fit-once / query-many; :class:`~repro.io.server.ModelServer`
-answers those queries in-process.  This module puts a network front-end on
-it — stdlib only (``asyncio`` event loop + a ``ThreadPoolExecutor`` for the
-numpy work) — with the three perf layers of a production serving stack:
-
-**Micro-batching**
-    Concurrent ``decompose``/``region`` requests arriving within a small
-    window (or once the queue is deep enough) coalesce into *one* call to
-    the batched simplex kernel / one vectorized region lookup, amortizing
-    the solver setup exactly like the batched CLI path does
-    (:class:`_MicroBatcher`).
-
-**Read-through result cache**
-    Responses are memoised under ``(model fingerprint, query kind, args)``
-    (:class:`ResultCache`), so identical queries across clients are served
-    from memory.  The fingerprint is derived from the bundle's stage
-    fingerprints, which makes every cached entry self-invalidating on
-    hot-swap: a new model can never hit an old model's entries.
+answers those queries in-process from arrays it computes once per model.
+This module puts a network front-end on it, stdlib ``asyncio`` only.  Every
+query is a row lookup, so it is answered inline on the event loop, and a
+reply depends only on the model, never on how requests were grouped.
 
 **Atomic hot-swap**
-    ``POST /reload`` loads a new bundle *off* the serving path (on the
-    thread pool, memory-mapped so peak RSS does not double) and swaps the
-    active model reference atomically.  In-flight queries finish on the old
-    model; the cache is cleared; not a single request is dropped.
+    ``POST /reload`` loads a new bundle off the event loop (on a worker
+    thread, memory-mapped so peak RSS does not double) and then swaps the
+    active generation in one assignment.  Each query reads one generation
+    from start to end; not a single request is dropped.
 
 Endpoints (all JSON)::
 
@@ -31,20 +18,20 @@ Endpoints (all JSON)::
     GET  /summary               Table-1 cluster summary
     GET  /pattern/<tower_id>    one tower's full pattern record
     GET  /decompose/<tower_id>  one tower's convex decomposition
-    POST /decompose             {"towers": [...]} -> batched decompositions
+    POST /decompose             {"towers": [...]} -> decompositions
     GET  /region/<tower_id>     one tower's predicted functional region
-    POST /region                {"towers": [...]} -> batched regions
+    POST /region                {"towers": [...]} -> regions
     GET  /stats                 serving counters + latency percentiles
     POST /reload                {"model": path?} -> atomic hot-swap
 
 Serving statistics ride on the existing telemetry plane: the wrapped
 :class:`ModelServer` keeps its ``server.*`` counters and query-latency
 histogram, and the service adds ``service.*`` counters (requests, errors,
-cache hits/misses/evictions, batch flushes/sizes, reloads) on the same
+reloads) and a request-latency histogram on the same
 :class:`~repro.obs.metrics.MetricsRegistry`.
 
 Use :func:`start_service` to run the server on a background thread (tests,
-benchmarks, embedding) or :func:`run_service` to serve forever (the
+embedding) or :func:`run_service` to serve forever (the
 ``repro-traffic serve`` CLI).
 """
 
@@ -53,13 +40,12 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import logging
 import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Awaitable, Callable, Sequence
+from typing import Any, Callable, Sequence
 from urllib.parse import urlsplit
 
 from repro.core.results import ModelResult
@@ -67,19 +53,11 @@ from repro.io.persist import PersistError
 from repro.io.server import ModelServer
 from repro.obs.metrics import MetricsRegistry
 
-#: Default coalescing window of the micro-batchers, in seconds.  Requests
-#: arriving within one window of each other share a single vectorized call.
-DEFAULT_BATCH_WINDOW_S = 0.002
-
-#: Default queue-depth trigger: a batch this large flushes immediately
-#: instead of waiting out the window.
-DEFAULT_MAX_BATCH = 64
-
-#: Default bound on memoised responses in the read-through cache.
-DEFAULT_CACHE_ENTRIES = 4096
-
 #: Largest accepted request body, in bytes.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Most header lines one request may carry (the ``http.server`` limit).
+MAX_HEADER_LINES = 100
 
 _HTTP_REASONS = {
     200: "OK",
@@ -89,6 +67,8 @@ _HTTP_REASONS = {
     413: "Payload Too Large",
     500: "Internal Server Error",
 }
+
+_log = logging.getLogger(__name__)
 
 
 class ServiceError(RuntimeError):
@@ -104,8 +84,7 @@ def model_fingerprint(result: ModelResult) -> str:
 
     Derived from the pipeline's per-stage input fingerprints (persisted in
     every bundle manifest), so two bundles answer queries identically iff
-    their fingerprints match; cache keys built from it can never alias
-    across a hot-swap.
+    their fingerprints match.
     """
     fingerprints = result.extras.get("stage_fingerprints")
     if fingerprints:
@@ -119,155 +98,6 @@ def model_fingerprint(result: ModelResult) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-class ResultCache:
-    """Thread-safe read-through LRU cache for serving responses.
-
-    Keys are ``(model fingerprint, query kind, args)`` tuples; values are
-    the ready-to-send JSON payloads.  ``max_entries=0`` disables caching
-    (every ``get`` misses, ``put`` is a no-op).  Hit/miss/eviction counts
-    land on the shared metrics registry as ``service.cache_*`` counters.
-    """
-
-    _MISSING = object()
-
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_CACHE_ENTRIES,
-        *,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        if max_entries < 0:
-            raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        self.max_entries = int(max_entries)
-        self._entries: OrderedDict[tuple, Any] = OrderedDict()
-        self._lock = threading.Lock()
-        registry = metrics if metrics is not None else MetricsRegistry()
-        self._hits = registry.counter("service.cache_hits")
-        self._misses = registry.counter("service.cache_misses")
-        self._evictions = registry.counter("service.cache_evictions")
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple) -> Any:
-        """Return the cached value for ``key``, or ``None`` on a miss."""
-        with self._lock:
-            value = self._entries.get(key, self._MISSING)
-            if value is self._MISSING:
-                self._misses.inc()
-                return None
-            self._entries.move_to_end(key)
-        self._hits.inc()
-        return value
-
-    def put(self, key: tuple, value: Any) -> None:
-        """Insert ``key``, evicting least-recently-used entries past the cap."""
-        if self.max_entries == 0:
-            return
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            evicted = 0
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                evicted += 1
-        if evicted:
-            self._evictions.inc(evicted)
-
-    def clear(self) -> None:
-        """Drop every entry (hot-swap invalidation); counted as evictions."""
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-        if dropped:
-            self._evictions.inc(dropped)
-
-
-class _MicroBatcher:
-    """Coalesce concurrent per-key async requests into one vectorized call.
-
-    The first pending key arms a flush timer (``window_s``); every key
-    arriving before it fires joins the batch, and a batch reaching
-    ``max_batch`` flushes immediately.  ``flush_fn`` receives the unique
-    pending keys and returns ``{key: payload}``; a payload that is an
-    exception is raised to that key's waiters only, so one bad key cannot
-    poison the rest of the batch.  Requests for a key already pending simply
-    share its future (cross-client coalescing).
-
-    Single event loop only — all state is touched from loop callbacks.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        flush_fn: Callable[[list], Awaitable[dict]],
-        *,
-        window_s: float = DEFAULT_BATCH_WINDOW_S,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        if window_s < 0:
-            raise ValueError(f"window_s must be >= 0, got {window_s}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.name = name
-        self.window_s = float(window_s)
-        self.max_batch = int(max_batch)
-        self._flush_fn = flush_fn
-        self._pending: dict[Any, asyncio.Future] = {}
-        self._timer: asyncio.TimerHandle | None = None
-        registry = metrics if metrics is not None else MetricsRegistry()
-        self._flushes = registry.counter(f"service.batch_flushes.{name}")
-        self._batched = registry.counter(f"service.batched_requests.{name}")
-        self._coalesced = registry.counter(f"service.coalesced_requests.{name}")
-
-    async def submit(self, key: Any) -> Any:
-        """Enqueue ``key`` and await its share of the next batched call."""
-        loop = asyncio.get_running_loop()
-        future = self._pending.get(key)
-        if future is None:
-            future = loop.create_future()
-            self._pending[key] = future
-            self._batched.inc()
-            if len(self._pending) >= self.max_batch:
-                self._flush_now()
-            elif self._timer is None:
-                self._timer = loop.call_later(self.window_s, self._flush_now)
-        else:
-            # Another client already asked for this key in the current
-            # window; ride its future instead of solving twice.
-            self._coalesced.inc()
-        return await asyncio.shield(future)
-
-    def _flush_now(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, {}
-        self._flushes.inc()
-        asyncio.ensure_future(self._run_batch(pending))
-
-    async def _run_batch(self, pending: dict[Any, asyncio.Future]) -> None:
-        keys = list(pending)
-        try:
-            results = await self._flush_fn(keys)
-        except Exception as err:  # pragma: no cover - defensive: flush_fn raised
-            for future in pending.values():
-                if not future.done():
-                    future.set_exception(err)
-            return
-        for key, future in pending.items():
-            if future.done():
-                continue
-            payload = results.get(key)
-            if isinstance(payload, BaseException):
-                future.set_exception(payload)
-            else:
-                future.set_result(payload)
-
-
 @dataclass(frozen=True)
 class _ServingModel:
     """One immutable generation of the hot-swappable serving state."""
@@ -276,17 +106,15 @@ class _ServingModel:
     fingerprint: str
     generation: int
     path: Path | None
-    row_of: dict[int, int]
 
 
 class ModelService:
-    """Transport-independent async serving facade with hot-swap.
+    """Transport-independent serving facade with hot-swap.
 
-    Wraps one :class:`ModelServer` generation at a time; every query
-    captures the active generation once, so a concurrent :meth:`reload`
-    never changes the model under a request's feet.  All numpy work runs on
-    a private thread pool; the async methods are safe to call concurrently
-    from one event loop (the HTTP layer, or tests via ``asyncio.gather``).
+    Wraps one :class:`ModelServer` generation at a time.  Queries are plain
+    methods that read the active generation once; :meth:`reload` is the only
+    coroutine that waits on anything, and it swaps the generation only after
+    the new bundle has loaded.
 
     Parameters
     ----------
@@ -297,12 +125,6 @@ class ModelService:
         A ready :class:`ModelServer` to serve (in-memory fits, tests).
     metrics:
         Shared registry; the service creates a private one when omitted.
-    pool_workers:
-        Thread-pool size for the numpy work (and for off-path reloads).
-    batch_window_s / max_batch:
-        Micro-batching knobs (see :class:`_MicroBatcher`).
-    cache_entries:
-        Result-cache bound; ``0`` disables response caching.
     mmap:
         Memory-map bundle arrays on load/reload (default on) so a hot-swap
         does not hold two full models in RSS.
@@ -314,41 +136,16 @@ class ModelService:
         *,
         server: ModelServer | None = None,
         metrics: MetricsRegistry | None = None,
-        pool_workers: int = 4,
-        batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        cache_entries: int = DEFAULT_CACHE_ENTRIES,
         mmap: bool = True,
     ) -> None:
         if server is None and model_path is None:
             raise ValueError("either model_path or server is required")
-        if pool_workers < 1:
-            raise ValueError(f"pool_workers must be >= 1, got {pool_workers}")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._mmap = bool(mmap)
-        self._executor = ThreadPoolExecutor(
-            max_workers=pool_workers, thread_name_prefix="repro-serve"
-        )
-        self._swap_lock = threading.Lock()
         path = None if model_path is None else Path(model_path)
         if server is None:
             server = ModelServer.from_artifact(path, metrics=self.metrics, mmap=self._mmap)
         self._active = self._make_generation(server, path, generation=1)
-        self.cache = ResultCache(cache_entries, metrics=self.metrics)
-        self._decompose_batcher = _MicroBatcher(
-            "decompose",
-            self._solve_decompose_batch,
-            window_s=batch_window_s,
-            max_batch=max_batch,
-            metrics=self.metrics,
-        )
-        self._region_batcher = _MicroBatcher(
-            "region",
-            self._solve_region_batch,
-            window_s=batch_window_s,
-            max_batch=max_batch,
-            metrics=self.metrics,
-        )
         self._requests = self.metrics.counter("service.requests")
         self._errors = self.metrics.counter("service.errors")
         self._reloads = self.metrics.counter("service.reloads")
@@ -360,16 +157,11 @@ class ModelService:
     def _make_generation(
         server: ModelServer, path: Path | None, generation: int
     ) -> _ServingModel:
-        result = server.result
         return _ServingModel(
             server=server,
-            fingerprint=model_fingerprint(result),
+            fingerprint=model_fingerprint(server.result),
             generation=generation,
             path=path,
-            row_of={
-                int(tower_id): row
-                for row, tower_id in enumerate(result.vectorized.tower_ids)
-            },
         )
 
     @property
@@ -377,22 +169,9 @@ class ModelService:
         """The current serving generation (capture once per request)."""
         return self._active
 
-    def close(self) -> None:
-        """Release the thread pool (idempotent)."""
-        self._executor.shutdown(wait=False, cancel_futures=True)
-
-    async def _in_pool(self, fn: Callable[[], Any]) -> Any:
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, fn
-        )
-
     @staticmethod
     def _require_towers(active: _ServingModel, tower_ids: Sequence[Any]) -> list[int]:
-        """Validate and coerce the requested tower ids against one generation.
-
-        Rejecting unknown ids *before* they join a micro-batch keeps one bad
-        request from failing the whole coalesced solve.
-        """
+        """Validate and coerce the requested tower ids against one generation."""
         ids: list[int] = []
         for raw in tower_ids:
             try:
@@ -406,74 +185,9 @@ class ModelService:
             raise ServiceError(400, "no tower ids given")
         return ids
 
-    # -- batched solvers (run on the thread pool) -----------------------
-
-    async def _solve_decompose_batch(self, keys: list[int]) -> dict[int, Any]:
-        active = self._active
-
-        def solve() -> dict[int, Any]:
-            known = [key for key in keys if active.server.has_tower(key)]
-            out: dict[int, Any] = {}
-            if known:
-                try:
-                    batch = active.server.decompose_many(known)
-                except RuntimeError as err:
-                    failure = ServiceError(400, str(err))
-                    return {key: failure for key in keys}
-                for key, row in zip(known, batch.as_rows()):
-                    out[key] = (active.fingerprint, row)
-            for key in keys:
-                # A swap between submit-time validation and this flush may
-                # have dropped towers; fail those requests individually.
-                if key not in out:
-                    out[key] = ServiceError(404, f"tower {key} not found")
-            return out
-
-        return await self._in_pool(solve)
-
-    async def _solve_region_batch(self, keys: list[int]) -> dict[int, Any]:
-        active = self._active
-
-        def solve() -> dict[int, Any]:
-            result = active.server.result
-            if result.labeling is None:
-                failure = ServiceError(
-                    400, "the model was fitted without geographic labelling"
-                )
-                return {key: failure for key in keys}
-            out: dict[int, Any] = {}
-            for key in keys:
-                row = active.row_of.get(key)
-                if row is None:
-                    out[key] = ServiceError(404, f"tower {key} not found")
-                    continue
-                region = result.labeling.region_of(int(result.labels[row]))
-                payload = {"tower_id": key, "region": region.value}
-                out[key] = (active.fingerprint, payload)
-            return out
-
-        return await self._in_pool(solve)
-
-    async def _batched_query(
-        self, batcher: _MicroBatcher, kind: str, tower_ids: Sequence[Any]
-    ) -> list[dict]:
-        active = self._active
-        ids = self._require_towers(active, tower_ids)
-
-        async def one(tower_id: int) -> dict:
-            cache_key = (active.fingerprint, kind, tower_id)
-            cached = self.cache.get(cache_key)
-            if cached is not None:
-                return cached
-            fingerprint, payload = await batcher.submit(tower_id)
-            self.cache.put((fingerprint, kind, tower_id), payload)
-            return payload
-
-        return list(await asyncio.gather(*(one(tower_id) for tower_id in ids)))
-
     # -- queries --------------------------------------------------------
 
-    async def healthz(self) -> dict:
+    def healthz(self) -> dict:
         active = self._active
         return {
             "status": "ok",
@@ -482,48 +196,43 @@ class ModelService:
             "model_path": None if active.path is None else str(active.path),
         }
 
-    async def summary(self) -> dict:
-        active = self._active
-        cache_key = (active.fingerprint, "summary", ())
-        cached = self.cache.get(cache_key)
-        if cached is not None:
-            return cached
+    def summary(self) -> dict:
+        result = self._active.server.result
+        return {
+            "num_clusters": result.num_clusters,
+            "num_towers": result.vectorized.num_towers,
+            "num_days": result.window.num_days,
+            "clusters": result.percentage_table(),
+        }
 
-        def build() -> dict:
-            result = active.server.result
-            return {
-                "num_clusters": result.num_clusters,
-                "num_towers": result.vectorized.num_towers,
-                "num_days": result.window.num_days,
-                "clusters": result.percentage_table(),
-            }
-
-        payload = await self._in_pool(build)
-        self.cache.put(cache_key, payload)
-        return payload
-
-    async def pattern(self, tower_id: Any) -> dict:
+    def pattern(self, tower_id: Any) -> dict:
         active = self._active
         (key,) = self._require_towers(active, [tower_id])
-        cache_key = (active.fingerprint, "pattern", key)
-        cached = self.cache.get(cache_key)
-        if cached is not None:
-            return cached
-        payload = await self._in_pool(
-            lambda: active.server.pattern_of(key).as_row()
-        )
-        self.cache.put(cache_key, payload)
-        return payload
+        return active.server.pattern_of(key).as_row()
 
-    async def decompose(self, tower_ids: Sequence[Any]) -> list[dict]:
-        """Convex decompositions, micro-batched across concurrent clients."""
-        return await self._batched_query(self._decompose_batcher, "decompose", tower_ids)
+    def decompose(self, tower_ids: Sequence[Any]) -> list[dict]:
+        """Convex decompositions: rows of the generation's whole-city batch."""
+        active = self._active
+        ids = self._require_towers(active, tower_ids)
+        try:
+            batch = active.server.decompose_many(ids)
+        except RuntimeError as err:  # the model has no primary components
+            raise ServiceError(400, str(err)) from None
+        return batch.as_rows()
 
-    async def region(self, tower_ids: Sequence[Any]) -> list[dict]:
-        """Predicted regions, micro-batched across concurrent clients."""
-        return await self._batched_query(self._region_batcher, "region", tower_ids)
+    def region(self, tower_ids: Sequence[Any]) -> list[dict]:
+        """Predicted functional regions."""
+        active = self._active
+        ids = self._require_towers(active, tower_ids)
+        try:
+            return [
+                {"tower_id": key, "region": active.server.predict_region(key).value}
+                for key in ids
+            ]
+        except RuntimeError as err:  # the model has no geographic labelling
+            raise ServiceError(400, str(err)) from None
 
-    async def stats(self) -> dict:
+    def stats(self) -> dict:
         """One snapshot of every serving layer (stable top-level keys)."""
         active = self._active
         return {
@@ -535,10 +244,6 @@ class ModelService:
                 "errors": self._errors.snapshot(),
                 "reloads": self._reloads.snapshot(),
                 "request_latency": self._request_seconds.snapshot(),
-                "cache": {
-                    "size": len(self.cache),
-                    "max_entries": self.cache.max_entries,
-                },
             },
             "server": active.server.stats(),
             "metrics": self.metrics.snapshot(),
@@ -547,33 +252,23 @@ class ModelService:
     async def reload(self, path: str | Path | None = None) -> dict:
         """Atomically hot-swap to a (new) bundle; never drops a request.
 
-        The bundle loads on the thread pool — the event loop keeps serving —
-        and only then does the active reference swap (one atomic
-        assignment).  In-flight queries captured the old generation and
-        finish on it; the result cache is cleared (its keys could never hit
-        again anyway).  On a failed load the old model keeps serving and the
-        error is reported to the caller only.
+        The bundle loads on a worker thread — the event loop keeps serving —
+        and only then does the active reference swap (one assignment on the
+        loop).  On a failed load the old model keeps serving and the error
+        is reported to the caller only.
         """
-        active = self._active
-        target = active.path if path is None else Path(path)
+        target = self._active.path if path is None else Path(path)
         if target is None:
             raise ServiceError(400, "no model path to reload from (serve started "
                                     "from an in-memory model)")
-
-        def load() -> ModelServer:
-            try:
-                return ModelServer.from_artifact(
-                    target, metrics=self.metrics, mmap=self._mmap
-                )
-            except PersistError as err:
-                raise ServiceError(400, str(err)) from None
-
-        server = await self._in_pool(load)
-        with self._swap_lock:
-            generation = self._active.generation + 1
-            swapped = self._make_generation(server, target, generation)
-            self._active = swapped
-        self.cache.clear()
+        try:
+            server = await asyncio.to_thread(
+                ModelServer.from_artifact, target, metrics=self.metrics, mmap=self._mmap
+            )
+        except PersistError as err:
+            raise ServiceError(400, str(err)) from None
+        swapped = self._make_generation(server, target, self._active.generation + 1)
+        self._active = swapped
         self._reloads.inc()
         return {
             "status": "ok",
@@ -600,8 +295,9 @@ class ModelService:
         """Route one HTTP request; returns ``(status, payload)``.
 
         Counts every request, times it into ``service.request_seconds`` and
-        maps :class:`ServiceError`/unexpected exceptions to JSON error
-        payloads — the transport below never sees an exception.
+        maps :class:`ServiceError` to its JSON error payload.  Anything else
+        is logged and answered with a bare 500, so no internal detail
+        reaches the client — the transport below never sees an exception.
         """
         self._requests.inc()
         start = time.perf_counter()
@@ -609,8 +305,9 @@ class ModelService:
             status, payload = await self._route(method, target, body)
         except ServiceError as err:
             status, payload = err.status, {"error": str(err)}
-        except Exception as err:  # noqa: BLE001 - last-resort serving guard
-            status, payload = 500, {"error": f"{type(err).__name__}: {err}"}
+        except Exception:  # noqa: BLE001 - last-resort serving guard
+            _log.exception("unhandled error serving %s %s", method, target)
+            status, payload = 500, {"error": "internal server error"}
         finally:
             self._request_seconds.observe(time.perf_counter() - start)
         if status >= 400:
@@ -627,29 +324,29 @@ class ModelService:
 
         if method == "GET":
             if route == "healthz" and arg is None:
-                return 200, await self.healthz()
+                return 200, self.healthz()
             if route == "summary" and arg is None:
-                return 200, await self.summary()
+                return 200, self.summary()
             if route == "stats" and arg is None:
-                return 200, await self.stats()
+                return 200, self.stats()
             if route == "pattern" and arg is not None:
-                return 200, await self.pattern(arg)
+                return 200, self.pattern(arg)
             if route == "decompose" and arg is not None:
-                return 200, (await self.decompose([arg]))[0]
+                return 200, self.decompose([arg])[0]
             if route == "region" and arg is not None:
-                return 200, (await self.region([arg]))[0]
+                return 200, self.region([arg])[0]
         elif method == "POST":
             if route == "decompose" and arg is None:
                 payload = self._parse_body(body)
-                rows = await self.decompose(self._towers_field(payload))
-                return 200, {"decompositions": rows}
+                return 200, {"decompositions": self.decompose(self._towers_field(payload))}
             if route == "region" and arg is None:
                 payload = self._parse_body(body)
-                rows = await self.region(self._towers_field(payload))
-                return 200, {"regions": rows}
+                return 200, {"regions": self.region(self._towers_field(payload))}
             if route == "reload" and arg is None:
-                payload = self._parse_body(body)
-                return 200, await self.reload(payload.get("model"))
+                model = self._parse_body(body).get("model")
+                if model is not None and not isinstance(model, str):
+                    raise ServiceError(400, '"model" must be a bundle path string')
+                return 200, await self.reload(model)
         else:
             raise ServiceError(405, f"method {method} not allowed")
         raise ServiceError(404, f"unknown route {path!r}")
@@ -667,14 +364,19 @@ class ModelService:
 # ----------------------------------------------------------------------
 
 
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """Read one CRLF line; a line over the reader's limit is a 400."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise ServiceError(400, f"oversized {what}") from None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, str, dict[str, str], bytes] | None:
     """Parse one HTTP/1.1 request; ``None`` when the peer closed cleanly."""
-    try:
-        request_line = await reader.readline()
-    except (asyncio.LimitOverrunError, ValueError) as err:
-        raise ServiceError(400, f"oversized request line: {err}") from None
+    request_line = await _read_line(reader, "request line")
     if not request_line:
         return None
     try:
@@ -682,16 +384,20 @@ async def _read_request(
     except ValueError:
         raise ServiceError(400, "malformed request line") from None
     headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
+    for _ in range(MAX_HEADER_LINES + 1):
+        line = await _read_line(reader, "header line")
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    else:
+        raise ServiceError(400, f"more than {MAX_HEADER_LINES} header lines")
     try:
         length = int(headers.get("content-length", "0") or "0")
     except ValueError:
-        raise ServiceError(400, "bad Content-Length header") from None
+        length = -1
+    if length < 0:
+        raise ServiceError(400, "bad Content-Length header")
     if length > MAX_BODY_BYTES:
         raise ServiceError(413, f"request body over {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
@@ -757,7 +463,7 @@ class ServiceHandle:
     """A service listening on a background thread's event loop.
 
     Returned by :func:`start_service`; use as a context manager (or call
-    :meth:`stop`) so the loop, sockets and thread pool are released.
+    :meth:`stop`) so the loop and sockets are released.
     """
 
     def __init__(self, service: ModelService, host: str, port: int) -> None:
@@ -779,7 +485,6 @@ class ServiceHandle:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
-        self.service.close()
 
     def __enter__(self) -> "ServiceHandle":
         return self
@@ -794,7 +499,7 @@ def start_service(
     """Serve ``service`` on a daemon thread; returns once it accepts connections.
 
     ``port=0`` binds an ephemeral port (the handle reports the real one) —
-    the pattern tests and benchmarks use to avoid collisions.
+    the pattern tests use to avoid collisions.
     """
     handle = ServiceHandle(service, host, port)
     ready = threading.Event()
@@ -832,6 +537,7 @@ def start_service(
                     asyncio.gather(*pending, return_exceptions=True)
                 )
             loop.run_until_complete(loop.shutdown_asyncgens())
+            loop.run_until_complete(loop.shutdown_default_executor())
             loop.close()
 
     thread = threading.Thread(target=runner, name="repro-serve-loop", daemon=True)
@@ -866,5 +572,3 @@ def run_service(
         asyncio.run(main())
     except KeyboardInterrupt:
         pass
-    finally:
-        service.close()

@@ -12,9 +12,8 @@ primitives of this package:
   (:meth:`~repro.obs.trace.Tracer.to_dict`) or as a rendered tree
   (:func:`repro.viz.ascii.render_trace_tree`);
 * :class:`~repro.obs.metrics.MetricsRegistry` — named counters, gauges and
-  fixed-bucket histograms (p50/p95/p99) for cumulative serving statistics:
-  cache hits/misses, memoised-batch reuse, records ingested, worker queue
-  occupancy.
+  fixed-bucket histograms (p50/p95/p99) for cumulative statistics: queries
+  and request latency served, records ingested, worker queue occupancy.
 
 Tracing is **off by default** everywhere: the no-op
 :data:`~repro.obs.trace.NULL_TRACER` singleton stands in when no tracer is

@@ -959,11 +959,8 @@ class TestServeCLI:
         args = build_parser().parse_args(["serve", "--model", "bundle"])
         assert args.host == "127.0.0.1"
         assert args.port == 8350
-        assert args.serve_workers == 4
-        assert args.batch_window_ms == 2.0
-        assert args.max_batch == 64
-        assert args.cache_size == 4096
         assert args.no_mmap is False
+        assert set(vars(args)) == {"command", "handler", "model", "host", "port", "no_mmap"}
 
     def test_serve_requires_model(self):
         with pytest.raises(SystemExit):
@@ -974,10 +971,6 @@ class TestServeCLI:
         [
             ["--port", "70000"],
             ["--port", "-1"],
-            ["--workers", "0"],
-            ["--batch-window-ms", "-1"],
-            ["--max-batch", "0"],
-            ["--cache-size", "-1"],
         ],
     )
     def test_invalid_options_exit_2(self, flags, capsys):
@@ -1033,6 +1026,6 @@ class TestStatsURL:
         out = capsys.readouterr().out
         assert f"live serving stats from {handle.url}" in out
         assert "model fingerprint:" in out
-        assert "result cache:" in out
-        assert "micro-batching:" in out
+        assert "query latency:" in out
+        assert "result cache" not in out and "micro-batching" not in out
         assert str(saved_bundle) in out

@@ -526,13 +526,11 @@ class TestServerIntegration:
 
     def test_stats_schema_is_registry_backed(self, server):
         tower = server.tower_ids()[0]
-        server.decompose(tower)  # miss
-        server.decompose(tower)  # hit
+        server.decompose(tower)
+        server.decompose(tower)
         stats = server.stats()
+        assert set(stats) == {"queries", "query_latency"}
         assert stats["queries"] >= 2
-        assert stats["decompose_cache_hits"] >= 1
-        assert stats["decompose_cache_misses"] >= 1
-        assert stats["decompose_cache_size"] == 1
         latency = stats["query_latency"]
         assert latency["count"] == stats["queries"]
         assert latency["p50"] is not None

@@ -290,14 +290,15 @@ class TestModelServer:
         with pytest.raises(KeyError):
             server.cluster_summary(99)
 
-    def test_decompose_is_memoised(self, server):
+    def test_decompose_is_a_row_lookup(self, server):
         tower = server.tower_ids()[0]
-        first = server.decompose(tower)
-        second = server.decompose(tower)
-        assert first is second
+        single = server.decompose(tower)
+        whole = server.decompose_all()
+        row = whole.row_of(tower)
+        np.testing.assert_array_equal(single.coefficients, whole.coefficients[row])
+        assert single.residual == whole.residuals[row]
         stats = server.stats()
-        assert stats["decompose_cache_hits"] >= 1
-        assert stats["decompose_cache_size"] >= 1
+        assert set(stats) == {"queries", "query_latency"}
         assert stats["queries"] >= 2
 
     def test_predict_region_and_pattern(self, server, fitted_model):
@@ -312,11 +313,6 @@ class TestModelServer:
         assert row["tower_id"] == tower
         assert row["region"] == pattern.region.value
         assert row["total_bytes"] == pytest.approx(pattern.raw_series.sum())
-
-    def test_invalidate_clears_cache(self, server):
-        server.decompose(server.tower_ids()[0])
-        server.invalidate()
-        assert server.stats()["decompose_cache_size"] == 0
 
 
 class TestMmapLoad:

@@ -1,31 +1,34 @@
 """Tests for repro.io.service — the networked serving plane.
 
-Covers the three perf layers of the HTTP front-end (micro-batching,
-read-through result cache, atomic hot-swap), the HTTP surface itself
-(routing, error mapping, keep-alive transport), and the thread-safety of
-the underlying :class:`ModelServer` under concurrent hammering.
+Covers the row-lookup contract (replies never depend on how requests were
+grouped, and a built server never solves), atomic hot-swap under load, the
+HTTP surface itself (routing, error mapping, keep-alive transport), the
+request reader's limits on hostile input, and a shared server under
+concurrent threads.
 """
 
 import asyncio
 import http.client
+import itertools
 import json
+import logging
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
-from repro.io.loadgen import LoadRequest, run_load
 from repro.io.server import ModelServer
 from repro.io.service import (
+    MAX_HEADER_LINES,
     ModelService,
-    ResultCache,
     ServiceError,
     model_fingerprint,
     start_service,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.synth.scenario import ScenarioConfig, generate_scenario
 
 
@@ -50,23 +53,29 @@ def second_bundle(second_model, tmp_path_factory):
     return second_model.save(tmp_path_factory.mktemp("bundles") / "bundle_b")
 
 
-def make_service(fitted_model, **overrides) -> ModelService:
-    options = {"batch_window_s": 0.005, "cache_entries": 0}
-    options.update(overrides)
-    return ModelService(server=ModelServer(fitted_model), **options)
+def dispatch(service: ModelService, method: str, path: str, body=None):
+    payload = b"" if body is None else json.dumps(body).encode()
+    return asyncio.run(service.dispatch(method, path, payload))
 
 
-def run_concurrently(service: ModelService, coros):
-    async def main():
-        try:
-            return await asyncio.gather(*coros)
-        finally:
-            await asyncio.sleep(0)
+def request_raw(connection, method, path, body=None) -> tuple[int, bytes]:
+    payload = None if body is None else json.dumps(body).encode()
+    connection.request(
+        method, path, body=payload, headers={"Content-Type": "application/json"}
+    )
+    response = connection.getresponse()
+    return response.status, response.read()
 
-    try:
-        return asyncio.run(main())
-    finally:
-        service.close()
+
+def exchange(handle, data: bytes) -> tuple[bytes, bytes]:
+    """Send raw bytes, read until the server closes; return (head, body)."""
+    with socket.create_connection((handle.host, handle.port), timeout=30) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return head, body
 
 
 class TestModelFingerprint:
@@ -81,154 +90,88 @@ class TestModelFingerprint:
         )
 
 
-class TestResultCache:
-    def test_read_through_counts_hits_and_misses(self):
-        metrics = MetricsRegistry()
-        cache = ResultCache(4, metrics=metrics)
-        assert cache.get(("fp", "k", 1)) is None
-        cache.put(("fp", "k", 1), {"v": 1})
-        assert cache.get(("fp", "k", 1)) == {"v": 1}
-        counters = metrics.snapshot()["counters"]
-        assert counters["service.cache_misses"] == 1
-        assert counters["service.cache_hits"] == 1
+class TestRowLookups:
+    def test_replies_do_not_depend_on_grouping(self, bundle, second_bundle):
+        """Per-tower GETs, one whole-bundle POST and decompose_all() rows are
+        byte-equal, on both bundles and across a reload."""
+        with start_service(ModelService(bundle)) as handle:
+            connection = http.client.HTTPConnection(handle.host, handle.port, timeout=30)
+            for generation, target in enumerate((bundle, second_bundle), start=1):
+                if generation > 1:
+                    status, _ = request_raw(
+                        connection, "POST", "/reload", {"model": str(target)}
+                    )
+                    assert status == 200
+                rows = ModelServer.from_artifact(target).decompose_all().as_rows()
+                towers = [row["tower_id"] for row in rows]
+                singles = [
+                    request_raw(connection, "GET", f"/decompose/{tower}")
+                    for tower in towers
+                ]
+                assert singles == [(200, json.dumps(row).encode()) for row in rows]
+                whole = request_raw(connection, "POST", "/decompose", {"towers": towers})
+                assert whole == (200, json.dumps({"decompositions": rows}).encode())
+            connection.close()
 
-    def test_lru_eviction_order(self):
-        metrics = MetricsRegistry()
-        cache = ResultCache(2, metrics=metrics)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        assert cache.get(("a",)) == 1  # refresh "a": now "b" is LRU
-        cache.put(("c",), 3)
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) == 1
-        assert cache.get(("c",)) == 3
-        assert metrics.snapshot()["counters"]["service.cache_evictions"] == 1
-
-    def test_zero_entries_disables_caching(self):
-        cache = ResultCache(0)
-        cache.put(("a",), 1)
-        assert len(cache) == 0
-        assert cache.get(("a",)) is None
-
-    def test_clear_counts_evictions(self):
-        metrics = MetricsRegistry()
-        cache = ResultCache(8, metrics=metrics)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        cache.clear()
-        assert len(cache) == 0
-        assert metrics.snapshot()["counters"]["service.cache_evictions"] == 2
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ResultCache(-1)
-
-
-class TestMicroBatching:
-    def test_concurrent_decomposes_coalesce_into_one_solve(self, fitted_model):
-        """N concurrent requests for distinct towers → exactly one batch solve,
-        bit-for-bit equal to the serial path on the same id group."""
-        service = make_service(fitted_model, batch_window_s=0.05)
+    def test_a_built_server_never_solves(self, bundle, monkeypatch):
+        service = ModelService(bundle)
         server = service.active.server
-        towers = server.tower_ids()[:12]
+        tower = server.tower_ids()[0]
 
-        calls: list[list[int]] = []
-        original = server.decompose_many
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a query ran the batched solver")
 
-        def counting(ids):
-            calls.append(list(ids))
-            return original(ids)
+        monkeypatch.setattr(
+            "repro.decompose.batch.simplex_constrained_least_squares_batch", no_solve
+        )
+        monkeypatch.setattr("repro.core.model.decompose_features_batch", no_solve)
+        for method, path, body in [
+            ("GET", "/healthz", None),
+            ("GET", "/summary", None),
+            ("GET", "/stats", None),
+            ("GET", f"/pattern/{tower}", None),
+            ("GET", f"/decompose/{tower}", None),
+            ("GET", f"/region/{tower}", None),
+            ("POST", "/decompose", {"towers": server.tower_ids()}),
+            ("POST", "/region", {"towers": server.tower_ids()}),
+        ]:
+            status, payload = dispatch(service, method, path, body)
+            assert status == 200, (path, payload)
+        assert len(server.decompose_all()) == len(server.tower_ids())
+        server.decompose(tower)
+        server.decompose_many([tower, tower])
 
-        server.decompose_many = counting
-        try:
-            rows = run_concurrently(
-                service, [service.decompose([tower]) for tower in towers]
-            )
-        finally:
-            server.decompose_many = original
-
-        assert len(calls) == 1, f"expected one coalesced solve, saw {len(calls)}"
-        assert calls[0] == towers
-
-        # Bit-for-bit against the serial path over the identical id group.
-        reference = ModelServer(fitted_model).decompose_many(towers).as_rows()
-        assert [row for (row,) in rows] == reference
-
-        counters = service.metrics.snapshot()["counters"]
-        assert counters["service.batch_flushes.decompose"] == 1
-        assert counters["service.batched_requests.decompose"] == len(towers)
-        stats = server.stats()
-        assert stats["decompose_cache_misses"] == 1
-        assert stats["queries"] == 1
-
-    def test_duplicate_keys_share_one_future(self, fitted_model):
-        service = make_service(fitted_model, batch_window_s=0.05)
+    def test_model_without_representatives(self, scenario):
+        model = TrafficPatternModel(ModelConfig(num_clusters=1))
+        model.fit(scenario.traffic, city=scenario.city)
+        assert model.result.representatives is None
+        service = ModelService(server=ModelServer(model))
         tower = service.active.server.tower_ids()[0]
-        rows = run_concurrently(
-            service, [service.decompose([tower]) for _ in range(5)]
-        )
-        assert all(row == rows[0] for row in rows)
-        counters = service.metrics.snapshot()["counters"]
-        assert counters["service.batched_requests.decompose"] == 1
-        assert counters["service.coalesced_requests.decompose"] == 4
+        assert dispatch(service, "GET", "/summary")[0] == 200
+        assert dispatch(service, "GET", f"/pattern/{tower}")[0] == 200
+        assert dispatch(service, "GET", f"/region/{tower}")[0] == 200
+        status, payload = dispatch(service, "GET", f"/decompose/{tower}")
+        assert status == 400 and "representative" in payload["error"]
+        assert dispatch(service, "POST", "/decompose", {"towers": [tower]})[0] == 400
+        assert dispatch(service, "GET", "/decompose/999999")[0] == 404
+        with pytest.raises(RuntimeError, match="representative"):
+            service.active.server.decompose_all()
 
-    def test_bad_tower_rejected_before_joining_a_batch(self, fitted_model):
-        service = make_service(fitted_model)
-        results = run_concurrently(
-            service,
-            [
-                service.decompose([service.active.server.tower_ids()[0]]),
-                service.dispatch("GET", "/decompose/999999", b""),
-                service.dispatch("GET", "/decompose/not-a-number", b""),
-            ],
-        )
-        assert len(results[0]) == 1
-        assert results[1][0] == 404
-        assert results[2][0] == 400
-
-    def test_region_requests_batch_too(self, fitted_model):
-        service = make_service(fitted_model, batch_window_s=0.05)
-        towers = service.active.server.tower_ids()[:6]
-        rows = run_concurrently(
-            service, [service.region([tower]) for tower in towers]
-        )
-        for tower, (row,) in zip(towers, rows):
-            assert row["tower_id"] == tower
-            assert row["region"] == fitted_model.predict_region(tower).value
-        counters = service.metrics.snapshot()["counters"]
-        assert counters["service.batch_flushes.region"] == 1
-
-
-class TestReadThroughCache:
-    def test_repeat_query_is_served_from_cache(self, fitted_model):
-        service = make_service(fitted_model, cache_entries=64)
+    def test_model_without_labelling(self, scenario):
+        model = TrafficPatternModel(ModelConfig(max_clusters=8))
+        model.fit(scenario.traffic)
+        service = ModelService(server=ModelServer(model))
         tower = service.active.server.tower_ids()[0]
-        async def twice():
-            first = await service.dispatch("GET", f"/pattern/{tower}", b"")
-            second = await service.dispatch("GET", f"/pattern/{tower}", b"")
-            return first, second
-
-        try:
-            first, second = asyncio.run(twice())
-        finally:
-            service.close()
-        assert first == second == (200, first[1])
-        counters = service.metrics.snapshot()["counters"]
-        assert counters["service.cache_hits"] >= 1
-
-    def test_cache_keys_include_fingerprint(self, fitted_model, second_model):
-        """The same query against a different model can never alias."""
-        fp_a = model_fingerprint(fitted_model.result)
-        fp_b = model_fingerprint(second_model.result)
-        cache = ResultCache(16)
-        cache.put((fp_a, "decompose", 3), {"model": "a"})
-        assert cache.get((fp_b, "decompose", 3)) is None
+        status, payload = dispatch(service, "GET", f"/region/{tower}")
+        assert status == 400 and "labelling" in payload["error"]
+        assert dispatch(service, "POST", "/region", {"towers": [tower]})[0] == 400
+        assert dispatch(service, "GET", f"/pattern/{tower}")[0] == 200
 
 
 class TestHTTPSurface:
     @pytest.fixture(scope="class")
     def live(self, bundle):
-        with start_service(ModelService(bundle, batch_window_s=0.001)) as handle:
+        with start_service(ModelService(bundle)) as handle:
             connection = http.client.HTTPConnection(
                 handle.host, handle.port, timeout=30
             )
@@ -236,13 +179,8 @@ class TestHTTPSurface:
             connection.close()
 
     def fetch(self, live, method, path, body=None):
-        _, connection = live
-        payload = None if body is None else json.dumps(body).encode()
-        connection.request(
-            method, path, body=payload, headers={"Content-Type": "application/json"}
-        )
-        response = connection.getresponse()
-        return response.status, json.loads(response.read())
+        status, raw = request_raw(live[1], method, path, body)
+        return status, json.loads(raw)
 
     def test_healthz(self, live):
         status, payload = self.fetch(live, "GET", "/healthz")
@@ -282,15 +220,17 @@ class TestHTTPSurface:
         assert status == 200
         assert payload["service"]["generation"] == 1
         assert payload["service"]["requests"] >= 1
-        assert "cache" in payload["service"]
-        assert "queries" in payload["server"]
-        assert "counters" in payload["metrics"]
+        assert payload["service"]["request_latency"]["count"] >= 1
+        assert set(payload["server"]) == {"queries", "query_latency"}
+        assert "service.request_seconds" in payload["metrics"]["histograms"]
 
     def test_error_mapping(self, live):
         assert self.fetch(live, "GET", "/decompose/999999")[0] == 404
+        assert self.fetch(live, "GET", "/decompose/not-a-number")[0] == 400
         assert self.fetch(live, "GET", "/nope")[0] == 404
         assert self.fetch(live, "POST", "/decompose", {"towers": []})[0] == 400
         assert self.fetch(live, "POST", "/decompose", {"bogus": 1})[0] == 400
+        assert self.fetch(live, "POST", "/reload", {"model": 5})[0] == 400
         assert self.fetch(live, "DELETE", "/healthz")[0] == 405
         _, connection = live
         connection.request(
@@ -301,22 +241,81 @@ class TestHTTPSurface:
         assert response.status == 400
         response.read()
 
+    def test_bad_id_fails_only_its_own_request(self, live, fitted_model):
+        tower = int(fitted_model.result.tower_ids[0])
+        status, payload = self.fetch(
+            live, "POST", "/decompose", {"towers": [tower, 999999]}
+        )
+        assert status == 404 and "999999" in payload["error"]
+        assert self.fetch(live, "GET", f"/decompose/{tower}")[0] == 200
+
+    def test_internal_error_detail_stays_in_the_log(
+        self, fitted_model, monkeypatch, caplog
+    ):
+        service = ModelService(server=ModelServer(fitted_model))
+
+        def boom():
+            raise RuntimeError("secret")
+
+        monkeypatch.setattr(service, "summary", boom)
+        with caplog.at_level(logging.ERROR, logger="repro.io.service"):
+            status, payload = dispatch(service, "GET", "/summary")
+        assert (status, payload) == (500, {"error": "internal server error"})
+        assert "secret" in caplog.text
+        assert service.stats()["service"]["errors"] == 1
+
+
+class TestRequestReader:
+    @pytest.fixture(scope="class")
+    def handle(self, bundle):
+        with start_service(ModelService(bundle)) as handle:
+            yield handle
+
+    def assert_one_line_400(self, head: bytes, body: bytes) -> None:
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert body.count(b"\n") == 0
+        assert "error" in json.loads(body)
+
+    def test_negative_content_length(self, handle):
+        head, body = exchange(
+            handle, b"POST /decompose HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+        )
+        self.assert_one_line_400(head, body)
+        assert b"Content-Length" in body
+
+    def test_header_line_over_the_reader_limit(self, handle):
+        head, body = exchange(
+            handle, b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n"
+        )
+        self.assert_one_line_400(head, body)
+
+    def test_header_lines_are_capped(self, handle):
+        def request(lines: int) -> bytes:
+            headers = b"Connection: close\r\n" + b"".join(
+                b"X-%d: v\r\n" % i for i in range(lines - 1)
+            )
+            return b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+
+        head, _ = exchange(handle, request(MAX_HEADER_LINES))
+        assert head.startswith(b"HTTP/1.1 200 ")
+        head, body = exchange(handle, request(MAX_HEADER_LINES + 1))
+        self.assert_one_line_400(head, body)
+        assert str(MAX_HEADER_LINES).encode() in body
+
 
 class TestHotSwap:
     def test_reload_swaps_generation_and_fingerprint(self, bundle, second_bundle):
-        with start_service(ModelService(bundle, batch_window_s=0.001)) as handle:
+        with start_service(ModelService(bundle)) as handle:
             connection = http.client.HTTPConnection(
                 handle.host, handle.port, timeout=30
             )
 
             def post_reload(target):
-                connection.request(
-                    "POST", "/reload",
-                    body=json.dumps({"model": str(target)}).encode(),
-                    headers={"Content-Type": "application/json"},
+                status, raw = request_raw(
+                    connection, "POST", "/reload", {"model": str(target)}
                 )
-                response = connection.getresponse()
-                return response.status, json.loads(response.read())
+                return status, json.loads(raw)
 
             status, before = post_reload(second_bundle)
             assert status == 200
@@ -335,104 +334,74 @@ class TestHotSwap:
             assert health["generation"] == 2
             connection.close()
 
-    def test_reload_invalidates_cached_results(self, bundle, second_bundle):
-        service = ModelService(bundle, batch_window_s=0.001, cache_entries=64)
-        direct_b = ModelServer.from_artifact(second_bundle)
-        tower = direct_b.tower_ids()[0]
-
-        async def scenario():
-            before = (await service.decompose([tower]))[0]
-            assert len(service.cache) >= 1
-            swap = await service.reload(second_bundle)
-            assert swap["status"] == "ok"
-            assert len(service.cache) == 0
-            after = (await service.decompose([tower]))[0]
-            return before, after
-
-        try:
-            before, after = asyncio.run(scenario())
-        finally:
-            service.close()
-        reference = direct_b.decompose_many([tower]).as_rows()[0]
-        assert after == reference
-        assert before != after
-
     def test_in_memory_service_cannot_reload(self, fitted_model):
-        service = make_service(fitted_model)
+        service = ModelService(server=ModelServer(fitted_model))
         with pytest.raises(ServiceError) as excinfo:
-            try:
-                asyncio.run(service.reload())
-            finally:
-                service.close()
+            asyncio.run(service.reload())
         assert excinfo.value.status == 400
 
-    def test_sustained_load_survives_hot_swap(self, bundle, second_bundle):
-        """Zero dropped requests while the model is swapped mid-stream."""
-        service = ModelService(bundle, batch_window_s=0.001, cache_entries=64)
-        towers = ModelServer.from_artifact(bundle).tower_ids()[:10]
-        workload = [LoadRequest("GET", f"/decompose/{t}") for t in towers]
-        with start_service(service) as handle:
-            swapped = threading.Event()
+    def test_sustained_load_survives_hot_swap(
+        self, bundle, second_bundle, fitted_model, second_model
+    ):
+        """Zero dropped requests while the model is swapped A→B→A mid-stream."""
+        shared = set(fitted_model.result.tower_ids.tolist()) & set(
+            second_model.result.tower_ids.tolist()
+        )
+        towers = sorted(shared)[:10]
+        paths = [f"/{kind}/{tower}" for kind in ("decompose", "region", "pattern")
+                 for tower in towers]
+        statuses: list[int] = []
+        stop = threading.Event()
 
-            def swapper():
-                request_body = json.dumps({"model": str(second_bundle)}).encode()
+        with start_service(ModelService(bundle)) as handle:
+
+            def client() -> None:
                 connection = http.client.HTTPConnection(
                     handle.host, handle.port, timeout=30
                 )
-                connection.request(
-                    "POST", "/reload", body=request_body,
-                    headers={"Content-Type": "application/json"},
-                )
-                assert connection.getresponse().status == 200
-                connection.close()
-                swapped.set()
+                try:
+                    for path in itertools.cycle(paths):
+                        if stop.is_set():
+                            break
+                        statuses.append(request_raw(connection, "GET", path)[0])
+                except (OSError, http.client.HTTPException):
+                    statuses.append(0)  # a transport failure: a dropped request
+                finally:
+                    connection.close()
 
-            timer = threading.Timer(0.15, swapper)
-            timer.start()
-            report = run_load(
-                handle.host, handle.port, workload, clients=4, duration_s=0.6
-            )
-            timer.join()
-        assert swapped.is_set()
-        assert report.error_requests == 0, report.status_counts
-        assert report.requests > 0
+            clients = [threading.Thread(target=client) for _ in range(3)]
+            for thread in clients:
+                thread.start()
+            connection = http.client.HTTPConnection(handle.host, handle.port, timeout=30)
+            generations = []
+            try:
+                for target in (second_bundle, bundle):
+                    time.sleep(0.15)
+                    status, raw = request_raw(
+                        connection, "POST", "/reload", {"model": str(target)}
+                    )
+                    assert status == 200, raw
+                    generations.append(json.loads(raw)["generation"])
+                time.sleep(0.15)
+                served_before_stop = len(statuses)
+            finally:
+                stop.set()
+                for thread in clients:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+            health = json.loads(request_raw(connection, "GET", "/healthz")[1])
+            connection.close()
+
+        assert generations == [2, 3]
+        assert health["generation"] == 3
+        assert health["model_path"] == str(bundle)
+        assert served_before_stop > len(paths)
+        assert set(statuses) == {200}
 
 
 class TestModelServerThreadSafety:
-    def test_concurrent_first_calls_solve_exactly_once(self, fitted_model):
-        """The decompose_all memo must not race: one whole-city solve total."""
-        server = ModelServer(fitted_model)
-        calls = []
-        original = fitted_model.decompose_all
-
-        def counting():
-            calls.append(1)
-            return original()
-
-        fitted_model.decompose_all = counting
-        try:
-            results = [None] * 16
-            barrier = threading.Barrier(16)
-
-            def hammer(index):
-                barrier.wait()
-                results[index] = server.decompose_all()
-
-            threads = [
-                threading.Thread(target=hammer, args=(i,)) for i in range(16)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            fitted_model.decompose_all = original
-
-        assert len(calls) == 1, f"expected one whole-city solve, got {len(calls)}"
-        assert all(result is results[0] for result in results)
-        assert server.stats()["decompose_cache_misses"] == 1
-
     def test_concurrent_mixed_queries_are_consistent(self, fitted_model):
+        """A built server is read-only, so threads can share it freely."""
         server = ModelServer(fitted_model)
         towers = server.tower_ids()[:8]
         reference = {t: server.decompose(t).coefficients for t in towers}
@@ -453,5 +422,6 @@ class TestModelServerThreadSafety:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
         assert errors == []
