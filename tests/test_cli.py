@@ -978,6 +978,21 @@ class TestServeCLI:
         assert exit_code == 2
         assert "repro-traffic: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "4"],
+            ["--batch-window-ms", "2"],
+            ["--max-batch", "64"],
+            ["--cache-size", "4096"],
+        ],
+    )
+    def test_removed_options_are_rejected(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--model", "bundle", *flags])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
     def test_missing_bundle_exits_2(self, tmp_path, capsys):
         exit_code = main(["serve", "--model", str(tmp_path / "nope"), "--port", "0"])
         assert exit_code == 2

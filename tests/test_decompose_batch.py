@@ -445,6 +445,24 @@ class TestServerBatchDecomposition:
         assert sliced.tower_ids.tolist() == ids
         assert np.array_equal(sliced.coefficients[0], whole.coefficients[5])
 
+    def test_decompose_many_repeats_duplicate_ids(self, server):
+        whole = server.decompose_all()
+        rows = [4, 1, 4]
+        sliced = server.decompose_many([int(t) for t in whole.tower_ids[rows]])
+        assert sliced.tower_ids.tolist() == whole.tower_ids[rows].tolist()
+        np.testing.assert_array_equal(sliced.coefficients, whole.coefficients[rows])
+        np.testing.assert_array_equal(sliced.residuals, whole.residuals[rows])
+        np.testing.assert_array_equal(sliced.projections, whole.projections[rows])
+
+    def test_rows_out_of_tower_order_are_rejected(self, fitted_model, monkeypatch):
+        from repro.io.server import ModelServer
+
+        whole = fitted_model.decompose_all()
+        reversed_rows = whole.take(np.arange(len(whole))[::-1])
+        monkeypatch.setattr(fitted_model, "decompose_all", lambda: reversed_rows)
+        with pytest.raises(ValueError, match="tower order"):
+            ModelServer(fitted_model)
+
     def test_unknown_tower_raises_keyerror(self, server):
         with pytest.raises(KeyError):
             server.decompose_many([999_999])

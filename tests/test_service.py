@@ -23,6 +23,7 @@ from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
 from repro.io.server import ModelServer
 from repro.io.service import (
+    MAX_BODY_BYTES,
     MAX_HEADER_LINES,
     ModelService,
     ServiceError,
@@ -67,14 +68,19 @@ def request_raw(connection, method, path, body=None) -> tuple[int, bytes]:
     return response.status, response.read()
 
 
-def exchange(handle, data: bytes) -> tuple[bytes, bytes]:
-    """Send raw bytes, read until the server closes; return (head, body)."""
+def receive_all(handle, data: bytes) -> bytes:
+    """Send raw bytes and return everything read until the server closes."""
     with socket.create_connection((handle.host, handle.port), timeout=30) as sock:
         sock.sendall(data)
         chunks = []
         while chunk := sock.recv(65536):
             chunks.append(chunk)
-    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return b"".join(chunks)
+
+
+def exchange(handle, data: bytes) -> tuple[bytes, bytes]:
+    """Send raw bytes, read until the server closes; return (head, body)."""
+    head, _, body = receive_all(handle, data).partition(b"\r\n\r\n")
     return head, body
 
 
@@ -112,6 +118,51 @@ class TestRowLookups:
                 whole = request_raw(connection, "POST", "/decompose", {"towers": towers})
                 assert whole == (200, json.dumps({"decompositions": rows}).encode())
             connection.close()
+
+    def test_region_and_pattern_replies_match_the_server(self, bundle, second_bundle):
+        """Per-tower GETs and one whole-bundle POST /region equal the server's
+        own answers, on both bundles and across a reload."""
+        with start_service(ModelService(bundle)) as handle:
+            connection = http.client.HTTPConnection(handle.host, handle.port, timeout=30)
+            for generation, target in enumerate((bundle, second_bundle), start=1):
+                if generation > 1:
+                    status, _ = request_raw(
+                        connection, "POST", "/reload", {"model": str(target)}
+                    )
+                    assert status == 200
+                server = ModelServer.from_artifact(target)
+                towers = server.tower_ids()
+                regions = [
+                    {"tower_id": tower, "region": server.predict_region(tower).value}
+                    for tower in towers
+                ]
+                singles = [
+                    request_raw(connection, "GET", f"/region/{tower}") for tower in towers
+                ]
+                assert singles == [(200, json.dumps(row).encode()) for row in regions]
+                whole = request_raw(connection, "POST", "/region", {"towers": towers})
+                assert whole == (200, json.dumps({"regions": regions}).encode())
+                patterns = [
+                    request_raw(connection, "GET", f"/pattern/{tower}") for tower in towers
+                ]
+                assert patterns == [
+                    (200, json.dumps(server.pattern_of(tower).as_row()).encode())
+                    for tower in towers
+                ]
+            connection.close()
+
+    def test_post_keeps_request_order_and_duplicates(self, fitted_model):
+        service = ModelService(server=ModelServer(fitted_model))
+        rows = service.active.server.decompose_all().as_rows()
+        picks = [3, 0, 3, 1]
+        towers = [rows[i]["tower_id"] for i in picks]
+        requested = [towers[0], str(towers[1]), *towers[2:]]  # ids may be strings
+        status, payload = dispatch(service, "POST", "/decompose", {"towers": requested})
+        assert status == 200
+        assert payload["decompositions"] == [rows[i] for i in picks]
+        status, payload = dispatch(service, "POST", "/region", {"towers": requested})
+        assert status == 200
+        assert [row["tower_id"] for row in payload["regions"]] == towers
 
     def test_a_built_server_never_solves(self, bundle, monkeypatch):
         service = ModelService(bundle)
@@ -249,6 +300,38 @@ class TestHTTPSurface:
         assert status == 404 and "999999" in payload["error"]
         assert self.fetch(live, "GET", f"/decompose/{tower}")[0] == 200
 
+    def test_routing_ignores_the_query_string(self, live, fitted_model):
+        tower = int(fitted_model.result.tower_ids[0])
+        assert self.fetch(live, "GET", "/healthz?verbose=1")[0] == 200
+        status, row = self.fetch(live, "GET", f"/decompose/{tower}?format=json")
+        assert status == 200 and row["tower_id"] == tower
+        assert self.fetch(live, "GET", f"/decompose/{tower}/extra")[0] == 404
+        assert self.fetch(live, "GET", "/healthz/extra")[0] == 404
+        assert self.fetch(live, "POST", "/summary")[0] == 404
+
+    def test_keep_alive_and_connection_close(self, live):
+        handle, _ = live
+        keep = b"GET /healthz HTTP/1.1\r\n\r\n"
+        close = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        replies = receive_all(handle, keep + keep + close)
+        assert replies.count(b"HTTP/1.1 200 OK\r\n") == 3
+        assert replies.count(b"Connection: keep-alive\r\n") == 2
+        assert replies.count(b"Connection: close\r\n") == 1
+        head, _ = exchange(handle, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ") and b"Connection: close" in head
+
+    def test_stats_count_requests_and_errors(self, fitted_model):
+        service = ModelService(server=ModelServer(fitted_model))
+        tower = service.active.server.tower_ids()[0]
+        for path in ("/healthz", f"/decompose/{tower}", "/decompose/999999", "/nope"):
+            dispatch(service, "GET", path)
+        stats = service.stats()
+        assert stats["service"]["requests"] == 4
+        assert stats["service"]["errors"] == 2
+        assert stats["service"]["request_latency"]["count"] == 4
+        assert stats["service"]["reloads"] == 0
+        assert stats["server"]["queries"] == 1  # rejected ids never reach the server
+
     def test_internal_error_detail_stays_in_the_log(
         self, fitted_model, monkeypatch, caplog
     ):
@@ -303,6 +386,35 @@ class TestRequestReader:
         self.assert_one_line_400(head, body)
         assert str(MAX_HEADER_LINES).encode() in body
 
+    def test_non_numeric_content_length(self, handle):
+        head, body = exchange(
+            handle, b"POST /decompose HTTP/1.1\r\nContent-Length: ten\r\n\r\n"
+        )
+        self.assert_one_line_400(head, body)
+        assert b"Content-Length" in body
+
+    def test_malformed_request_line(self, handle):
+        head, body = exchange(handle, b"GARBAGE\r\n\r\n")
+        self.assert_one_line_400(head, body)
+        assert b"request line" in body
+
+    def test_body_over_the_limit_is_refused_unread(self, handle):
+        head, body = exchange(
+            handle,
+            b"POST /decompose HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
+        )
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in head
+        assert "error" in json.loads(body)
+
+    def test_truncated_body_gets_no_reply(self, handle):
+        with socket.create_connection((handle.host, handle.port), timeout=30) as sock:
+            sock.sendall(b'POST /decompose HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"tow')
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(65536) == b""
+        head, _ = exchange(handle, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+
 
 class TestHotSwap:
     def test_reload_swaps_generation_and_fingerprint(self, bundle, second_bundle):
@@ -339,6 +451,44 @@ class TestHotSwap:
         with pytest.raises(ServiceError) as excinfo:
             asyncio.run(service.reload())
         assert excinfo.value.status == 400
+
+    def test_requires_a_bundle_or_a_server(self):
+        with pytest.raises(ValueError, match="model_path or server"):
+            ModelService()
+
+    def test_reload_without_path_rereads_the_active_bundle(self, bundle):
+        service = ModelService(bundle)
+        first = service.active
+        status, payload = dispatch(service, "POST", "/reload")
+        assert status == 200
+        assert payload == {
+            "status": "ok",
+            "generation": 2,
+            "model_fingerprint": first.fingerprint,
+            "model_path": str(bundle),
+        }
+        assert service.active.server is not first.server
+        assert service.stats()["service"]["reloads"] == 1
+
+    def test_reload_serves_the_new_bundle(
+        self, bundle, second_bundle, fitted_model, second_model
+    ):
+        service = ModelService(bundle)
+        only_first = sorted(
+            set(fitted_model.result.tower_ids.tolist())
+            - set(second_model.result.tower_ids.tolist())
+        )[0]
+        assert dispatch(service, "GET", f"/decompose/{only_first}")[0] == 200
+        status, _ = dispatch(service, "POST", "/reload", {"model": str(second_bundle)})
+        assert status == 200
+        status, summary = dispatch(service, "GET", "/summary")
+        assert status == 200
+        assert summary["num_towers"] == second_model.result.vectorized.num_towers
+        assert summary["clusters"] == second_model.result.percentage_table()
+        assert dispatch(service, "GET", f"/decompose/{only_first}")[0] == 404
+        expected = ModelServer.from_artifact(second_bundle).decompose_all().as_rows()[0]
+        status, row = dispatch(service, "GET", f"/decompose/{expected['tower_id']}")
+        assert (status, row) == (200, expected)
 
     def test_sustained_load_survives_hot_swap(
         self, bundle, second_bundle, fitted_model, second_model
