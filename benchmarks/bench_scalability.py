@@ -1,9 +1,8 @@
 """Ablation A4 — scalability of the end-to-end pipeline with the number of towers.
 
 Times the full staged fit (vectorize → cluster → tune → label → spectral →
-decompose) for increasing city sizes with both clustering backends, checks
-that the identified structure (five patterns) is stable across scales and
-backends, and reports the per-stage wall-clock breakdown recorded by the
+decompose) for increasing city sizes, checks that the identified structure
+(five patterns) is stable across scales, and reports the per-stage wall-clock breakdown recorded by the
 pipeline engine at the largest size.
 """
 
@@ -16,7 +15,7 @@ from repro.synth.scenario import ScenarioConfig, generate_scenario
 from repro.viz.tables import format_table
 
 SIZES = (100, 200, 400)
-BACKENDS = ("generic", "nn_chain")
+BACKENDS = ("nn_chain",)
 
 
 def fit_at_scale(scenario, backend):
@@ -59,7 +58,7 @@ def test_scalability_pipeline(benchmark):
         )
     )
 
-    # The five-pattern structure is stable across scales and backends.
+    # The five-pattern structure is stable across scales.
     for size, per_backend in results.items():
         for backend, (k, _, _) in per_backend.items():
             assert k == 5, f"expected 5 patterns at {size} towers ({backend}), got {k}"

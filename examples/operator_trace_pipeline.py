@@ -75,7 +75,7 @@ def main() -> None:
     # 4. Vectorize the clean batch and fit the pattern model.
     vectorizer = TrafficVectorizer()
     vectorized = vectorizer.from_batch(
-        result.record_batch(),
+        result.records,
         scenario.window,
         tower_ids=scenario.traffic.tower_ids.tolist(),
     )

@@ -123,6 +123,26 @@ def _cluster_options(args: argparse.Namespace) -> tuple[str, int | None]:
     return backend, tile_size
 
 
+def _check_tower_count(num_towers: int, config: ModelConfig, source: str) -> None:
+    """Refuse, before any work, a fit whose clustering cannot be cut.
+
+    A fixed ``--clusters k`` needs at least ``k`` towers; the tuner scores
+    cuts from ``min_clusters`` up to one below the tower count, so it needs
+    ``min_clusters + 1``.
+    """
+    if config.num_clusters is not None:
+        if num_towers < config.num_clusters:
+            raise CLIError(
+                f"{source}: {num_towers} towers cannot be cut into "
+                f"--clusters {config.num_clusters} clusters"
+            )
+    elif num_towers <= config.min_clusters:
+        raise CLIError(
+            f"{source}: the tuner needs at least {config.min_clusters + 1} towers "
+            f"to choose the number of clusters, got {num_towers}; pass --clusters"
+        )
+
+
 def _streaming_options(args: argparse.Namespace) -> tuple[int, int]:
     """Validate ``--chunk-size``/``--workers`` and resolve them to ints.
 
@@ -209,9 +229,9 @@ def _add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
         "--cluster-backend",
         default="auto",
         metavar="NAME",
-        help="clustering backend: auto (picks the fastest engine for the "
-        "linkage, switching to the memory-bounded nn_chain_lowmem above "
-        "20k towers), generic, nn_chain, or nn_chain_lowmem",
+        help="clustering backend: auto (nn_chain, switching to the "
+        "memory-bounded nn_chain_lowmem above 20k towers), nn_chain, or "
+        "nn_chain_lowmem",
     )
     parser.add_argument(
         "--cluster-tile-size",
@@ -298,6 +318,7 @@ def _fit_model(
         _require_file(args.input, "trace file")
         _require_file(args.stations, "stations file")
         stations = read_stations_csv(args.stations)
+        _check_tower_count(len(stations), config, args.stations)
         tower_ids = [station.tower_id for station in stations]
         window = TimeWindow(num_days=args.days)
         if chunk_size:
@@ -326,11 +347,10 @@ def _fit_model(
             return model, None
         batch = read_record_batch_csv(args.input)
         preprocessed = preprocess_trace(batch, stations, None, compute_density=False)
-        model.fit_batch(
-            preprocessed.record_batch(), window, tower_ids=tower_ids, tracer=tracer
-        )
+        model.fit_batch(preprocessed.records, window, tower_ids=tower_ids, tracer=tracer)
         return model, None
 
+    _check_tower_count(args.towers, config, "--towers")
     scenario = _build_scenario(args, sessions=False)
     model.fit(scenario.traffic, city=scenario.city, tracer=tracer)
     return model, scenario

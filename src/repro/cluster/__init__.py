@@ -12,7 +12,6 @@ from repro.cluster.backends import (
     BACKEND_CHOICES,
     BACKEND_NAMES,
     ClusteringBackend,
-    GenericBackend,
     NNChainBackend,
     get_backend,
     resolve_backend,
@@ -49,7 +48,6 @@ __all__ = [
     "ClusteringBackend",
     "ClusteringResult",
     "Dendrogram",
-    "GenericBackend",
     "Linkage",
     "MetricTuner",
     "NNChainBackend",

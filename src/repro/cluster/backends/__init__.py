@@ -3,28 +3,27 @@
 The pattern identifier's agglomeration is a strategy behind a small
 interface (:class:`~repro.cluster.backends.base.ClusteringBackend`):
 
-* ``generic`` — the full-matrix Lance–Williams reference implementation;
-  works with every linkage, O(n²) memory and per-merge argmin scans.
 * ``nn_chain`` — nearest-neighbor chain on a condensed distance array;
   O(n²) time, restricted to the reducible linkages (single, complete,
-  average, Ward) and producing identical cuts to ``generic`` on tie-free
-  distances (exact ties are broken differently, as any two valid
-  agglomerative implementations may).
+  average, Ward — every :class:`~repro.cluster.linkage.Linkage`).  Its cuts
+  equal those of the full-matrix Lance–Williams loop kept as the test
+  oracle in ``tests/oracles/generic_backend.py`` on tie-free distances
+  (exact ties are broken differently, as any two valid agglomerative
+  implementations may).
 * ``nn_chain_lowmem`` — the same chain agglomeration computed on the fly
   from the ``(n, d)`` feature matrix in BLAS tiles, never holding any
   pairwise matrix: O(n·d + tile²) peak extra memory instead of O(n²), the
   backend for 50k–100k+ towers where the condensed array alone is 10–40 GB.
   Restricted to the reducible linkages like ``nn_chain``.
-* ``auto`` — picks ``nn_chain`` whenever the linkage allows it, upgrading
-  to ``nn_chain_lowmem`` when the observation count is known to be at or
-  above :data:`AUTO_LOWMEM_THRESHOLD` (where O(n²) memory stops being
-  viable), else falls back to ``generic``.  This is the default everywhere.
+* ``auto`` — picks ``nn_chain``, upgrading to ``nn_chain_lowmem`` when the
+  observation count is known to be at or above
+  :data:`AUTO_LOWMEM_THRESHOLD` (where O(n²) memory stops being viable).
+  This is the default everywhere.
 """
 
 from __future__ import annotations
 
 from repro.cluster.backends.base import ClusteringBackend
-from repro.cluster.backends.generic import GenericBackend
 from repro.cluster.backends.nn_chain import NNChainBackend
 from repro.cluster.backends.nn_chain_lowmem import (
     DEFAULT_TILE_SIZE,
@@ -41,7 +40,6 @@ AUTO_BACKEND = "auto"
 AUTO_LOWMEM_THRESHOLD = 20_000
 
 _REGISTRY: dict[str, type[ClusteringBackend]] = {
-    GenericBackend.name: GenericBackend,
     NNChainBackend.name: NNChainBackend,
     NNChainLowMemBackend.name: NNChainLowMemBackend,
 }
@@ -79,37 +77,28 @@ def resolve_backend(
 ) -> ClusteringBackend:
     """Resolve a backend spec (name, ``"auto"`` or instance) for ``linkage``.
 
-    ``num_observations``, when known, lets ``"auto"`` pick the
-    memory-bounded ``nn_chain_lowmem`` engine at and above
-    :data:`AUTO_LOWMEM_THRESHOLD` observations; without it ``auto`` keeps
-    the condensed ``nn_chain`` (or ``generic`` for non-reducible linkages).
+    ``"auto"`` is ``nn_chain``, or the memory-bounded ``nn_chain_lowmem``
+    engine when ``num_observations`` is known to be at or above
+    :data:`AUTO_LOWMEM_THRESHOLD`.
 
     Raises
     ------
     ValueError
-        If a named/instance backend does not support the linkage, or the
-        name is unknown.  ``"auto"`` never fails: it degrades to ``generic``.
+        If the name is unknown, or the backend does not support the linkage.
     """
     if isinstance(spec, ClusteringBackend):
-        if not spec.supports(linkage):
-            raise ValueError(
-                f"backend {spec.name!r} does not support linkage {linkage.value!r}"
-            )
-        return spec
-    if spec == AUTO_BACKEND:
-        fast = NNChainBackend()
-        if not fast.supports(linkage):
-            return GenericBackend()
-        if (
-            num_observations is not None
-            and num_observations >= AUTO_LOWMEM_THRESHOLD
-        ):
-            return NNChainLowMemBackend(tile_size=tile_size)
-        return fast
-    backend = get_backend(spec, tile_size=tile_size)
+        backend = spec
+    elif spec == AUTO_BACKEND:
+        if num_observations is not None and num_observations >= AUTO_LOWMEM_THRESHOLD:
+            backend = NNChainLowMemBackend(tile_size=tile_size)
+        else:
+            backend = NNChainBackend()
+    else:
+        backend = get_backend(spec, tile_size=tile_size)
     if not backend.supports(linkage):
         raise ValueError(
-            f"backend {spec!r} does not support linkage {linkage.value!r}"
+            f"backend {backend.name!r} does not support linkage "
+            f"{getattr(linkage, 'value', linkage)!r}"
         )
     return backend
 
@@ -121,7 +110,6 @@ __all__ = [
     "BACKEND_NAMES",
     "DEFAULT_TILE_SIZE",
     "ClusteringBackend",
-    "GenericBackend",
     "NNChainBackend",
     "NNChainLowMemBackend",
     "get_backend",

@@ -31,7 +31,7 @@ class ClusteringBackend(abc.ABC):
     the CLI) and implement :meth:`supports` and :meth:`compute_merges`.
     """
 
-    #: Registry key of the backend (e.g. ``"generic"``, ``"nn_chain"``).
+    #: Registry key of the backend (e.g. ``"nn_chain"``).
     name: str = "abstract"
 
     #: ``True`` when the backend can agglomerate straight from the ``(n, d)``

@@ -8,7 +8,7 @@ therefore walks a chain ``a → nn(a) → nn(nn(a)) → …`` until it hits a
 reciprocal pair, merges it, and resumes from the truncated chain.  Every
 chain step is an O(n) scan of one condensed-distance row, and the total
 number of chain steps over a full run is O(n), giving O(n²) time overall —
-no per-merge full-matrix argmin scans, unlike the ``generic`` backend.
+no per-merge full-matrix argmin scans.
 
 Merges are discovered in chain order, which is generally *not* sorted by
 merge distance, so the raw merge list is canonicalised afterwards: rows are
@@ -17,8 +17,9 @@ pass (the same post-processing SciPy applies to its ``nn_chain`` output).
 For reducible linkages a merge that consumes the product of an earlier merge
 always happens at a distance no smaller than that earlier merge, so a stable
 sort can never place a child merge before the merge that created its inputs,
-and every cut of the canonical dendrogram agrees with the ``generic``
-backend's whenever the pairwise distances are tie-free (exact ties make the
+and every cut of the canonical dendrogram agrees with the full-matrix
+Lance–Williams loop (the test oracle) whenever the pairwise distances are
+tie-free (exact ties make the
 hierarchy ambiguous and may be broken differently — see
 :mod:`repro.cluster.backends.base`).
 """
@@ -192,7 +193,7 @@ def _canonicalize(
     After the stable sort, a union-find pass over observation slots converts
     each row's slot indices into the id of the cluster currently containing
     that observation, numbering new clusters ``n + m`` in sorted order — the
-    same convention the ``generic`` backend produces directly.
+    convention of SciPy's linkage matrices.
     """
     n = num_observations
     order = np.argsort(heights, kind="stable")

@@ -22,7 +22,7 @@ Cluster–cluster distances come from per-cluster sufficient statistics:
 
 The chain walk, tie handling and canonicalisation are shared with the
 condensed ``nn_chain`` backend, so on tie-free distances the cuts are
-identical to ``generic``/``nn_chain`` (ties remain ambiguous across all
+identical to ``nn_chain``'s (ties remain ambiguous across all
 backends — see :mod:`repro.cluster.backends.base`); only floating-point
 noise at the 1e-15 level differs, because distances are recomputed from the
 features instead of recurred.

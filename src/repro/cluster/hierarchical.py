@@ -9,11 +9,10 @@ dendrogram so the same fit can be cut at any distance threshold or any
 target number of clusters without re-running the clustering.
 
 The merge history itself is computed by a pluggable backend (see
-:mod:`repro.cluster.backends`): the ``generic`` full-matrix reference, the
-O(n²) ``nn_chain`` nearest-neighbor-chain engine picked automatically for
-the reducible linkages, or the memory-bounded ``nn_chain_lowmem`` engine —
-on-the-fly blocked distances, no pairwise matrix — picked automatically
-above 20k observations.
+:mod:`repro.cluster.backends`): the O(n²) ``nn_chain`` nearest-neighbor-chain
+engine, or the memory-bounded ``nn_chain_lowmem`` engine — on-the-fly
+blocked distances, no pairwise matrix — picked automatically above 20k
+observations.
 """
 
 from __future__ import annotations
@@ -176,11 +175,11 @@ class AgglomerativeClustering:
         Linkage criterion; the paper uses :attr:`Linkage.AVERAGE`.
     backend:
         Merge-history engine: ``"auto"`` (default — the O(n²)
-        nearest-neighbor-chain engine whenever the linkage allows it,
-        upgraded to the memory-bounded ``nn_chain_lowmem`` engine above
+        nearest-neighbor-chain engine, upgraded to the memory-bounded
+        ``nn_chain_lowmem`` engine above
         :data:`~repro.cluster.backends.AUTO_LOWMEM_THRESHOLD` observations
-        when fitting from vectors), ``"generic"``, ``"nn_chain"``,
-        ``"nn_chain_lowmem"``, or a
+        when fitting from vectors), ``"nn_chain"``, ``"nn_chain_lowmem"``,
+        or a
         :class:`~repro.cluster.backends.ClusteringBackend` instance.
         Backends produce identical cuts on tie-free distances and differ
         only in speed and memory; exact ties may be broken differently.

@@ -24,12 +24,11 @@ class ModelConfig:
         average linkage).
     cluster_backend:
         Merge-history engine of the clustering stage: ``"auto"`` (default —
-        the O(n²) nearest-neighbor-chain backend whenever the linkage
-        allows it, upgraded to the memory-bounded ``nn_chain_lowmem``
-        engine above 20k towers), ``"generic"``, ``"nn_chain"`` or
-        ``"nn_chain_lowmem"``.  Backends produce identical cuts on
-        tie-free distances and differ only in speed and memory; exact ties
-        may be broken differently.
+        the O(n²) nearest-neighbor-chain backend, upgraded to the
+        memory-bounded ``nn_chain_lowmem`` engine above 20k towers),
+        ``"nn_chain"`` or ``"nn_chain_lowmem"``.  Backends produce
+        identical cuts on tie-free distances and differ only in speed and
+        memory; exact ties may be broken differently.
     cluster_tile_size:
         Edge length of the blocked distance tiles used by the
         memory-bounded clustering backend (1024² float64 ≈ 8 MB per tile);

@@ -10,11 +10,10 @@ from repro.utils.fingerprint import fingerprint
 class ClusterStage:
     """Fit the full dendrogram of the normalised traffic vectors.
 
-    The merge-history backend (``auto``/``generic``/``nn_chain``/
-    ``nn_chain_lowmem``) comes from ``ModelConfig.cluster_backend``;
-    ``auto`` picks the O(n²) nearest-neighbor-chain engine for every
-    reducible linkage, upgrading to the memory-bounded blocked engine
-    above 20k towers.  The clusterer feeds the backend the feature matrix
+    The merge-history backend (``auto``/``nn_chain``/``nn_chain_lowmem``)
+    comes from ``ModelConfig.cluster_backend``; ``auto`` picks the O(n²)
+    nearest-neighbor-chain engine, upgrading to the memory-bounded blocked
+    engine above 20k towers.  The clusterer feeds the backend the feature matrix
     directly, so memory-bounded backends never see a pairwise matrix;
     ``ModelConfig.cluster_tile_size`` bounds their scan tiles.
     """

@@ -9,8 +9,9 @@ package provides:
 * selection of the most representative (density-filtered, maximally
   separated) tower of each cluster (:mod:`repro.decompose.representative`);
 * an exact simplex-constrained least-squares solver for the convex
-  combination coefficients (:mod:`repro.decompose.simplex`,
-  :mod:`repro.decompose.convex`);
+  combination coefficients of every tower in one batched call
+  (:mod:`repro.decompose.simplex`, :mod:`repro.decompose.batch`), with
+  per-tower views (:mod:`repro.decompose.convex`);
 * polygon/hull diagnostics in the feature space
   (:mod:`repro.decompose.polygon`);
 * time-domain mixture reconstruction showing the per-component traffic of a
@@ -18,19 +19,12 @@ package provides:
 """
 
 from repro.decompose.batch import BatchDecomposition, decompose_features_batch
-from repro.decompose.convex import (
-    ConvexDecomposition,
-    decompose_all,
-    decompose_features,
-    decompose_tower,
-)
+from repro.decompose.convex import ConvexDecomposition
 from repro.decompose.mixture import TimeDomainMixture, mixture_time_series
 from repro.decompose.polygon import hull_containment_fraction, polygon_vertices
 from repro.decompose.representative import RepresentativeTowers, select_representative_towers
 from repro.decompose.simplex import (
-    project_to_simplex,
     project_to_simplex_batch,
-    simplex_constrained_least_squares,
     simplex_constrained_least_squares_batch,
 )
 
@@ -39,16 +33,11 @@ __all__ = [
     "ConvexDecomposition",
     "RepresentativeTowers",
     "TimeDomainMixture",
-    "decompose_all",
-    "decompose_features",
     "decompose_features_batch",
-    "decompose_tower",
     "hull_containment_fraction",
     "mixture_time_series",
     "polygon_vertices",
-    "project_to_simplex",
     "project_to_simplex_batch",
     "select_representative_towers",
-    "simplex_constrained_least_squares",
     "simplex_constrained_least_squares_batch",
 ]

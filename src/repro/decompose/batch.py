@@ -14,15 +14,13 @@ still think in single towers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import numpy as np
 
+from repro.decompose.convex import ConvexDecomposition
 from repro.decompose.representative import RepresentativeTowers
 from repro.decompose.simplex import simplex_constrained_least_squares_batch
-
-if TYPE_CHECKING:
-    from repro.decompose.convex import ConvexDecomposition
 
 
 @dataclass
@@ -94,10 +92,8 @@ class BatchDecomposition:
             raise KeyError(f"tower {int(tower_id)} not present")
         return int(matches[0])
 
-    def at(self, index: int) -> "ConvexDecomposition":
+    def at(self, index: int) -> ConvexDecomposition:
         """Return row ``index`` as a :class:`ConvexDecomposition` view."""
-        from repro.decompose.convex import ConvexDecomposition
-
         index = int(index)
         if not -len(self) <= index < len(self):
             raise IndexError(f"row {index} out of range for {len(self)} towers")
@@ -110,11 +106,11 @@ class BatchDecomposition:
             projection=self.projections[index].copy(),
         )
 
-    def decomposition_of(self, tower_id: int) -> "ConvexDecomposition":
+    def decomposition_of(self, tower_id: int) -> ConvexDecomposition:
         """Return the decomposition of one tower by id."""
         return self.at(self.row_of(tower_id))
 
-    def __iter__(self) -> Iterator["ConvexDecomposition"]:
+    def __iter__(self) -> Iterator[ConvexDecomposition]:
         return (self.at(index) for index in range(len(self)))
 
     def take(self, indices: np.ndarray) -> "BatchDecomposition":
@@ -176,10 +172,9 @@ def decompose_features_batch(
 ) -> BatchDecomposition:
     """Decompose every row of ``feature_matrix`` onto the primary components.
 
-    The batched counterpart of
-    :func:`repro.decompose.convex.decompose_features`: one call processes the
-    whole ``(n, d)`` matrix and agrees with the per-tower reference within
-    ``1e-9`` per coefficient/residual/projection.
+    One call processes the whole ``(n, d)`` matrix; row ``i`` agrees with
+    the per-tower solver of ``tests/oracles/simplex.py`` on ``feature_matrix[i]``
+    within ``1e-9`` per coefficient, residual and projection.
 
     Parameters
     ----------

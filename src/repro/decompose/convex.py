@@ -10,7 +10,9 @@ the paper solves the quadratic program
 and interprets the coefficient ``x_i`` as the share of urban function ``i``
 around the tower.  Points inside the polygon get an exact convex
 combination; points outside (pushed out by noise) are mapped to the nearest
-point of the polygon — both cases are handled by the same solver.
+point of the polygon — both cases are handled by the same solver
+(:func:`repro.decompose.batch.decompose_features_batch`).
+:class:`ConvexDecomposition` is the per-tower view of one row of its result.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.decompose.representative import RepresentativeTowers
-from repro.decompose.simplex import simplex_constrained_least_squares
 
 
 @dataclass
@@ -83,65 +82,3 @@ class ConvexDecomposition:
             int(label): float(coefficient)
             for label, coefficient in zip(self.component_labels, self.coefficients)
         }
-
-
-def decompose_features(
-    feature: np.ndarray,
-    representatives: RepresentativeTowers,
-    *,
-    tower_id: int = -1,
-) -> ConvexDecomposition:
-    """Decompose a raw feature vector onto the primary components."""
-    vertices = representatives.features
-    coefficients, residual = simplex_constrained_least_squares(vertices, feature)
-    projection = coefficients @ vertices
-    return ConvexDecomposition(
-        tower_id=tower_id,
-        coefficients=coefficients,
-        component_labels=representatives.cluster_labels.copy(),
-        residual=residual,
-        feature=np.asarray(feature, dtype=float),
-        projection=projection,
-    )
-
-
-def decompose_tower(
-    features: np.ndarray,
-    tower_ids: np.ndarray,
-    tower_id: int,
-    representatives: RepresentativeTowers,
-) -> ConvexDecomposition:
-    """Decompose the feature vector of tower ``tower_id``.
-
-    ``features`` and ``tower_ids`` are the full per-tower feature matrix and
-    identifier array (as produced by
-    :func:`repro.spectral.features.extract_frequency_features` →
-    ``feature_matrix()``).
-    """
-    ids = np.asarray(tower_ids, dtype=int)
-    matches = np.nonzero(ids == tower_id)[0]
-    if matches.size == 0:
-        raise KeyError(f"tower {tower_id} not present")
-    feature = np.asarray(features, dtype=float)[int(matches[0])]
-    return decompose_features(feature, representatives, tower_id=tower_id)
-
-
-def decompose_all(
-    features: np.ndarray,
-    tower_ids: np.ndarray,
-    representatives: RepresentativeTowers,
-) -> list[ConvexDecomposition]:
-    """Decompose every tower; returns one result per row of ``features``.
-
-    All rows are solved in one call to
-    :func:`repro.decompose.batch.decompose_features_batch`; use that function
-    directly when the struct-of-ndarrays result is preferable to a list of
-    per-tower objects.
-    """
-    from repro.decompose.batch import decompose_features_batch
-
-    feature_matrix = np.asarray(features, dtype=float)
-    ids = np.asarray(tower_ids, dtype=int)
-    if feature_matrix.shape[0] != ids.shape[0]:
-        raise ValueError("features and tower_ids must align")
-    return list(decompose_features_batch(feature_matrix, representatives, tower_ids=ids))

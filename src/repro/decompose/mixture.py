@@ -67,7 +67,7 @@ def mixture_time_series(
     Parameters
     ----------
     decomposition:
-        Output of :func:`repro.decompose.convex.decompose_tower`.
+        One tower's decomposition, e.g. ``BatchDecomposition.decomposition_of``.
     component_patterns:
         Mapping from primary-component cluster label to that component's
         traffic pattern (e.g. the representative tower's series or the

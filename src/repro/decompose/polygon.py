@@ -13,21 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.decompose.representative import RepresentativeTowers
-from repro.decompose.simplex import (
-    simplex_constrained_least_squares,
-    simplex_constrained_least_squares_batch,
-)
+from repro.decompose.simplex import simplex_constrained_least_squares_batch
 
 
 def polygon_vertices(representatives: RepresentativeTowers) -> np.ndarray:
     """Return the polygon vertex matrix ``(k, d)`` (one row per component)."""
     return representatives.features.copy()
-
-
-def distance_to_hull(feature: np.ndarray, vertices: np.ndarray) -> float:
-    """Return the Euclidean distance from ``feature`` to the hull of ``vertices``."""
-    _, residual = simplex_constrained_least_squares(vertices, feature)
-    return residual
 
 
 def hull_containment_fraction(
@@ -61,8 +52,7 @@ def hull_distance_profile(
 ) -> np.ndarray:
     """Return the distance of every tower to the polygon (one value per row).
 
-    All rows are solved by one call to the batched simplex kernel; each entry
-    matches :func:`distance_to_hull` on that row within ``1e-9``.
+    All rows are solved by one call to the batched simplex kernel.
     """
     feature_matrix = np.asarray(features, dtype=float)
     if feature_matrix.ndim != 2:

@@ -1,4 +1,4 @@
-"""Simplex-constrained least squares — scalar reference and batched kernel.
+"""Simplex-constrained least squares, batched over every tower.
 
 Solves the quadratic program at the heart of Section 5.3 of the paper::
 
@@ -9,22 +9,18 @@ For the paper's four primary components the problem is tiny, so an exact
 active-set enumeration is used: every subset of components that could be
 non-zero is tried, the equality-constrained least-squares problem is solved
 on that face of the simplex, and the feasible solution with the smallest
-residual wins.  A projected-gradient solver is provided for larger vertex
-sets (and as an independent cross-check in tests).
+residual wins.  A projected-gradient solver takes over for larger vertex
+sets.
 
-Two implementations share that algorithm:
-
-* :func:`simplex_constrained_least_squares` — the per-target reference,
-  one Python-level face enumeration per call;
-* :func:`simplex_constrained_least_squares_batch` — the vectorized kernel.
-  One call decomposes a whole ``(n, d)`` target matrix: the KKT matrix of a
-  face depends only on the face (never on the target), so each face is
-  LU-factorised **once** and solved against all ``n`` right-hand sides in a
-  single stacked ``np.linalg.solve``; feasibility masking and the
-  minimum-residual face selection run as whole-array operations.  The batch
-  kernel walks the faces in the exact order of the scalar solver and applies
-  the same feasibility / strict-improvement thresholds, so the two agree to
-  ``max|Δ| ≤ 1e-9`` (bit-for-bit on most inputs).
+:func:`simplex_constrained_least_squares_batch` decomposes a whole ``(n, d)``
+target matrix in one call: the KKT matrix of a face depends only on the face
+(never on the target), so each face is LU-factorised **once** and solved
+against all ``n`` right-hand sides in a single stacked ``np.linalg.solve``;
+feasibility masking and the minimum-residual face selection run as
+whole-array operations.  The per-target solver it is tested against lives in
+``tests/oracles/simplex.py``; the two walk the faces in the same order with
+the same feasibility / strict-improvement thresholds and agree to
+``max|Δ| ≤ 1e-9``.
 """
 
 from __future__ import annotations
@@ -40,56 +36,13 @@ FEASIBILITY_TOLERANCE = 1e-9
 IMPROVEMENT_TOLERANCE = 1e-15
 
 
-def _uniform(size: int) -> np.ndarray:
-    out = np.empty(size)
-    out.fill(1.0 / size)
-    return out
-
-
-def project_to_simplex(values: np.ndarray) -> np.ndarray:
-    """Project a vector onto the probability simplex (Duchi et al., 2008).
-
-    Non-finite inputs raise :class:`ValueError` (a NaN would otherwise
-    propagate silently through the sort/cumsum pipeline), and an all-equal
-    vector — including magnitudes where ``v - θ`` cancels catastrophically —
-    projects to the exact uniform point.
-    """
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("cannot project an empty vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cannot project a vector with non-finite entries")
-    if np.all(arr == arr[0]):
-        # Ties across every coordinate: the projection is uniform by symmetry.
-        return _uniform(arr.size)
-    sorted_desc = np.sort(arr)[::-1]
-    cumulative = np.cumsum(sorted_desc) - 1.0
-    indices = np.arange(1, arr.size + 1)
-    condition = sorted_desc - cumulative / indices > 0
-    if not np.any(condition):
-        result = np.zeros_like(arr)
-        result[int(np.argmax(arr))] = 1.0
-        return result
-    rho = int(np.nonzero(condition)[0][-1])
-    theta = cumulative[rho] / (rho + 1.0)
-    projected = np.maximum(arr - theta, 0.0)
-    # Renormalise to absorb floating-point cancellation on large inputs so the
-    # result sums to exactly one.
-    total = projected.sum()
-    if total <= 0:
-        result = np.zeros_like(arr)
-        result[int(np.argmax(arr))] = 1.0
-        return result
-    return projected / total
-
-
 def project_to_simplex_batch(values: np.ndarray) -> np.ndarray:
     """Row-wise simplex projection of an ``(n, m)`` matrix.
 
-    Each row is projected exactly as :func:`project_to_simplex` projects a
-    vector (same sort/threshold arithmetic, same all-equal and degenerate
-    fallbacks), so ``project_to_simplex_batch(M)[i]`` equals
-    ``project_to_simplex(M[i])``.
+    Each row is projected onto the probability simplex (Duchi et al.,
+    2008).  Non-finite entries raise :class:`ValueError`, an all-equal row
+    projects to the exact uniform point, and a row whose threshold leaves
+    no support falls back to a one-hot vector at its largest entry.
     """
     matrix = np.asarray(values, dtype=float)
     if matrix.ndim != 2:
@@ -128,121 +81,6 @@ def project_to_simplex_batch(values: np.ndarray) -> np.ndarray:
     return result
 
 
-def _solve_on_face(
-    vertices: np.ndarray, target: np.ndarray, face: tuple[int, ...]
-) -> np.ndarray | None:
-    """Solve the equality-constrained problem restricted to ``face``.
-
-    Returns the full coefficient vector (zeros off the face) or ``None`` if
-    the face solution violates non-negativity.
-    """
-    k = vertices.shape[0]
-    sub = vertices[list(face)]  # (m, d)
-    m = sub.shape[0]
-    if m == 1:
-        coefficients = np.zeros(k)
-        coefficients[face[0]] = 1.0
-        return coefficients
-
-    # Minimise ||target - subᵀ w||² with Σ w = 1 via KKT system.
-    gram = sub @ sub.T
-    rhs = sub @ target
-    kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = 2.0 * gram
-    kkt[:m, m] = 1.0
-    kkt[m, :m] = 1.0
-    vector = np.zeros(m + 1)
-    vector[:m] = 2.0 * rhs
-    vector[m] = 1.0
-    try:
-        solution = np.linalg.solve(kkt, vector)
-    except np.linalg.LinAlgError:
-        solution, *_ = np.linalg.lstsq(kkt, vector, rcond=None)
-    weights = solution[:m]
-    if np.any(weights < -FEASIBILITY_TOLERANCE):
-        return None
-    coefficients = np.zeros(k)
-    for index, weight in zip(face, weights):
-        coefficients[index] = max(float(weight), 0.0)
-    total = coefficients.sum()
-    if total <= 0:
-        return None
-    return coefficients / total
-
-
-def simplex_constrained_least_squares(
-    vertices: np.ndarray,
-    target: np.ndarray,
-    *,
-    exhaustive_limit: int = 12,
-    max_iterations: int = 2_000,
-    tolerance: float = 1e-10,
-) -> tuple[np.ndarray, float]:
-    """Return ``(coefficients, residual_norm)`` of the simplex-constrained fit.
-
-    Parameters
-    ----------
-    vertices:
-        Array of shape ``(k, d)``; row ``i`` is the feature vector ``F⁰_i``
-        of primary component ``i``.
-    target:
-        The feature vector ``F`` to decompose, of length ``d``.
-    exhaustive_limit:
-        Up to this many vertices the exact face-enumeration solver is used;
-        beyond it the projected-gradient solver takes over.
-    max_iterations, tolerance:
-        Projected-gradient settings (ignored by the exact solver).
-    """
-    vertex_matrix = np.asarray(vertices, dtype=float)
-    target_vector = np.asarray(target, dtype=float).ravel()
-    if vertex_matrix.ndim != 2:
-        raise ValueError(f"vertices must be 2-D, got shape {vertex_matrix.shape}")
-    k, d = vertex_matrix.shape
-    if target_vector.size != d:
-        raise ValueError(
-            f"target has dimension {target_vector.size}, vertices have {d}"
-        )
-    if k == 0:
-        raise ValueError("need at least one vertex")
-
-    if k <= exhaustive_limit:
-        best: np.ndarray | None = None
-        best_residual = np.inf
-        for size in range(1, k + 1):
-            for face in combinations(range(k), size):
-                candidate = _solve_on_face(vertex_matrix, target_vector, face)
-                if candidate is None:
-                    continue
-                residual = float(
-                    np.linalg.norm(target_vector - candidate @ vertex_matrix)
-                )
-                if residual < best_residual - IMPROVEMENT_TOLERANCE:
-                    best_residual = residual
-                    best = candidate
-        assert best is not None  # the single-vertex faces always succeed
-        return best, best_residual
-
-    # Projected gradient for larger vertex sets.
-    coefficients = np.full(k, 1.0 / k)
-    gram = vertex_matrix @ vertex_matrix.T
-    linear = vertex_matrix @ target_vector
-    eigenvalues = np.linalg.eigvalsh(gram)
-    lipschitz = float(max(eigenvalues[-1], 1e-12))
-    step = 1.0 / lipschitz
-    previous_objective = np.inf
-    for _ in range(max_iterations):
-        gradient = gram @ coefficients - linear
-        coefficients = project_to_simplex(coefficients - step * gradient)
-        objective = float(
-            0.5 * coefficients @ gram @ coefficients - linear @ coefficients
-        )
-        if abs(previous_objective - objective) < tolerance:
-            break
-        previous_objective = objective
-    residual = float(np.linalg.norm(target_vector - coefficients @ vertex_matrix))
-    return coefficients, residual
-
-
 def _auto_chunk_size(k: int, num_targets: int) -> int:
     """Bound the per-size KKT right-hand-side buffer to ~32 MB.
 
@@ -256,13 +94,12 @@ def _auto_chunk_size(k: int, num_targets: int) -> int:
 def _batch_exact(vertices: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact active-set solve of every row of ``targets`` at once.
 
-    Walks the ``2^k − 1`` faces in the scalar solver's order.  Per face size
+    Walks the ``2^k − 1`` faces by size, then lexicographically.  Per face size
     the KKT systems of all ``C(k, size)`` faces are assembled as one
     ``(faces, size+1, size+1)`` tensor and solved against the shared
     ``(faces, size+1, n)`` right-hand-side block in a single stacked
     ``np.linalg.solve`` — the KKT matrix never depends on the target, so each
-    face is factorised once for all ``n`` towers.  Selection replicates the
-    scalar rules exactly: weights below ``-1e-9`` mark a face infeasible for
+    face is factorised once for all ``n`` towers.  Selection rules: weights below ``-1e-9`` mark a face infeasible for
     that tower, surviving weights are clipped/renormalised, and a face
     replaces the incumbent only when its residual improves by ``> 1e-15``.
     """
@@ -298,8 +135,8 @@ def _batch_exact(vertices: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray,
             solutions = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             # At least one face's KKT matrix is exactly singular (duplicate
-            # vertices); retry face by face, dropping to lstsq like the
-            # scalar solver does.
+            # vertices); retry face by face, dropping to lstsq for the
+            # singular ones.
             solutions = np.empty((num_faces, size + 1, n))
             for face_index in range(num_faces):
                 try:
@@ -346,9 +183,8 @@ def _batch_projected_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projected-gradient descent on every target row simultaneously.
 
-    Iterates are full ``(n, k)`` matrices; each row follows the scalar
-    solver's trajectory (same step size, same row-wise simplex projection)
-    and is frozen — excluded from further updates — as soon as its own
+    Iterates are full ``(n, k)`` matrices; every row takes the same step
+    size and the row-wise simplex projection, and is frozen — excluded from further updates — as soon as its own
     objective improvement drops below ``tolerance``.
     """
     k = vertices.shape[0]
@@ -391,21 +227,20 @@ def simplex_constrained_least_squares_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the simplex-constrained fit for every row of ``targets`` at once.
 
-    The batched counterpart of :func:`simplex_constrained_least_squares`:
-    one call decomposes an ``(n, d)`` matrix of targets against the shared
+    One call decomposes an ``(n, d)`` matrix of targets against the shared
     ``(k, d)`` vertex matrix and returns ``(coefficients, residuals)`` of
-    shapes ``(n, k)`` and ``(n,)``.  Row ``i`` of the output matches
-    ``simplex_constrained_least_squares(vertices, targets[i])`` within
-    ``1e-9`` (the two run the same algorithm; only BLAS summation order may
-    differ in the last bits).
+    shapes ``(n, k)`` and ``(n,)``.
 
     Parameters
     ----------
     vertices, targets:
         Vertex matrix ``(k, d)`` and target matrix ``(n, d)``.  Both must be
         finite — a NaN target would silently poison whole face solves.
-    exhaustive_limit, max_iterations, tolerance:
-        As in the scalar solver.
+    exhaustive_limit:
+        Up to this many vertices the exact face-enumeration solver is used;
+        beyond it the projected-gradient solver takes over.
+    max_iterations, tolerance:
+        Projected-gradient settings (ignored by the exact solver).
     chunk_size:
         Towers per slice of the face-enumeration kernel; bounds the stacked
         right-hand-side buffers.  Auto-sized to ~32 MB by default — at the

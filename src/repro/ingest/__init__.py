@@ -4,43 +4,28 @@ Mirrors Section 2.2 of the paper: raw operator logs are cleaned (redundant
 and conflicting records removed), base-station addresses are geocoded to
 latitude/longitude, and the per-km² traffic density is computed.  The
 package also defines the record dataclasses shared with the synthetic trace
-generator, the columnar :class:`RecordBatch` data plane used by every hot
-path, and CSV/JSONL readers and writers — both record-at-a-time and chunked
-batch iterators — so traces can be stored on disk and re-ingested
-out-of-core.
+generator, the columnar :class:`RecordBatch` data plane every step runs on,
+and CSV readers and writers (records are read as a stream of chunked
+batches), so traces can be stored on disk and re-ingested out-of-core.
 """
 
 from repro.ingest.batch import (
     NETWORK_CODES,
     NETWORK_NAMES,
     RecordBatch,
-    batch_from_record_iter,
     decode_networks,
     encode_networks,
 )
-from repro.ingest.dedup import (
-    DedupReport,
-    clean_batch,
-    clean_records,
-    deduplicate_batch,
-    deduplicate_records,
-    resolve_conflicts,
-    resolve_conflicts_batch,
-)
+from repro.ingest.dedup import DedupReport, clean_batch
 from repro.ingest.density import TrafficDensityMap, compute_density_map
 from repro.ingest.geocode import GeocodingReport, geocode_stations
 from repro.ingest.loader import (
     DEFAULT_CHUNK_SIZE,
     TraceFormatError,
     iter_record_batches_csv,
-    iter_record_batches_jsonl,
     read_record_batch_csv,
-    read_record_batch_jsonl,
-    read_records_csv,
-    read_records_jsonl,
     read_stations_csv,
     write_records_csv,
-    write_records_jsonl,
     write_stations_csv,
 )
 from repro.ingest.preprocess import PreprocessingReport, PreprocessingResult, preprocess_trace
@@ -59,26 +44,15 @@ __all__ = [
     "TraceFormatError",
     "TrafficDensityMap",
     "TrafficRecord",
-    "batch_from_record_iter",
     "clean_batch",
-    "clean_records",
     "compute_density_map",
     "decode_networks",
-    "deduplicate_batch",
-    "deduplicate_records",
     "encode_networks",
     "geocode_stations",
     "iter_record_batches_csv",
-    "iter_record_batches_jsonl",
     "preprocess_trace",
     "read_record_batch_csv",
-    "read_record_batch_jsonl",
-    "read_records_csv",
-    "read_records_jsonl",
     "read_stations_csv",
-    "resolve_conflicts",
-    "resolve_conflicts_batch",
     "write_records_csv",
-    "write_records_jsonl",
     "write_stations_csv",
 ]

@@ -7,16 +7,13 @@ data plane is :class:`RecordBatch`: the six fields of a
 (``user_id``, ``tower_id``, ``start_s``, ``end_s``, ``bytes_used`` and
 ``network`` as small-integer codes).  Every layer that touches records —
 loading, deduplication, conflict resolution, slot-split aggregation, the
-synthetic session generator — has a vectorized implementation operating on
-batches, which is one to two orders of magnitude faster than walking
-dataclass instances one at a time.
+synthetic session generator — operates on batches, which is one to two
+orders of magnitude faster than walking dataclass instances one at a time.
 
-The record-object API remains available as a thin compatibility shim:
-:meth:`RecordBatch.from_records` / :meth:`RecordBatch.to_records` convert
-between the two representations, so existing callers keep working while the
-hot paths stay columnar.  Batches are immutable by convention: operations
-return new batches (``take``, ``concat``, ``iter_chunks``) rather than
-mutating columns in place.
+:meth:`RecordBatch.from_records` builds a batch from record objects (the
+scalar session generator emits those).  Batches are immutable by
+convention: operations return new batches (``take``, ``concat``,
+``iter_chunks``) rather than mutating columns in place.
 """
 
 from __future__ import annotations
@@ -114,7 +111,9 @@ class RecordBatch:
         """Apply the same per-record invariants as :class:`TrafficRecord`.
 
         The comparisons are written negated so NaN values are rejected too
-        (NaNs would silently corrupt the sort-based cleaning primitives).
+        (NaNs would silently corrupt the sort-based cleaning primitives);
+        infinities are rejected last (an infinite volume poisons the
+        normalised vectors, an infinite end the slot arithmetic).
         """
 
         def first_bad(mask: np.ndarray) -> int:
@@ -140,6 +139,12 @@ class RecordBatch:
                 f"record {index}: bytes_used must be non-negative, "
                 f"got {self.bytes_used[index]}"
             )
+        for name in ("start_s", "end_s", "bytes_used"):
+            column = getattr(self, name)
+            bad = ~np.isfinite(column)
+            if np.any(bad):
+                index = first_bad(bad)
+                raise ValueError(f"record {index}: {name} must be finite, got {column[index]}")
         bad = self.network >= len(NETWORK_NAMES)
         if np.any(bad):
             index = first_bad(bad)
@@ -203,7 +208,7 @@ class RecordBatch:
 
     @classmethod
     def from_records(cls, records: Iterable[TrafficRecord]) -> "RecordBatch":
-        """Build a batch from record objects (compatibility shim)."""
+        """Build a batch from record objects."""
         user_ids: list[int] = []
         tower_ids: list[int] = []
         starts: list[float] = []
@@ -225,27 +230,6 @@ class RecordBatch:
             bytes_used=np.asarray(volumes, dtype=np.float64),
             network=np.asarray(networks, dtype=np.uint8),
         )
-
-    def to_records(self) -> list[TrafficRecord]:
-        """Materialise the batch as record objects (compatibility shim)."""
-        return [
-            TrafficRecord(
-                user_id=user,
-                tower_id=tower,
-                start_s=start,
-                end_s=end,
-                bytes_used=volume,
-                network=NETWORK_NAMES[code],
-            )
-            for user, tower, start, end, volume, code in zip(
-                self.user_id.tolist(),
-                self.tower_id.tolist(),
-                self.start_s.tolist(),
-                self.end_s.tolist(),
-                self.bytes_used.tolist(),
-                self.network.tolist(),
-            )
-        ]
 
     @classmethod
     def concat(cls, batches: Iterable["RecordBatch"]) -> "RecordBatch":
@@ -354,19 +338,3 @@ class RecordBatch:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         for offset in range(0, len(self), chunk_size):
             yield self.take(np.arange(offset, min(offset + chunk_size, len(self))))
-
-
-def batch_from_record_iter(
-    records: Iterable[TrafficRecord], chunk_size: int
-) -> Iterator[RecordBatch]:
-    """Chunk an arbitrary record iterator into a stream of batches."""
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    chunk: list[TrafficRecord] = []
-    for record in records:
-        chunk.append(record)
-        if len(chunk) >= chunk_size:
-            yield RecordBatch.from_records(chunk)
-            chunk = []
-    if chunk:
-        yield RecordBatch.from_records(chunk)

@@ -2,44 +2,26 @@
 
 The first preprocessing step of the paper removes "redundant and conflict
 logs, such as the identical traffic logs, introduced by technical issues".
-We implement two cleaning primitives:
+:func:`clean_batch` does both in one pass over a columnar
+:class:`~repro.ingest.batch.RecordBatch`:
 
-* :func:`deduplicate_records` removes exact duplicates (identical device,
-  tower, interval, byte count and technology), keeping one copy of each.
-* :func:`resolve_conflicts` collapses conflicting versions of one connection
-  (same device, tower and interval, different byte counts) into one record,
-  using a configurable resolution strategy (median byte count by default,
-  which is robust to a single corrupted copy).
+* exact duplicates (identical device, tower, interval, byte count and
+  technology) keep one copy;
+* conflicting versions of one connection (same device, tower and interval,
+  different byte counts) collapse into one record carrying the median byte
+  count, which is robust to a single corrupted copy.
+
+The record-at-a-time version it is tested against lives in
+``tests/oracles/dedup.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.ingest.batch import RecordBatch
-from repro.ingest.records import TrafficRecord
-
-#: A conflict resolution strategy maps the byte counts of the conflicting
-#: copies of one connection to the single value to keep.
-ConflictStrategy = Callable[[np.ndarray], float]
-
-
-def median_strategy(byte_counts: np.ndarray) -> float:
-    """Keep the median byte count (robust default)."""
-    return float(np.median(byte_counts))
-
-
-def max_strategy(byte_counts: np.ndarray) -> float:
-    """Keep the maximum byte count (paranoid upper bound)."""
-    return float(np.max(byte_counts))
-
-
-def first_strategy(byte_counts: np.ndarray) -> float:
-    """Keep the first observed byte count."""
-    return float(byte_counts[0])
 
 
 @dataclass(frozen=True)
@@ -68,109 +50,17 @@ class DedupReport:
         return self.num_exact_duplicates_removed / self.num_input_records
 
 
-def deduplicate_records(
-    records: Iterable[TrafficRecord],
-) -> tuple[list[TrafficRecord], int]:
-    """Remove exact duplicates, preserving first-seen order.
-
-    Returns
-    -------
-    tuple[list[TrafficRecord], int]
-        The deduplicated records and the number of removed duplicates.
-    """
-    seen: set[tuple] = set()
-    output: list[TrafficRecord] = []
-    removed = 0
-    for record in records:
-        key = record.identity_key()
-        if key in seen:
-            removed += 1
-            continue
-        seen.add(key)
-        output.append(record)
-    return output, removed
-
-
-def resolve_conflicts(
-    records: Iterable[TrafficRecord],
-    *,
-    strategy: ConflictStrategy = median_strategy,
-) -> tuple[list[TrafficRecord], int, int]:
-    """Collapse conflicting versions of the same connection into one record.
-
-    Returns
-    -------
-    tuple[list[TrafficRecord], int, int]
-        The resolved records (first-seen order), the number of conflict
-        groups found, and the number of records removed by the resolution.
-    """
-    groups: dict[tuple, list[TrafficRecord]] = {}
-    order: list[tuple] = []
-    for record in records:
-        key = record.conflict_key()
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(record)
-
-    output: list[TrafficRecord] = []
-    conflict_groups = 0
-    removed = 0
-    for key in order:
-        group = groups[key]
-        if len(group) == 1:
-            output.append(group[0])
-            continue
-        byte_counts = np.array([record.bytes_used for record in group], dtype=float)
-        if np.unique(byte_counts).size == 1:
-            # Identical copies that survived exact dedup only differ in
-            # network field ordering; keep the first.
-            output.append(group[0])
-            removed += len(group) - 1
-            continue
-        conflict_groups += 1
-        removed += len(group) - 1
-        resolved_bytes = strategy(byte_counts)
-        output.append(group[0].with_bytes(resolved_bytes))
-    return output, conflict_groups, removed
-
-
-def clean_records(
-    records: Iterable[TrafficRecord],
-    *,
-    strategy: ConflictStrategy = median_strategy,
-) -> tuple[list[TrafficRecord], DedupReport]:
-    """Run both cleaning primitives and return the records plus a report."""
-    records_list = list(records)
-    deduplicated, duplicates_removed = deduplicate_records(records_list)
-    resolved, conflict_groups, conflict_removed = resolve_conflicts(
-        deduplicated, strategy=strategy
-    )
-    report = DedupReport(
-        num_input_records=len(records_list),
-        num_exact_duplicates_removed=duplicates_removed,
-        num_conflict_groups=conflict_groups,
-        num_conflict_records_removed=conflict_removed,
-    )
-    return resolved, report
-
-
-
-# ----------------------------------------------------------------------
-# Columnar (RecordBatch) implementations
-# ----------------------------------------------------------------------
-#
-# Both cleaning primitives only ever merge rows sharing the *conflict key*
+# Both cleaning steps only ever merge rows sharing the *conflict key*
 # (device, tower, interval) — and in particular the exact ``start_s`` bit
 # pattern.  With start times drawn from a continuous distribution almost
-# every row has a unique start, so the columnar paths first partition rows
-# by a single cheap ``argsort`` over ``start_s``: rows whose start is unique
-# are provably untouched by cleaning, and only the small candidate fraction
+# every row has a unique start, so rows are first partitioned by a single
+# cheap ``argsort`` over ``start_s``: rows whose start is unique are
+# provably untouched by cleaning, and only the small candidate fraction
 # sharing a start gets the full lexicographic sub-sort by
 # ``(start_s, user_id, tower_id, end_s, bytes_used, network)``.  Group
 # leaders are the members with the smallest original index (``first-seen'',
 # via ``np.minimum.reduceat``), so no sort needs to be stable, and restoring
-# the leaders' original order reproduces the scalar output exactly.  In the
+# the leaders' original order keeps the input's first-seen order.  In the
 # worst case (every row sharing one start) the partition degenerates
 # gracefully into one full-width sub-sort.
 
@@ -221,158 +111,14 @@ def _cleaning_candidates(batch: RecordBatch) -> tuple[np.ndarray, np.ndarray]:
     return singletons, candidates
 
 
-def _resolve_group_bytes(
-    strategy: ConflictStrategy,
-    conflicting: np.ndarray,
-    starts: np.ndarray,
-    sizes: np.ndarray,
-    sorted_bytes: np.ndarray,
-    member_index: np.ndarray,
-    leader_bytes: np.ndarray,
-) -> np.ndarray:
-    """Return the per-group resolved byte counts.
+def clean_batch(batch: RecordBatch) -> tuple[RecordBatch, DedupReport]:
+    """Drop exact duplicates, resolve conflicts, and report what was removed.
 
-    ``sorted_bytes``/``member_index`` describe group members in byte-sorted
-    order (``member_index`` holds each member's original row index);
-    ``leader_bytes`` holds the first-seen member's bytes per group — the
-    correct value for non-conflicting groups, and the exact result of
-    :func:`first_strategy`.  The built-in strategies are computed
-    vectorized; arbitrary callables fall back to a loop over the (rare)
-    conflicting groups, with each group's bytes presented in first-seen
-    order exactly like the scalar path.
-    """
-    new_bytes = leader_bytes.copy()
-    if not np.any(conflicting):
-        return new_bytes
-    if strategy is first_strategy:
-        return new_bytes
-    hit = np.flatnonzero(conflicting)
-    if strategy is max_strategy:
-        last = starts + sizes - 1
-        new_bytes[hit] = sorted_bytes[last[hit]]
-        return new_bytes
-    if strategy is median_strategy:
-        # Members are byte-sorted inside each group, so the median is a
-        # middle selection: the centre element for odd sizes, the mean of
-        # the two centre elements for even (bit-identical to np.median).
-        mid = starts[hit] + sizes[hit] // 2
-        odd = (sizes[hit] % 2) == 1
-        result = np.empty(hit.shape[0])
-        result[odd] = sorted_bytes[mid[odd]]
-        even = ~odd
-        result[even] = 0.5 * (sorted_bytes[mid[even] - 1] + sorted_bytes[mid[even]])
-        new_bytes[hit] = result
-        return new_bytes
-    for group_index in hit:
-        members = slice(starts[group_index], starts[group_index] + sizes[group_index])
-        first_seen = np.argsort(member_index[members], kind="stable")
-        new_bytes[group_index] = strategy(sorted_bytes[members][first_seen])
-    return new_bytes
-
-
-def _resolve_candidates(
-    batch: RecordBatch,
-    candidates: np.ndarray,
-    member_index: np.ndarray,
-    strategy: ConflictStrategy,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Resolve conflicts among candidate rows sorted by conflict key + bytes.
-
-    ``candidates`` indexes into ``batch`` (conflict-key-sorted, byte-sorted
-    within groups); ``member_index`` holds, per candidate, the original row
-    index its group-leadership should be judged by (the candidate itself,
-    or — after deduplication — the smallest index of its identity run).
-    Returns ``(group_leaders, group_bytes, conflict_groups, num_groups)``.
-    """
-    candidate_bytes = batch.bytes_used[candidates]
-    starts = _run_starts(
-        (
-            batch.start_s[candidates],
-            batch.user_id[candidates],
-            batch.tower_id[candidates],
-            batch.end_s[candidates],
-        )
-    )
-    sizes = np.diff(np.concatenate((starts, [candidates.shape[0]])))
-    last = starts + sizes - 1
-    # Members are byte-sorted inside each group, so a group conflicts iff
-    # its first and last byte counts differ.
-    conflicting = (candidate_bytes[last] > candidate_bytes[starts]) & (sizes > 1)
-    leaders = np.minimum.reduceat(member_index, starts)
-    group_bytes = _resolve_group_bytes(
-        strategy,
-        conflicting,
-        starts,
-        sizes,
-        candidate_bytes,
-        member_index,
-        batch.bytes_used[leaders],
-    )
-    return leaders, group_bytes, int(conflicting.sum()), int(starts.shape[0])
-
-
-def deduplicate_batch(batch: RecordBatch) -> tuple[RecordBatch, int]:
-    """Columnar :func:`deduplicate_records`: drop exact duplicates.
-
-    Keeps the first-seen copy of every identical row and preserves the
-    original first-seen order, matching the scalar implementation.
-    """
-    n = len(batch)
-    if n == 0:
-        return batch, 0
-    singletons, candidates = _cleaning_candidates(batch)
-    if candidates.size == 0:
-        return batch, 0
-    identity_starts = _run_starts(
-        tuple(column[candidates] for column in batch.columns())
-    )
-    leaders = np.minimum.reduceat(candidates, identity_starts)
-    kept = np.sort(np.concatenate((singletons, leaders)))
-    return batch.take(kept), int(n - kept.shape[0])
-
-
-def resolve_conflicts_batch(
-    batch: RecordBatch,
-    *,
-    strategy: ConflictStrategy = median_strategy,
-) -> tuple[RecordBatch, int, int]:
-    """Columnar :func:`resolve_conflicts`: collapse conflicting connections.
-
-    Groups rows by ``(user_id, tower_id, start_s, end_s)``; groups whose byte
-    counts all agree keep their first-seen row, genuinely conflicting groups
-    keep the first-seen row with the strategy-resolved byte count.  Custom
-    strategy callbacks receive the group's byte counts in first-seen order,
-    exactly like the scalar path.
-    """
-    n = len(batch)
-    if n == 0:
-        return batch, 0, 0
-    singletons, candidates = _cleaning_candidates(batch)
-    if candidates.size == 0:
-        return batch, 0, 0
-    leaders, group_bytes, conflict_groups, num_groups = _resolve_candidates(
-        batch, candidates, candidates, strategy
-    )
-    kept = np.concatenate((singletons, leaders))
-    kept_bytes = np.concatenate((batch.bytes_used[singletons], group_bytes))
-    first_seen = np.argsort(kept)
-    resolved = batch.take(kept[first_seen]).with_bytes(kept_bytes[first_seen])
-    removed = int(n - kept.shape[0])
-    return resolved, conflict_groups, removed
-
-
-def clean_batch(
-    batch: RecordBatch,
-    *,
-    strategy: ConflictStrategy = median_strategy,
-) -> tuple[RecordBatch, DedupReport]:
-    """Columnar :func:`clean_records`: both primitives plus a report.
-
-    Fused fast path: the candidate partition and its lexicographic sub-sort
-    are computed once and serve both exact deduplication (runs of all six
-    columns) and conflict grouping (runs of the four conflict-key columns),
-    so the full clean costs one cheap partition sort plus one sub-sort of
-    the candidate rows.
+    Survivors keep the input's first-seen order.  The candidate partition
+    and its lexicographic sub-sort are computed once and serve both exact
+    deduplication (runs of all six columns) and conflict grouping (runs of
+    the four conflict-key columns), so the full clean costs one cheap
+    partition sort plus one sub-sort of the candidate rows.
     """
     n = len(batch)
     if n == 0:
@@ -394,9 +140,30 @@ def clean_batch(
 
     # The representatives are still sorted by conflict key then bytes, so
     # conflict grouping needs no further sort.
-    leaders, group_bytes, conflict_groups, num_groups = _resolve_candidates(
-        batch, representatives, representative_leaders, strategy
+    sorted_bytes = batch.bytes_used[representatives]
+    starts = _run_starts(
+        (
+            batch.start_s[representatives],
+            batch.user_id[representatives],
+            batch.tower_id[representatives],
+            batch.end_s[representatives],
+        )
     )
+    sizes = np.diff(np.concatenate((starts, [representatives.shape[0]])))
+    # Members are byte-sorted inside each group, so a group conflicts iff
+    # its first and last byte counts differ, and its median is a middle
+    # selection: the centre element for odd sizes, the mean of the two
+    # centre elements for even sizes (bit-identical to np.median).
+    conflicting = np.flatnonzero(sorted_bytes[starts + sizes - 1] > sorted_bytes[starts])
+    leaders = np.minimum.reduceat(representative_leaders, starts)
+    group_bytes = batch.bytes_used[leaders]
+    mid = starts[conflicting] + sizes[conflicting] // 2
+    group_bytes[conflicting] = np.where(
+        sizes[conflicting] % 2 == 1,
+        sorted_bytes[mid],
+        0.5 * (sorted_bytes[mid - 1] + sorted_bytes[mid]),
+    )
+
     kept = np.concatenate((singletons, leaders))
     kept_bytes = np.concatenate((batch.bytes_used[singletons], group_bytes))
     first_seen = np.argsort(kept)
@@ -404,7 +171,7 @@ def clean_batch(
     report = DedupReport(
         num_input_records=n,
         num_exact_duplicates_removed=duplicates_removed,
-        num_conflict_groups=conflict_groups,
-        num_conflict_records_removed=int(identity_starts.shape[0] - num_groups),
+        num_conflict_groups=int(conflicting.shape[0]),
+        num_conflict_records_removed=int(identity_starts.shape[0] - starts.shape[0]),
     )
     return resolved, report

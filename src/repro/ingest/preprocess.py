@@ -6,8 +6,8 @@ Three steps, in order:
 2. geocode base-station addresses to coordinates (:mod:`repro.ingest.geocode`);
 3. compute the city-wide traffic density (:mod:`repro.ingest.density`).
 
-The pipeline takes raw records plus station metadata and returns cleaned
-records, geocoded stations, the density map and a combined report.
+The pipeline takes a raw record batch plus station metadata and returns the
+cleaned batch, geocoded stations, the density map and a combined report.
 """
 
 from __future__ import annotations
@@ -17,16 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ingest.batch import RecordBatch
-from repro.ingest.dedup import (
-    ConflictStrategy,
-    DedupReport,
-    clean_batch,
-    clean_records,
-    median_strategy,
-)
+from repro.ingest.dedup import DedupReport, clean_batch
 from repro.ingest.density import TrafficDensityMap, compute_density_map
 from repro.ingest.geocode import Geocoder, GeocodingReport, geocode_stations
-from repro.ingest.records import BaseStationInfo, TrafficRecord
+from repro.ingest.records import BaseStationInfo
 
 
 @dataclass(frozen=True)
@@ -44,13 +38,9 @@ class PreprocessingReport:
 
 @dataclass
 class PreprocessingResult:
-    """Outputs of the preprocessing pipeline.
+    """Outputs of the preprocessing pipeline."""
 
-    ``records`` holds whatever representation went in: a list of
-    :class:`TrafficRecord` objects or a columnar :class:`RecordBatch`.
-    """
-
-    records: list[TrafficRecord] | RecordBatch
+    records: RecordBatch
     stations: list[BaseStationInfo]
     density: TrafficDensityMap | None
     report: PreprocessingReport
@@ -59,31 +49,19 @@ class PreprocessingResult:
         """Return stations indexed by tower id."""
         return {station.tower_id: station for station in self.stations}
 
-    def record_batch(self) -> RecordBatch:
-        """Return the cleaned records as a columnar batch (converting if needed)."""
-        if isinstance(self.records, RecordBatch):
-            return self.records
-        return RecordBatch.from_records(self.records)
 
-
-def _per_tower_volume(records: list[TrafficRecord] | RecordBatch) -> dict[int, float]:
+def _per_tower_volume(records: RecordBatch) -> dict[int, float]:
     """Sum bytes per tower over all records."""
-    if isinstance(records, RecordBatch):
-        towers, inverse = np.unique(records.tower_id, return_inverse=True)
-        sums = np.bincount(inverse, weights=records.bytes_used, minlength=towers.size)
-        return {int(tower): float(total) for tower, total in zip(towers, sums)}
-    volumes: dict[int, float] = {}
-    for record in records:
-        volumes[record.tower_id] = volumes.get(record.tower_id, 0.0) + record.bytes_used
-    return volumes
+    towers, inverse = np.unique(records.tower_id, return_inverse=True)
+    sums = np.bincount(inverse, weights=records.bytes_used, minlength=towers.size)
+    return {int(tower): float(total) for tower, total in zip(towers, sums)}
 
 
 def preprocess_trace(
-    records: list[TrafficRecord] | RecordBatch,
+    records: RecordBatch,
     stations: list[BaseStationInfo],
     geocoder: Geocoder | None = None,
     *,
-    conflict_strategy: ConflictStrategy = median_strategy,
     compute_density: bool = True,
     density_grid_size: int = 40,
 ) -> PreprocessingResult:
@@ -92,26 +70,20 @@ def preprocess_trace(
     Parameters
     ----------
     records:
-        Raw (possibly corrupted) traffic records — a list of record objects
-        or a columnar :class:`RecordBatch` (cleaned via the vectorized path).
+        Raw (possibly corrupted) traffic records.
     stations:
         Station metadata; stations missing coordinates are geocoded when a
         ``geocoder`` is provided.
     geocoder:
         Address-resolution service; optional when all stations already carry
         coordinates.
-    conflict_strategy:
-        How conflicting byte counts are resolved.
     compute_density:
         Whether the final density map is computed (requires geocoded
         stations).
     density_grid_size:
         Resolution of the density grid along each axis.
     """
-    if isinstance(records, RecordBatch):
-        cleaned, dedup_report = clean_batch(records, strategy=conflict_strategy)
-    else:
-        cleaned, dedup_report = clean_records(records, strategy=conflict_strategy)
+    cleaned, dedup_report = clean_batch(records)
 
     if geocoder is not None:
         geocoded_stations, geocoding_report = geocode_stations(stations, geocoder)

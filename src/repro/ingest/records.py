@@ -10,6 +10,7 @@ geocoded, coordinates).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -49,6 +50,9 @@ class TrafficRecord:
             )
         if not self.bytes_used >= 0:
             raise ValueError(f"bytes_used must be non-negative, got {self.bytes_used}")
+        for name in ("start_s", "end_s", "bytes_used"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.network not in ("3G", "LTE"):
             raise ValueError(f"network must be '3G' or 'LTE', got {self.network!r}")
 

@@ -113,7 +113,11 @@ def config_from_manifest(data: dict) -> ModelConfig:
     return ModelConfig(
         normalization=NormalizationMethod(data["normalization"]),
         linkage=Linkage(data["linkage"]),
-        cluster_backend=data["cluster_backend"],
+        # Bundles written while the full-matrix "generic" backend existed may
+        # name it; its cuts equal nn_chain's, so they load as "auto".
+        cluster_backend=(
+            "auto" if data["cluster_backend"] == "generic" else data["cluster_backend"]
+        ),
         # Bundles written before the memory-bounded clustering backend carry
         # no tile size; they load with the default tile.
         cluster_tile_size=int(data.get("cluster_tile_size", DEFAULT_TILE_SIZE)),

@@ -144,7 +144,7 @@ def generate_scenario(config: ScenarioConfig | None = None) -> Scenario:
     if cfg.generate_sessions:
         session_config = cfg.sessions or SessionGenerationConfig(window=window)
         if cfg.sessions_as_batch:
-            clean_batch = generate_session_batch(
+            session_batch = generate_session_batch(
                 city.towers,
                 users,
                 session_config,
@@ -152,10 +152,10 @@ def generate_scenario(config: ScenarioConfig | None = None) -> Scenario:
                 rng=factory.generator("sessions"),
             )
             record_batch, corruption_report = corrupt_batch(
-                clean_batch, cfg.corruption, rng=factory.generator("corruption")
+                session_batch, cfg.corruption, rng=factory.generator("corruption")
             )
         else:
-            clean_records = generate_session_records(
+            session_records = generate_session_records(
                 city.towers,
                 users,
                 session_config,
@@ -163,7 +163,7 @@ def generate_scenario(config: ScenarioConfig | None = None) -> Scenario:
                 rng=factory.generator("sessions"),
             )
             records, corruption_report = corrupt_records(
-                clean_records, cfg.corruption, rng=factory.generator("corruption")
+                session_records, cfg.corruption, rng=factory.generator("corruption")
             )
 
     return Scenario(

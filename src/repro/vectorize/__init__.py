@@ -12,8 +12,6 @@ from repro.vectorize.aggregate import (
     TowerRowIndex,
     aggregate_batch,
     aggregate_batches,
-    aggregate_records,
-    aggregate_records_streaming,
 )
 from repro.vectorize.normalize import NormalizationMethod, normalize_matrix, normalize_vector
 from repro.vectorize.parallel import (
@@ -26,9 +24,7 @@ from repro.vectorize.parallel import (
 )
 from repro.vectorize.slots import (
     slot_edges,
-    slot_span_of_record,
     slot_spans_of_intervals,
-    split_bytes_over_slots,
     split_bytes_over_slots_batch,
 )
 from repro.vectorize.vectorizer import TrafficVectorizer, VectorizedTraffic
@@ -42,8 +38,6 @@ __all__ = [
     "VectorizedTraffic",
     "aggregate_batch",
     "aggregate_batches",
-    "aggregate_records",
-    "aggregate_records_streaming",
     "clean_chunk",
     "normalize_matrix",
     "normalize_vector",
@@ -51,8 +45,6 @@ __all__ = [
     "parallel_aggregate_batches_with_stats",
     "resolve_workers",
     "slot_edges",
-    "slot_span_of_record",
     "slot_spans_of_intervals",
-    "split_bytes_over_slots",
     "split_bytes_over_slots_batch",
 ]

@@ -3,20 +3,19 @@
 Converts raw connection records into a per-tower × per-slot traffic matrix.
 Three entry points are provided:
 
-* :func:`aggregate_batch` — the columnar fast path: one
-  :class:`~repro.ingest.batch.RecordBatch` in, matrix out, fully vectorized
-  (slot-range expansion + ``np.bincount`` scatter-add).
+* :func:`aggregate_batch` — one :class:`~repro.ingest.batch.RecordBatch`
+  in, matrix out, fully vectorized (slot-range expansion + scatter-add).
 * :func:`aggregate_batches` — the out-of-core path: a stream of batches
   scattered into one accumulator matrix, so traces larger than memory can be
   aggregated chunk by chunk.
-* :func:`aggregate_records` — the scalar reference implementation over
-  record objects.  It is kept deliberately loop-based: the columnar paths
-  are tested (and benchmarked) against it.
+* :func:`scatter_batch_into` — one batch scatter-added onto an existing
+  matrix (the incremental update).
 
-The paper's Hadoop job processed petabytes; the batch paths are the
-single-machine analogue and conserve total volume exactly, matching the
-scalar reference bit for bit on a single batch (the scatter accumulates
-contributions in the same record-then-slot order as the scalar loop).
+The paper's Hadoop job processed petabytes; these paths are the
+single-machine analogue.  Each record's bytes are split over the slots it
+overlaps in proportion to the time spent in each, and contributions are
+added in record-then-slot order — the order of the record-at-a-time loop in
+``tests/oracles/aggregate.py``, which a single batch matches bit for bit.
 """
 
 from __future__ import annotations
@@ -25,19 +24,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.ingest.batch import RecordBatch, batch_from_record_iter
-from repro.ingest.records import TrafficRecord
+from repro.ingest.batch import RecordBatch
 from repro.synth.traffic import TowerTrafficMatrix
-from repro.utils.timeutils import SLOT_SECONDS, TimeWindow
-from repro.vectorize.slots import split_bytes_over_slots, split_bytes_over_slots_batch
+from repro.utils.timeutils import TimeWindow
+from repro.vectorize.slots import split_bytes_over_slots_batch
 
 
-def _ordered_tower_ids(
-    tower_ids: Sequence[int] | None, records_towers: Iterable[int]
-) -> np.ndarray:
-    """Return the row ordering, rejecting duplicate explicit ids."""
-    if tower_ids is None:
-        return np.array(sorted(set(records_towers)), dtype=np.int64)
+def _ordered_tower_ids(tower_ids: Sequence[int]) -> np.ndarray:
+    """Return the explicit row ordering, rejecting duplicate ids."""
     ordered = np.asarray(list(tower_ids), dtype=np.int64)
     unique, counts = np.unique(ordered, return_counts=True)
     if np.any(counts > 1):
@@ -47,14 +41,6 @@ def _ordered_tower_ids(
             "traffic matrix must map to exactly one tower"
         )
     return ordered
-
-
-def _tower_index(
-    tower_ids: Sequence[int] | None, records_towers: set[int]
-) -> dict[int, int]:
-    """Build the tower-id → row mapping (duplicate explicit ids are rejected)."""
-    ordered = _ordered_tower_ids(tower_ids, records_towers)
-    return {int(tower_id): row for row, tower_id in enumerate(ordered)}
 
 
 class TowerRowIndex:
@@ -87,40 +73,23 @@ class TowerRowIndex:
         return np.where(matched, self._sorter[positions], -1)
 
 
-def _scatter_batch(
-    batch: RecordBatch,
-    traffic: np.ndarray,
-    index: TowerRowIndex,
-    *,
-    split_across_slots: bool,
-) -> None:
+def _scatter_batch(batch: RecordBatch, traffic: np.ndarray, index: TowerRowIndex) -> None:
     """Scatter-add one batch's contributions into the traffic matrix."""
-    num_rows, num_slots = traffic.shape
+    num_slots = traffic.shape[1]
     rows = index.rows_of(batch.tower_id)
     known = rows >= 0
     if not np.any(known):
         return
-    rows = rows[known]
-    start = batch.start_s[known]
-    volume = batch.bytes_used[known]
-
-    if split_across_slots:
-        record_index, slots, volumes = split_bytes_over_slots_batch(
-            start, batch.end_s[known], volume, num_slots
-        )
-        flat = rows[record_index] * num_slots + slots
-    else:
-        slots = np.floor_divide(start, SLOT_SECONDS).astype(np.int64)
-        in_window = (slots >= 0) & (slots < num_slots)
-        flat = rows[in_window] * num_slots + slots[in_window]
-        volumes = volume[in_window]
-    if flat.size == 0:
+    record_index, slots, volumes = split_bytes_over_slots_batch(
+        batch.start_s[known], batch.end_s[known], batch.bytes_used[known], num_slots
+    )
+    if slots.size == 0:
         return
     # np.add.at applies additions in index order, i.e. the record-then-slot
     # order the expansion emits, which keeps float accumulation identical to
-    # the scalar reference loop — and it scatters in place, so a streaming
+    # a record-at-a-time loop — and it scatters in place, so a streaming
     # pass costs one chunk plus the accumulator, never a full dense temp.
-    np.add.at(traffic.reshape(-1), flat, volumes)
+    np.add.at(traffic.reshape(-1), rows[known][record_index] * num_slots + slots, volumes)
 
 
 def aggregate_batch(
@@ -128,23 +97,19 @@ def aggregate_batch(
     window: TimeWindow,
     *,
     tower_ids: Sequence[int] | None = None,
-    split_across_slots: bool = True,
 ) -> TowerTrafficMatrix:
     """Aggregate a columnar record batch into a :class:`TowerTrafficMatrix`.
 
-    The vectorized equivalent of :func:`aggregate_records`: identical row
-    semantics (explicit ``tower_ids`` ordering or the sorted set of ids seen
-    in the batch; unknown towers ignored; missing towers all-zero) and an
-    identical resulting matrix.
+    Rows follow ``tower_ids`` when given — towers absent from it are
+    ignored, towers without records get all-zero rows, and duplicate ids
+    raise ``ValueError`` — else the sorted set of tower ids in the batch.
     """
     if tower_ids is None:
         ordered = np.unique(batch.tower_id)
     else:
-        ordered = _ordered_tower_ids(tower_ids, ())
+        ordered = _ordered_tower_ids(tower_ids)
     traffic = np.zeros((ordered.size, window.num_slots))
-    _scatter_batch(
-        batch, traffic, TowerRowIndex(ordered), split_across_slots=split_across_slots
-    )
+    _scatter_batch(batch, traffic, TowerRowIndex(ordered))
     return TowerTrafficMatrix(tower_ids=ordered, traffic=traffic, window=window)
 
 
@@ -153,7 +118,6 @@ def aggregate_batches(
     window: TimeWindow,
     tower_ids: Sequence[int],
     *,
-    split_across_slots: bool = True,
     workers: int = 0,
     prepare: Callable[[RecordBatch], RecordBatch] | None = None,
     tracer=None,
@@ -175,8 +139,7 @@ def aggregate_batches(
         Parallel results are deterministic for a fixed worker count but may
         differ from the serial matrix at the ulp level (per-shard partial
         sums are reduced in fixed shard order, a different accumulation
-        order than the serial single-accumulator pass — same caveat as the
-        ``chunk_size`` note on :func:`aggregate_records_streaming`).
+        order than the serial single-accumulator pass).
     prepare:
         Optional per-chunk transform (e.g. cleaning) applied to each batch
         before scattering — inline when serial, inside the workers when
@@ -206,7 +169,6 @@ def aggregate_batches(
             window,
             tower_ids,
             workers=num_workers,
-            split_across_slots=split_across_slots,
             prepare=prepare,
             tracer=tracer,
             metrics=metrics,
@@ -216,7 +178,7 @@ def aggregate_batches(
         span.count("records_seen", stats.records_seen)
         span.count("records_folded", stats.records_folded)
         return matrix
-    ordered = _ordered_tower_ids(tower_ids, ())
+    ordered = _ordered_tower_ids(tower_ids)
     index = TowerRowIndex(ordered)
     traffic = np.zeros((ordered.size, window.num_slots))
     span = tracer.current
@@ -227,7 +189,7 @@ def aggregate_batches(
             batch = prepare(batch)
         chunks += 1
         records_seen += len(batch)
-        _scatter_batch(batch, traffic, index, split_across_slots=split_across_slots)
+        _scatter_batch(batch, traffic, index)
     span.count("chunks", chunks)
     span.count("records_seen", records_seen)
     if metrics is not None:
@@ -240,7 +202,6 @@ def scatter_batch_into(
     matrix: TowerTrafficMatrix,
     batch: RecordBatch,
     *,
-    split_across_slots: bool = True,
     index: TowerRowIndex | None = None,
 ) -> TowerTrafficMatrix:
     """Scatter-add one record batch into an *existing* traffic matrix, in place.
@@ -263,95 +224,5 @@ def scatter_batch_into(
     """
     if index is None:
         index = TowerRowIndex(matrix.tower_ids)
-    _scatter_batch(
-        batch, matrix.traffic, index, split_across_slots=split_across_slots
-    )
+    _scatter_batch(batch, matrix.traffic, index)
     return matrix
-
-
-def aggregate_records(
-    records: Iterable[TrafficRecord],
-    window: TimeWindow,
-    *,
-    tower_ids: Sequence[int] | None = None,
-    split_across_slots: bool = True,
-) -> TowerTrafficMatrix:
-    """Aggregate record objects into a :class:`TowerTrafficMatrix`.
-
-    This is the scalar reference implementation; hot paths should convert to
-    a :class:`~repro.ingest.batch.RecordBatch` and use :func:`aggregate_batch`
-    instead (the equivalence is covered by property tests).
-
-    Parameters
-    ----------
-    records:
-        Traffic records (cleaned by the ingestion pipeline).
-    window:
-        Observation window defining the number of slots.
-    tower_ids:
-        Optional explicit row ordering.  Towers present in the records but
-        absent from ``tower_ids`` are ignored; towers in ``tower_ids``
-        without records end up with all-zero rows.  When omitted, the rows
-        are the sorted set of tower ids seen in the records.  Duplicate ids
-        raise ``ValueError``.
-    split_across_slots:
-        When true (default) bytes of a record spanning several slots are
-        split proportionally; when false all bytes are attributed to the slot
-        containing the record's start time (the coarser convention some
-        operator pipelines use).
-    """
-    records_list = list(records)
-    towers_seen = {record.tower_id for record in records_list}
-    index = _tower_index(tower_ids, towers_seen)
-    num_slots = window.num_slots
-    traffic = np.zeros((len(index), num_slots))
-
-    for record in records_list:
-        row = index.get(record.tower_id)
-        if row is None:
-            continue
-        if split_across_slots:
-            for slot, volume in split_bytes_over_slots(record, num_slots):
-                traffic[row, slot] += volume
-        else:
-            slot = int(record.start_s // SLOT_SECONDS)
-            if 0 <= slot < num_slots:
-                traffic[row, slot] += record.bytes_used
-
-    ordered_ids = np.array(
-        [tower_id for tower_id, _ in sorted(index.items(), key=lambda item: item[1])],
-        dtype=int,
-    )
-    return TowerTrafficMatrix(tower_ids=ordered_ids, traffic=traffic, window=window)
-
-
-def aggregate_records_streaming(
-    records: Iterable[TrafficRecord],
-    window: TimeWindow,
-    tower_ids: Sequence[int],
-    *,
-    split_across_slots: bool = True,
-    chunk_size: int = 100_000,
-    workers: int = 0,
-    prepare: Callable[[RecordBatch], RecordBatch] | None = None,
-) -> TowerTrafficMatrix:
-    """Aggregate an arbitrarily large record stream without materialising it.
-
-    The stream is chunked into :class:`~repro.ingest.batch.RecordBatch`
-    objects of ``chunk_size`` records and scattered through the columnar
-    path.  ``tower_ids`` must be provided up front; ``chunk_size`` only
-    controls internal batching and does not affect the result beyond
-    floating-point accumulation order (per-chunk partial sums are added to
-    the accumulator, so matrices for different chunk sizes agree to within
-    a few ulps rather than bit-for-bit).  ``workers``/``prepare`` fan the
-    chunks out to a multiprocessing pool exactly as in
-    :func:`aggregate_batches`.
-    """
-    return aggregate_batches(
-        batch_from_record_iter(records, chunk_size),
-        window,
-        tower_ids,
-        split_across_slots=split_across_slots,
-        workers=workers,
-        prepare=prepare,
-    )

@@ -9,7 +9,7 @@ and merged by summation.  This module implements that plane on
 :mod:`multiprocessing`:
 
 * the **feeder** (main process) iterates the batch stream — typically a
-  chunked CSV/JSONL reader, so file I/O overlaps with scattering — and
+  chunked CSV reader, so file I/O overlaps with scattering — and
   assigns chunk ``i`` to shard ``i mod workers`` (fixed round-robin).  Each
   chunk's columns are copied into a per-chunk
   :mod:`multiprocessing.shared_memory` block (one memcpy; pickling the
@@ -34,10 +34,8 @@ regardless of which worker finishes first.  It is *not* bit-for-bit equal to
 the serial path: the serial pass folds every chunk into one accumulator in
 stream order, whereas the parallel pass sums per-shard partials, a different
 floating-point accumulation order.  The matrices therefore agree to within a
-few ulps (the same caveat as the ``chunk_size`` note on
-:func:`~repro.vectorize.aggregate.aggregate_records_streaming`); the serial
-path is kept unchanged as the equivalence reference, per the repo's
-bit-for-bit discipline.
+few ulps; the serial path is kept unchanged as the equivalence reference,
+per the repo's bit-for-bit discipline.
 
 Failure semantics
 -----------------
@@ -167,7 +165,6 @@ def _worker_main(
     grid_shape: tuple[int, int],
     ordered_ids: np.ndarray,
     window_seconds: float,
-    split_across_slots: bool,
     prepare: Callable[[RecordBatch], RecordBatch] | None,
     task_queue,
     done_queue,
@@ -202,9 +199,7 @@ def _worker_main(
                         contributes = index.rows_of(batch.tower_id) >= 0
                         contributes &= batch.start_s < window_seconds
                         records_folded += int(np.count_nonzero(contributes))
-                    _scatter_batch(
-                        batch, grid, index, split_across_slots=split_across_slots
-                    )
+                    _scatter_batch(batch, grid, index)
                     chunks += 1
                 finally:
                     # Each chunk block is consumed exactly once: drop the
@@ -236,7 +231,6 @@ class _ShardPool:
         ordered_ids: np.ndarray,
         window_seconds: float,
         *,
-        split_across_slots: bool,
         prepare: Callable[[RecordBatch], RecordBatch] | None,
         queue_depth: int,
         metrics: MetricsRegistry | None = None,
@@ -271,7 +265,6 @@ class _ShardPool:
                         grid_shape,
                         ordered_ids,
                         window_seconds,
-                        split_across_slots,
                         prepare,
                         self.task_queues[worker_id],
                         self.done_queue,
@@ -423,7 +416,6 @@ def parallel_aggregate_batches_with_stats(
     tower_ids: Sequence[int] | np.ndarray,
     *,
     workers: int,
-    split_across_slots: bool = True,
     prepare: Callable[[RecordBatch], RecordBatch] | None = None,
     queue_depth: int = DEFAULT_QUEUE_DEPTH,
     tracer: Tracer | NullTracer | None = None,
@@ -465,7 +457,7 @@ def parallel_aggregate_batches_with_stats(
         raise ValueError(f"workers must be >= 1 for the parallel plane, got {workers}")
     if queue_depth < 1:
         raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
-    ordered = _ordered_tower_ids(tower_ids, ())
+    ordered = _ordered_tower_ids(tower_ids)
     grid_shape = (int(ordered.size), int(window.num_slots))
     tracer = tracer if tracer is not None else NULL_TRACER
     pool = _ShardPool(
@@ -473,7 +465,6 @@ def parallel_aggregate_batches_with_stats(
         grid_shape,
         ordered,
         float(window.num_seconds),
-        split_across_slots=split_across_slots,
         prepare=prepare,
         queue_depth=queue_depth,
         metrics=metrics,
@@ -515,7 +506,6 @@ def parallel_aggregate_batches(
     tower_ids: Sequence[int] | np.ndarray,
     *,
     workers: int,
-    split_across_slots: bool = True,
     prepare: Callable[[RecordBatch], RecordBatch] | None = None,
     queue_depth: int = DEFAULT_QUEUE_DEPTH,
     tracer: Tracer | NullTracer | None = None,
@@ -527,7 +517,6 @@ def parallel_aggregate_batches(
         window,
         tower_ids,
         workers=workers,
-        split_across_slots=split_across_slots,
         prepare=prepare,
         queue_depth=queue_depth,
         tracer=tracer,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ingest.records import TrafficRecord
 from repro.utils.timeutils import SLOT_SECONDS
 
 
@@ -21,60 +20,12 @@ def slot_edges(num_slots: int, *, slot_seconds: int = SLOT_SECONDS) -> np.ndarra
     return np.arange(num_slots + 1, dtype=float) * slot_seconds
 
 
-def slot_span_of_record(
-    record: TrafficRecord, *, slot_seconds: int = SLOT_SECONDS
-) -> tuple[int, int]:
-    """Return the inclusive ``(first_slot, last_slot)`` touched by a record.
-
-    Instantaneous records (zero duration) occupy the single slot containing
-    their start time.
-    """
-    first = int(record.start_s // slot_seconds)
-    if record.duration_s == 0:
-        return first, first
-    # The end is exclusive: a record ending exactly on a boundary does not
-    # touch the following slot.
-    last = int(np.nextafter(record.end_s, record.start_s) // slot_seconds)
-    return first, max(first, last)
-
-
-def split_bytes_over_slots(
-    record: TrafficRecord,
-    num_slots: int,
-    *,
-    slot_seconds: int = SLOT_SECONDS,
-) -> list[tuple[int, float]]:
-    """Split a record's bytes over the slots it overlaps.
-
-    Returns a list of ``(slot_index, bytes)`` pairs restricted to
-    ``[0, num_slots)``; bytes falling outside the observation window are
-    dropped (and the remaining bytes rescaled accordingly is *not* done — the
-    paper simply truncates the window, so we do the same).
-    """
-    if num_slots <= 0:
-        raise ValueError(f"num_slots must be positive, got {num_slots}")
-    first, last = slot_span_of_record(record, slot_seconds=slot_seconds)
-    if record.duration_s == 0 or first == last:
-        if 0 <= first < num_slots:
-            return [(first, record.bytes_used)]
-        return []
-
-    contributions: list[tuple[int, float]] = []
-    for slot in range(first, last + 1):
-        slot_start = slot * slot_seconds
-        slot_end = slot_start + slot_seconds
-        overlap = min(record.end_s, slot_end) - max(record.start_s, slot_start)
-        if overlap <= 0:
-            continue
-        fraction = overlap / record.duration_s
-        if 0 <= slot < num_slots:
-            contributions.append((slot, record.bytes_used * fraction))
-    return contributions
-
-
-# ----------------------------------------------------------------------
-# Vectorized (columnar) slot arithmetic
-# ----------------------------------------------------------------------
+#: Slot indices are clipped to this bound before the cast to int64, so an
+#: end far past the window (up to the largest finite double) still casts
+#: exactly.  It is half the int64 range: no window comes near it, and the
+#: slot arithmetic after the cast (``last - first + 1``, ``first + offset``)
+#: stays far from overflow.
+_MAX_SLOT_INDEX = float(2**62)
 
 
 def slot_spans_of_intervals(
@@ -83,17 +34,19 @@ def slot_spans_of_intervals(
     *,
     slot_seconds: int = SLOT_SECONDS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`slot_span_of_record` over interval arrays.
+    """Return the inclusive ``(first_slot, last_slot)`` of each interval.
 
-    Returns the inclusive ``(first_slot, last_slot)`` arrays.  The same
-    conventions apply: the end is exclusive (an interval ending exactly on a
-    boundary does not touch the following slot) and zero-duration intervals
-    occupy the single slot containing their start.
+    The end is exclusive (an interval ending exactly on a boundary does not
+    touch the following slot) and zero-duration intervals occupy the single
+    slot containing their start.  Indices past :data:`_MAX_SLOT_INDEX` are
+    clipped to it.
     """
     start = np.asarray(start_s, dtype=np.float64)
     end = np.asarray(end_s, dtype=np.float64)
-    first = np.floor_divide(start, slot_seconds).astype(np.int64)
-    last = np.floor_divide(np.nextafter(end, start), slot_seconds).astype(np.int64)
+    first = np.minimum(np.floor_divide(start, slot_seconds), _MAX_SLOT_INDEX).astype(np.int64)
+    last = np.minimum(
+        np.floor_divide(np.nextafter(end, start), slot_seconds), _MAX_SLOT_INDEX
+    ).astype(np.int64)
     last = np.maximum(first, last)
     last = np.where(end == start, first, last)
     return first, last
@@ -107,14 +60,15 @@ def split_bytes_over_slots_batch(
     *,
     slot_seconds: int = SLOT_SECONDS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`split_bytes_over_slots` over record columns.
+    """Split each record's bytes over the slots it overlaps.
 
-    Returns ``(record_index, slot, volume)`` arrays listing every in-window
-    contribution, ordered by record then by slot — the same order in which
-    the scalar loop emits them, so downstream scatter-adds accumulate in an
-    identical sequence and reproduce the scalar matrix bit for bit.  Bytes
-    falling outside ``[0, num_slots)`` are truncated exactly like the scalar
-    path (no rescaling).
+    A record spanning several slots contributes ``bytes × overlap /
+    duration`` to each; a zero-duration or single-slot record contributes
+    its bytes unsplit.  Returns ``(record_index, slot, volume)`` arrays
+    listing every in-window contribution, ordered by record then by slot —
+    the order a record-at-a-time loop emits them, so downstream
+    scatter-adds accumulate in that sequence.  Bytes falling outside
+    ``[0, num_slots)`` are dropped, not rescaled onto the window.
     """
     if num_slots <= 0:
         raise ValueError(f"num_slots must be positive, got {num_slots}")
@@ -134,8 +88,7 @@ def split_bytes_over_slots_batch(
     # outside the window never contribute, so clipping the multi-slot ranges
     # up front bounds the expansion at num_slots entries per record
     # (``first`` is always >= 0 because start times are non-negative).
-    # Single-slot records keep one entry and are range-checked at the end,
-    # matching the scalar convention of attributing their bytes unsplit.
+    # Single-slot records keep one entry, range-checked at the end.
     last_clipped = np.where(single, first, np.minimum(last, num_slots - 1))
     counts = np.maximum(last_clipped - first + 1, 1)
     total = int(counts.sum())

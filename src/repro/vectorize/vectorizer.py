@@ -1,11 +1,11 @@
 """The traffic vectorizer: records or matrices → normalised traffic vectors.
 
 This is the first element of the paper's three-element system (traffic
-vectorizer → pattern identifier → metric tuner).  The vectorizer supports
-two inputs: raw connection records (full pipeline) or a pre-aggregated
-:class:`~repro.synth.traffic.TowerTrafficMatrix` (fast path), and always
-produces a :class:`VectorizedTraffic` whose rows are the per-tower
-normalised vectors ``X_j = (x_j[1], …, x_j[N])``.
+vectorizer → pattern identifier → metric tuner).  The vectorizer takes
+columnar record batches (one, or a stream of them) or a pre-aggregated
+:class:`~repro.synth.traffic.TowerTrafficMatrix`, and always produces a
+:class:`VectorizedTraffic` whose rows are the per-tower normalised vectors
+``X_j = (x_j[1], …, x_j[N])``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.ingest.batch import RecordBatch
-from repro.ingest.records import TrafficRecord
 from repro.synth.traffic import TowerTrafficMatrix
 from repro.utils.timeutils import TimeWindow
 from repro.vectorize.aggregate import aggregate_batch, aggregate_batches
@@ -90,19 +89,10 @@ class TrafficVectorizer:
     ----------
     method:
         Normalisation method; the paper's system uses z-score normalisation.
-    split_across_slots:
-        Whether the bytes of a connection spanning multiple slots are split
-        proportionally during aggregation.
     """
 
-    def __init__(
-        self,
-        *,
-        method: NormalizationMethod = NormalizationMethod.ZSCORE,
-        split_across_slots: bool = True,
-    ) -> None:
+    def __init__(self, *, method: NormalizationMethod = NormalizationMethod.ZSCORE) -> None:
         self.method = method
-        self.split_across_slots = split_across_slots
 
     def from_matrix(self, matrix: TowerTrafficMatrix) -> VectorizedTraffic:
         """Vectorize a pre-aggregated traffic matrix (fast path)."""
@@ -123,13 +113,7 @@ class TrafficVectorizer:
         tower_ids: Sequence[int] | None = None,
     ) -> VectorizedTraffic:
         """Vectorize a columnar record batch (fully vectorized aggregation)."""
-        matrix = aggregate_batch(
-            batch,
-            window,
-            tower_ids=tower_ids,
-            split_across_slots=self.split_across_slots,
-        )
-        return self.from_matrix(matrix)
+        return self.from_matrix(aggregate_batch(batch, window, tower_ids=tower_ids))
 
     def from_batches(
         self,
@@ -142,27 +126,4 @@ class TrafficVectorizer:
         ``tower_ids`` must be given up front: a streaming pass cannot
         discover the row set without re-reading the data.
         """
-        matrix = aggregate_batches(
-            batches,
-            window,
-            tower_ids,
-            split_across_slots=self.split_across_slots,
-        )
-        return self.from_matrix(matrix)
-
-    def from_records(
-        self,
-        records: Iterable[TrafficRecord],
-        window: TimeWindow,
-        *,
-        tower_ids: Sequence[int] | None = None,
-    ) -> VectorizedTraffic:
-        """Vectorize raw connection records (aggregation + normalisation).
-
-        Compatibility shim: the records are converted to a
-        :class:`RecordBatch` and aggregated through the columnar fast path,
-        which produces the same matrix as the scalar reference.
-        """
-        return self.from_batch(
-            RecordBatch.from_records(records), window, tower_ids=tower_ids
-        )
+        return self.from_matrix(aggregate_batches(batches, window, tower_ids))

@@ -1,11 +1,12 @@
-"""Reference backend: full-matrix Lance–Williams agglomeration.
+"""Full-matrix Lance–Williams agglomeration: the oracle for the nn-chain backends.
 
 This is the straightforward textbook implementation: keep the dense ``(n, n)``
 distance matrix, find the global closest active pair with a full argmin scan
 on every merge, and update the merged row with the Lance–Williams recurrence.
 The per-merge scan makes it O(n³)-ish overall, but it places no restriction
-on the linkage criterion and serves as the ground truth the fast backends are
-validated against.
+on the linkage criterion.  Pass an instance as ``backend=``: the cuts of
+``nn_chain`` and ``nn_chain_lowmem`` must equal its cuts on tie-free
+distances.
 """
 
 from __future__ import annotations

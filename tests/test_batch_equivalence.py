@@ -1,8 +1,8 @@
-"""Property-style equivalence tests: columnar vs scalar data plane.
+"""Property-style equivalence tests: columnar data plane vs scalar oracles.
 
 The columnar RecordBatch paths (dedup, conflict resolution, slot-split
-aggregation) must produce identical outputs to the scalar record-object
-reference implementations, including on the awkward inputs: zero-duration
+aggregation) must produce identical outputs to the record-at-a-time oracles
+in ``tests/oracles/``, including on the awkward inputs: zero-duration
 records, records straddling the observation-window edge, and records
 truncated away entirely.
 """
@@ -12,37 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.aggregate import aggregate_records, slot_span_of_record, split_bytes_over_slots
+from oracles.dedup import clean_records, deduplicate_records, records_of, resolve_conflicts
 from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
 from repro.ingest.batch import RecordBatch
-from repro.ingest.dedup import (
-    clean_batch,
-    clean_records,
-    deduplicate_batch,
-    deduplicate_records,
-    first_strategy,
-    max_strategy,
-    median_strategy,
-    resolve_conflicts,
-    resolve_conflicts_batch,
-)
+from repro.ingest.dedup import clean_batch
+from repro.ingest.density import compute_density_map
 from repro.ingest.preprocess import preprocess_trace
 from repro.ingest.records import BaseStationInfo, TrafficRecord
 from repro.synth.noise import LogCorruptionConfig, corrupt_batch
 from repro.synth.scenario import ScenarioConfig, generate_scenario
 from repro.utils.timeutils import SLOT_SECONDS, TimeWindow
-from repro.vectorize.aggregate import (
-    aggregate_batch,
-    aggregate_batches,
-    aggregate_records,
-    aggregate_records_streaming,
-)
-from repro.vectorize.slots import (
-    slot_span_of_record,
-    slot_spans_of_intervals,
-    split_bytes_over_slots,
-    split_bytes_over_slots_batch,
-)
+from repro.vectorize.aggregate import aggregate_batch, aggregate_batches
+from repro.vectorize.slots import slot_spans_of_intervals, split_bytes_over_slots_batch
 from repro.vectorize.vectorizer import TrafficVectorizer
 
 WINDOW = TimeWindow(num_days=2)
@@ -90,13 +73,13 @@ def random_records(seed, n=400, num_towers=8, include_edge_cases=True):
     return records
 
 
-def with_duplicates_and_conflicts(records, seed):
+def with_duplicates_and_conflicts(records, seed, *, conflicts=True):
     rng = np.random.default_rng(seed)
     out = list(records)
     n = len(records)
     for index in rng.integers(0, n, size=n // 5):
         out.append(records[int(index)])  # exact duplicates
-    for index in rng.integers(0, n, size=n // 8):
+    for index in rng.integers(0, n, size=n // 8 if conflicts else 0):
         record = records[int(index)]
         out.append(record.with_bytes(record.bytes_used * float(rng.uniform(0.5, 1.5))))
     order = rng.permutation(len(out))
@@ -146,26 +129,27 @@ class TestRawArraySlotSplit:
 class TestDedupEquivalence:
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_deduplicate_matches_scalar(self, seed):
-        records = with_duplicates_and_conflicts(random_records(seed, n=300), seed)
-        batch = RecordBatch.from_records(records)
+        records = with_duplicates_and_conflicts(
+            random_records(seed, n=300), seed, conflicts=False
+        )
         scalar_kept, scalar_removed = deduplicate_records(records)
-        batch_kept, batch_removed = deduplicate_batch(batch)
-        assert batch_removed == scalar_removed
-        assert batch_kept.to_records() == scalar_kept
+        batch_kept, report = clean_batch(RecordBatch.from_records(records))
+        assert report.num_exact_duplicates_removed == scalar_removed
+        assert report.num_conflict_groups == 0
+        assert records_of(batch_kept) == scalar_kept
 
-    @pytest.mark.parametrize("strategy", [median_strategy, max_strategy, first_strategy])
-    def test_resolve_conflicts_matches_scalar(self, strategy):
-        records = with_duplicates_and_conflicts(random_records(20, n=300), 21)
+    @pytest.mark.parametrize("seed", [20, 22])
+    def test_resolve_conflicts_matches_scalar(self, seed):
+        records = with_duplicates_and_conflicts(random_records(seed, n=300), seed + 1)
         deduplicated, _ = deduplicate_records(records)
-        batch = RecordBatch.from_records(deduplicated)
-        scalar_out, scalar_groups, scalar_removed = resolve_conflicts(
-            deduplicated, strategy=strategy
+        scalar_out, scalar_groups, scalar_removed = resolve_conflicts(deduplicated)
+        batch_out, report = clean_batch(RecordBatch.from_records(deduplicated))
+        assert report.num_exact_duplicates_removed == 0
+        assert (report.num_conflict_groups, report.num_conflict_records_removed) == (
+            scalar_groups,
+            scalar_removed,
         )
-        batch_out, batch_groups, batch_removed = resolve_conflicts_batch(
-            batch, strategy=strategy
-        )
-        assert (batch_groups, batch_removed) == (scalar_groups, scalar_removed)
-        assert batch_out.to_records() == scalar_out
+        assert records_of(batch_out) == scalar_out
 
     @pytest.mark.parametrize("seed", [30, 31])
     def test_clean_matches_scalar_including_report(self, seed):
@@ -174,29 +158,60 @@ class TestDedupEquivalence:
         scalar_clean, scalar_report = clean_records(records)
         batch_clean, batch_report = clean_batch(batch)
         assert batch_report == scalar_report
-        assert batch_clean.to_records() == scalar_clean
+        assert records_of(batch_clean) == scalar_clean
 
     def test_identical_bytes_different_network_not_a_conflict(self):
         records = [
             TrafficRecord(1, 1, 0.0, 100.0, 500.0, "LTE"),
             TrafficRecord(1, 1, 0.0, 100.0, 500.0, "3G"),
         ]
-        scalar_out, scalar_groups, _ = resolve_conflicts(records)
-        batch_out, batch_groups, _ = resolve_conflicts_batch(
-            RecordBatch.from_records(records)
+        scalar_out, scalar_report = clean_records(records)
+        batch_out, batch_report = clean_batch(RecordBatch.from_records(records))
+        assert batch_report == scalar_report
+        assert batch_report.num_conflict_groups == 0
+        assert records_of(batch_out) == scalar_out
+
+
+class TestCorruptedTraceEndToEnd:
+    def test_clean_then_aggregate_matches_the_scalar_oracle_exactly(self):
+        # A corrupted trace with multi-slot and zero-duration records, cleaned
+        # and aggregated by both planes: same report, same matrix bit for
+        # bit, so the total volume agrees exactly too.
+        rng = np.random.default_rng(2015)
+        n = 6_000
+        window = TimeWindow(num_days=7)
+        starts = rng.uniform(0, window.num_seconds, size=n)
+        durations = rng.exponential(0.6 * SLOT_SECONDS, size=n)
+        durations[rng.random(n) < 0.1] *= 8.0
+        durations[rng.random(n) < 0.05] = 0.0
+        clean = RecordBatch(
+            user_id=rng.integers(0, 500, size=n),
+            tower_id=rng.integers(0, 40, size=n),
+            start_s=starts,
+            end_s=np.minimum(starts + durations, float(window.num_seconds)),
+            bytes_used=rng.lognormal(9.0, 1.0, size=n),
+            network=np.where(rng.random(n) < 0.7, 1, 0).astype(np.uint8),
         )
-        assert scalar_groups == batch_groups == 0
-        assert batch_out.to_records() == scalar_out
+        trace, corruption = corrupt_batch(clean, LogCorruptionConfig(), rng=rng)
+        assert corruption.num_duplicates_added > 0 and corruption.num_conflicts_added > 0
+
+        scalar_clean, scalar_report = clean_records(records_of(trace))
+        scalar = aggregate_records(scalar_clean, window)
+        cleaned, report = clean_batch(trace)
+        columnar = aggregate_batch(cleaned, window)
+        assert report == scalar_report
+        assert np.array_equal(columnar.tower_ids, scalar.tower_ids)
+        assert np.array_equal(columnar.traffic, scalar.traffic)
+        assert columnar.traffic.sum() == scalar.traffic.sum()
 
 
 class TestAggregateEquivalence:
     @pytest.mark.parametrize("seed", [40, 41, 42])
-    @pytest.mark.parametrize("split", [True, False])
-    def test_matrix_matches_scalar_bit_for_bit(self, seed, split):
+    def test_matrix_matches_scalar_bit_for_bit(self, seed):
         records = random_records(seed)
         batch = RecordBatch.from_records(records)
-        scalar = aggregate_records(records, WINDOW, split_across_slots=split)
-        columnar = aggregate_batch(batch, WINDOW, split_across_slots=split)
+        scalar = aggregate_records(records, WINDOW)
+        columnar = aggregate_batch(batch, WINDOW)
         assert np.array_equal(scalar.tower_ids, columnar.tower_ids)
         assert np.array_equal(scalar.traffic, columnar.traffic)
 
@@ -236,23 +251,15 @@ class TestAggregateEquivalence:
         tower_ids = sorted({r.tower_id for r in records})
         whole = aggregate_batch(batch, WINDOW, tower_ids=tower_ids)
         chunked = aggregate_batches(batch.iter_chunks(37), WINDOW, tower_ids)
-        assert np.allclose(whole.traffic, chunked.traffic, rtol=1e-12, atol=0.0)
-        streamed = aggregate_records_streaming(
-            iter(records), WINDOW, tower_ids, chunk_size=41
-        )
-        assert np.allclose(whole.traffic, streamed.traffic, rtol=1e-12, atol=0.0)
+        assert np.array_equal(whole.traffic, chunked.traffic)
 
     def test_duplicate_explicit_tower_ids_raise(self):
         records = random_records(80, n=20)
         batch = RecordBatch.from_records(records)
         with pytest.raises(ValueError, match=r"duplicate .*\[2, 7\]"):
-            aggregate_records(records, WINDOW, tower_ids=[2, 7, 2, 7, 1])
-        with pytest.raises(ValueError, match=r"duplicate .*\[2, 7\]"):
             aggregate_batch(batch, WINDOW, tower_ids=[2, 7, 2, 7, 1])
         with pytest.raises(ValueError, match=r"duplicate .*\[3\]"):
             aggregate_batches([batch], WINDOW, [3, 3])
-        with pytest.raises(ValueError, match=r"duplicate .*\[3\]"):
-            aggregate_records_streaming(iter(records), WINDOW, [3, 3])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -280,32 +287,36 @@ class TestAggregateEquivalence:
 
 
 class TestVectorizerAndPreprocessEquivalence:
-    def test_vectorizer_from_batch_matches_from_records(self):
+    def test_vectorizer_from_batch_matches_scalar_aggregate(self):
         records = random_records(90)
         batch = RecordBatch.from_records(records)
         vectorizer = TrafficVectorizer()
-        via_records = vectorizer.from_records(records, WINDOW)
+        via_records = vectorizer.from_matrix(aggregate_records(records, WINDOW))
         via_batch = vectorizer.from_batch(batch, WINDOW)
         assert np.array_equal(via_records.vectors, via_batch.vectors)
         assert np.array_equal(via_records.raw.traffic, via_batch.raw.traffic)
 
-    def test_preprocess_trace_accepts_batch(self):
+    def test_preprocess_trace_cleans_like_the_scalar_oracle(self):
         records = with_duplicates_and_conflicts(random_records(91, n=200), 91)
         stations = [
             BaseStationInfo(tower_id=t, address=f"addr {t}", lat=31.0 + t * 0.01, lon=121.0)
             for t in sorted({r.tower_id for r in records})
         ]
-        scalar_result = preprocess_trace(records, stations, None)
-        batch_result = preprocess_trace(
-            RecordBatch.from_records(records), stations, None
+        scalar_clean, scalar_report = clean_records(records)
+        result = preprocess_trace(RecordBatch.from_records(records), stations, None)
+        assert result.report.dedup == scalar_report
+        assert records_of(result.records) == scalar_clean
+        volumes = dict.fromkeys((station.tower_id for station in stations), 0.0)
+        for record in scalar_clean:
+            volumes[record.tower_id] += record.bytes_used
+        expected = compute_density_map(
+            np.array([station.lat for station in stations]),
+            np.array([station.lon for station in stations]),
+            np.array([volumes[station.tower_id] for station in stations]),
+            num_rows=40,
+            num_cols=40,
         )
-        assert batch_result.report.dedup == scalar_result.report.dedup
-        assert isinstance(batch_result.records, RecordBatch)
-        assert batch_result.records.to_records() == scalar_result.records
-        assert batch_result.record_batch().num_records == len(scalar_result.records)
-        assert np.allclose(
-            batch_result.density.density, scalar_result.density.density
-        )
+        assert np.allclose(result.density.density, expected.density)
 
     def test_model_fit_batch_matches_fit_on_aggregate(self):
         records = random_records(92, n=600, num_towers=12, include_edge_cases=False)

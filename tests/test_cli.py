@@ -16,8 +16,8 @@ STREAMING_VARIANTS = pytest.mark.parametrize(
 )
 
 
-def _malformed_trace(tmp_path):
-    """Generate a small trace, then give its line 6 the unknown label ``4G``."""
+def _generated_trace(tmp_path):
+    """Generate a small trace; returns ``(trace.csv, stations.csv)``."""
     trace_dir = tmp_path / "gen"
     assert main(
         [
@@ -29,11 +29,21 @@ def _malformed_trace(tmp_path):
             "--output", str(trace_dir),
         ]
     ) == 0
-    trace = trace_dir / "trace.csv"
-    lines = trace.read_text().splitlines()
-    lines[5] = lines[5].rsplit(",", 1)[0] + ",4G"
-    trace.write_text("\n".join(lines) + "\n")
-    return trace, trace_dir / "stations.csv"
+    return trace_dir / "trace.csv", trace_dir / "stations.csv"
+
+
+def _edit_line(path, number, edit):
+    """Replace line ``number`` (1-based) of a text file with ``edit(line)``."""
+    lines = path.read_text().splitlines()
+    lines[number - 1] = edit(lines[number - 1])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _malformed_trace(tmp_path):
+    """Generate a small trace, then give its line 6 the unknown label ``4G``."""
+    trace, stations = _generated_trace(tmp_path)
+    _edit_line(trace, 6, lambda line: line.rsplit(",", 1)[0] + ",4G")
+    return trace, stations
 
 
 def _shm_segments():
@@ -42,11 +52,15 @@ def _shm_segments():
     return {path.name for path in shm.glob("psm_*")} if shm.is_dir() else set()
 
 
-def _assert_one_line_trace_error(capsys, trace):
+def _assert_one_line_error(capsys, prefix):
     err = capsys.readouterr().err
-    assert err.startswith(f"repro-traffic: error: {trace}:6: ")
-    assert "'4G'" in err
+    assert err.startswith(f"repro-traffic: error: {prefix}"), err
     assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def _assert_one_line_trace_error(capsys, trace):
+    assert "'4G'" in _assert_one_line_error(capsys, f"{trace}:6: ")
 
 
 class TestParser:
@@ -79,6 +93,13 @@ class TestParser:
         assert err.count("\n") == 1
         assert "--cluster-backend" in err and "bogus" in err
         assert "nn_chain_lowmem" in err
+
+    def test_generic_cluster_backend_is_rejected(self, capsys):
+        # The full-matrix backend is a test oracle now, not a CLI choice.
+        exit_code = main(["fit", "--towers", "10", "--cluster-backend", "generic"])
+        assert exit_code == 2
+        err = _assert_one_line_error(capsys, "--cluster-backend must be one of")
+        assert "'generic'" in err
 
     @pytest.mark.parametrize("bad", ["0", "-5"])
     def test_nonpositive_cluster_tile_size_is_operational_error(self, bad, capsys):
@@ -141,7 +162,7 @@ class TestFit:
                 "--days", "7",
                 "--seed", "11",
                 "--clusters", "4",
-                "--cluster-backend", "generic",
+                "--cluster-backend", "nn_chain",
                 "--timings",
             ]
         )
@@ -232,6 +253,97 @@ class TestFit:
         assert exit_code == 2
         _assert_one_line_trace_error(capsys, trace)
         assert _shm_segments() - segments == set()
+
+
+    @STREAMING_VARIANTS
+    @pytest.mark.parametrize("field", [2, 3, 4], ids=["start_s", "end_s", "bytes_used"])
+    def test_non_finite_trace_value_exits_2_with_one_liner(
+        self, streaming, field, tmp_path, capsys
+    ):
+        trace, stations = _generated_trace(tmp_path)
+
+        def make_infinite(line):
+            row = line.split(",")
+            row[field] = "inf"
+            return ",".join(row)
+
+        _edit_line(trace, 6, make_infinite)
+        capsys.readouterr()
+        exit_code = main(
+            [
+                "fit",
+                "--input", str(trace),
+                "--stations", str(stations),
+                "--days", "3",
+                "--clusters", "3",
+                *streaming,
+            ]
+        )
+        assert exit_code == 2
+        err = _assert_one_line_error(capsys, f"{trace}:6: ")
+        assert "inf" in err
+
+    @pytest.mark.parametrize("streaming", [[], ["--chunk-size", "500"]], ids=["whole", "chunked"])
+    def test_repeated_station_id_exits_2_with_one_liner(self, streaming, tmp_path, capsys):
+        trace, stations = _generated_trace(tmp_path)
+        lines = stations.read_text().splitlines()
+        repeated = lines[1].split(",")[0]
+        stations.write_text("\n".join([*lines, lines[1]]) + "\n")
+        capsys.readouterr()
+        exit_code = main(
+            [
+                "fit",
+                "--input", str(trace),
+                "--stations", str(stations),
+                "--days", "3",
+                "--clusters", "3",
+                *streaming,
+            ]
+        )
+        assert exit_code == 2
+        err = _assert_one_line_error(capsys, f"{stations}:{len(lines) + 1}: ")
+        assert f"tower {repeated} " in err and "line 2" in err
+
+    @pytest.mark.parametrize(
+        "keep, clusters, message",
+        [
+            (0, ["--clusters", "3"], "no stations listed"),
+            (2, ["--clusters", "3"], "2 towers cannot be cut into --clusters 3"),
+            (2, [], "the tuner needs at least 3 towers"),
+        ],
+        ids=["header-only", "fewer-than-clusters", "too-few-for-the-tuner"],
+    )
+    def test_unusable_station_directory_exits_2_with_one_liner(
+        self, keep, clusters, message, tmp_path, capsys
+    ):
+        trace, stations = _generated_trace(tmp_path)
+        lines = stations.read_text().splitlines()
+        stations.write_text("\n".join(lines[: 1 + keep]) + "\n")
+        capsys.readouterr()
+        exit_code = main(
+            ["fit", "--input", str(trace), "--stations", str(stations), "--days", "3", *clusters]
+        )
+        assert exit_code == 2
+        err = _assert_one_line_error(capsys, f"{stations}: ")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--towers", "3", "--clusters", "5"], "3 towers cannot be cut into --clusters 5"),
+            (["--towers", "1"], "the tuner needs at least 3 towers"),
+            (["--towers", "2"], "the tuner needs at least 3 towers"),
+        ],
+        ids=["fewer-than-clusters", "one-tower", "two-towers"],
+    )
+    def test_too_few_synthetic_towers_exit_2_with_one_liner(self, argv, message, capsys):
+        assert main(["fit", *argv, "--days", "7"]) == 2
+        err = _assert_one_line_error(capsys, "--towers: ")
+        assert message in err
+
+    def test_decompose_checks_the_tower_count_too(self, capsys):
+        assert main(["decompose", "--towers", "3", "--clusters", "5", "--days", "7"]) == 2
+        _assert_one_line_error(capsys, "--towers: ")
 
 
 class TestUpdate:
@@ -412,6 +524,39 @@ class TestPersistCLI:
         assert "folded" in output and "stages re-run" in output
         assert (updated / "manifest.json").is_file()
         assert main(["query", "--model", str(updated)]) == 0
+
+    def test_bundle_recording_generic_backend_still_serves_and_updates(
+        self, saved_bundle, tmp_path, capsys
+    ):
+        # Bundles saved while the full-matrix backend was a config choice
+        # name it in their manifest; they load as "auto" and answer as before.
+        import json as json_module
+
+        def query(bundle, out):
+            assert main(
+                [
+                    "query", "--model", str(bundle), "--summary", "--decompose-all",
+                    "--json", str(out),
+                ]
+            ) == 0
+            return capsys.readouterr().out.replace(str(out), "OUT"), out.read_text()
+
+        capsys.readouterr()
+        before = query(saved_bundle, tmp_path / "before.json")
+        manifest_path = saved_bundle / "manifest.json"
+        manifest = json_module.loads(manifest_path.read_text())
+        manifest["config"]["cluster_backend"] = "generic"
+        manifest_path.write_text(json_module.dumps(manifest))
+        assert query(saved_bundle, tmp_path / "after.json") == before
+
+        trace, _ = _generated_trace(tmp_path)
+        updated = tmp_path / "updated"
+        assert main(
+            ["update", "--model", str(saved_bundle), "--input", str(trace), "--save", str(updated)]
+        ) == 0
+        saved = json_module.loads((updated / "manifest.json").read_text())
+        assert saved["config"]["cluster_backend"] == "auto"
+        assert main(["query", "--model", str(updated), "--decompose-all"]) == 0
 
     def test_update_chunked_matches_whole(self, saved_bundle, tmp_path, capsys):
         # A duplicate-free trace so per-chunk cleaning equals global cleaning

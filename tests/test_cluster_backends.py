@@ -1,7 +1,7 @@
 """Tests for repro.cluster.backends — backend registry and cut equivalence.
 
-The load-bearing property: the ``nn_chain`` backend must reproduce the
-``generic`` reference backend's cuts — the same partition at every number of
+The load-bearing property: the ``nn_chain`` backend must reproduce the cuts
+of the full-matrix oracle (``tests/oracles/generic_backend.py``) — the same partition at every number of
 clusters and at every distance threshold — for all four reducible linkages,
 so backend selection is purely a performance knob.  The property holds on
 tie-free distances (continuous random inputs); exact ties make the hierarchy
@@ -13,11 +13,11 @@ equality.
 import numpy as np
 import pytest
 
+from oracles.generic_backend import GenericBackend
 from repro.cluster.backends import (
     AUTO_BACKEND,
     BACKEND_CHOICES,
     BACKEND_NAMES,
-    GenericBackend,
     NNChainBackend,
     get_backend,
     resolve_backend,
@@ -33,6 +33,14 @@ from repro.cluster.hierarchical import AgglomerativeClustering, Dendrogram
 from repro.cluster.linkage import Linkage
 
 ALL_LINKAGES = list(Linkage)
+
+#: The registered backends plus the full-matrix oracle.
+ENGINE_NAMES = ("generic", *BACKEND_NAMES)
+
+
+def engine(name):
+    """The ``backend=`` spec of an engine: a registry name, or the oracle instance."""
+    return GenericBackend() if name == "generic" else name
 
 
 def partitions_equal(a, b):
@@ -51,14 +59,18 @@ def partitions_equal(a, b):
 
 class TestRegistry:
     def test_backend_names(self):
-        assert BACKEND_NAMES == ("generic", "nn_chain", "nn_chain_lowmem")
-        assert BACKEND_CHOICES == ("auto", "generic", "nn_chain", "nn_chain_lowmem")
+        assert BACKEND_NAMES == ("nn_chain", "nn_chain_lowmem")
+        assert BACKEND_CHOICES == ("auto", "nn_chain", "nn_chain_lowmem")
 
     def test_get_backend(self):
-        assert isinstance(get_backend("generic"), GenericBackend)
         assert isinstance(get_backend("nn_chain"), NNChainBackend)
-        with pytest.raises(ValueError):
-            get_backend("bogus")
+        for name in ("bogus", "generic"):
+            with pytest.raises(ValueError, match="unknown clustering backend"):
+                get_backend(name)
+
+    def test_generic_is_no_longer_a_backend_name(self):
+        with pytest.raises(ValueError, match="generic"):
+            AgglomerativeClustering(backend="generic")
 
     @pytest.mark.parametrize("linkage", ALL_LINKAGES)
     def test_auto_prefers_nn_chain_for_reducible_linkages(self, linkage):
@@ -97,7 +109,7 @@ class TestCondensedHelpers:
 
 
 class TestCutEquivalence:
-    """Property-style: nn_chain reproduces generic's cuts on random inputs."""
+    """Property-style: nn_chain reproduces the oracle's cuts on random inputs."""
 
     @pytest.mark.parametrize("linkage", ALL_LINKAGES)
     @pytest.mark.parametrize("seed", range(4))
@@ -106,7 +118,7 @@ class TestCutEquivalence:
         n = int(rng.integers(10, 50))
         vectors = rng.normal(size=(n, int(rng.integers(2, 8))))
 
-        generic = AgglomerativeClustering(linkage=linkage, backend="generic").fit(vectors)
+        generic = AgglomerativeClustering(linkage=linkage, backend=GenericBackend()).fit(vectors)
         chain = AgglomerativeClustering(linkage=linkage, backend="nn_chain").fit(vectors)
 
         # Identical merge-height multisets (nn_chain output is sorted).
@@ -149,7 +161,7 @@ class TestCutEquivalence:
     def test_precomputed_distances_equivalence(self, rng):
         vectors = rng.normal(size=(24, 5))
         distances = euclidean_distance_matrix(vectors)
-        generic = AgglomerativeClustering(backend="generic").fit(
+        generic = AgglomerativeClustering(backend=GenericBackend()).fit(
             np.empty((0, 0)), precomputed_distances=distances
         )
         chain = AgglomerativeClustering(backend="nn_chain").fit(
@@ -209,10 +221,10 @@ class TestNonMonotoneDistanceCut:
 
 
 class TestDendrogramConventions:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("backend", ENGINE_NAMES)
     def test_scipy_linkage_matrix_convention(self, rng, backend):
         vectors = rng.normal(size=(15, 3))
-        dendrogram = AgglomerativeClustering(backend=backend).fit(vectors)
+        dendrogram = AgglomerativeClustering(backend=engine(backend)).fit(vectors)
         merges = dendrogram.merges
         assert merges.shape == (14, 4)
         # Row m creates cluster 15 + m; children always reference
@@ -223,15 +235,15 @@ class TestDendrogramConventions:
             assert 0 <= a < 15 + m and 0 <= b < 15 + m
         assert merges[-1, 3] == 15
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("backend", ENGINE_NAMES)
     def test_single_observation(self, backend):
-        dendrogram = AgglomerativeClustering(backend=backend).fit(np.ones((1, 3)))
+        dendrogram = AgglomerativeClustering(backend=engine(backend)).fit(np.ones((1, 3)))
         assert dendrogram.num_observations == 1
         assert dendrogram.merges.shape == (0, 4)
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("backend", ENGINE_NAMES)
     def test_two_observations(self, backend):
-        dendrogram = AgglomerativeClustering(backend=backend).fit(
+        dendrogram = AgglomerativeClustering(backend=engine(backend)).fit(
             np.array([[0.0, 0.0], [3.0, 4.0]])
         )
         assert dendrogram.merges.shape == (1, 4)

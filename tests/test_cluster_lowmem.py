@@ -1,7 +1,7 @@
 """Tests for the memory-bounded ``nn_chain_lowmem`` clustering backend.
 
 The load-bearing property mirrors ``test_cluster_backends``: on tie-free
-distances the lowmem backend must reproduce the ``generic`` reference's cuts
+distances the lowmem backend must reproduce the full-matrix oracle's cuts
 for every reducible linkage, at every cluster count and distance threshold —
 while never materialising any pairwise matrix.  Results must also be
 invariant to the blocked-scan tile size (tiling is purely a memory knob).
@@ -12,11 +12,11 @@ test asserts cut validity only, not cross-backend equality.
 import numpy as np
 import pytest
 
+from oracles.generic_backend import GenericBackend
 from repro.cluster.backends import (
     AUTO_BACKEND,
     AUTO_LOWMEM_THRESHOLD,
     DEFAULT_TILE_SIZE,
-    GenericBackend,
     NNChainBackend,
     NNChainLowMemBackend,
     get_backend,
@@ -59,7 +59,7 @@ class TestRegistryAndResolution:
     def test_get_backend_threads_tile_size(self):
         assert get_backend("nn_chain_lowmem", tile_size=64).tile_size == 64
         # tile_size is ignored by backends that do not take one
-        assert isinstance(get_backend("generic", tile_size=64), GenericBackend)
+        assert isinstance(get_backend("nn_chain", tile_size=64), NNChainBackend)
 
     def test_lowmem_rejects_bad_tile_size(self):
         with pytest.raises(ValueError):
@@ -83,12 +83,13 @@ class TestRegistryAndResolution:
             resolve_backend(AUTO_BACKEND, Linkage.AVERAGE), NNChainBackend
         )
 
-    def test_auto_non_reducible_stays_generic_at_any_size(self):
-        unsupported = object()
-        backend = resolve_backend(
-            AUTO_BACKEND, unsupported, num_observations=10**6
-        )
-        assert isinstance(backend, GenericBackend)
+    @pytest.mark.parametrize("num_observations", [None, 10, 10**6])
+    @pytest.mark.parametrize("spec", [AUTO_BACKEND, "nn_chain", "nn_chain_lowmem"])
+    def test_non_reducible_linkage_raises_for_every_spec(self, spec, num_observations):
+        # "auto" resolves to a chain engine, so it refuses a linkage the
+        # chain cannot run exactly like the named backends do.
+        with pytest.raises(ValueError, match="does not support linkage"):
+            resolve_backend(spec, object(), num_observations=num_observations)
 
     def test_named_lowmem_rejects_unsupported_linkage(self):
         unsupported = object()
@@ -173,7 +174,7 @@ class TestFeatureEntryPoint:
 
 
 class TestCutEquivalence:
-    """Property-style: lowmem reproduces generic's cuts on tie-free inputs."""
+    """Property-style: lowmem reproduces the oracle's cuts on tie-free inputs."""
 
     @pytest.mark.parametrize("linkage", REDUCIBLE_LINKAGES)
     @pytest.mark.parametrize("n", [50, 200, 800])
@@ -181,7 +182,7 @@ class TestCutEquivalence:
         rng = np.random.default_rng(1000 + n)
         vectors = rng.normal(size=(n, int(rng.integers(3, 8))))
 
-        generic = AgglomerativeClustering(linkage=linkage, backend="generic").fit(
+        generic = AgglomerativeClustering(linkage=linkage, backend=GenericBackend()).fit(
             vectors
         )
         lowmem = AgglomerativeClustering(
@@ -281,7 +282,7 @@ class TestTies:
     def test_duplicate_points_all_cuts_valid(self, linkage):
         # Exact ties (duplicate observations) make the hierarchy ambiguous:
         # the lowmem backend — like any pair of valid agglomerative
-        # implementations — may break them differently from generic, so only
+        # implementations — may break them differently from the oracle, so only
         # cut validity is asserted, not cross-backend equality.
         rng = np.random.default_rng(7)
         base = rng.normal(size=(6, 3))

@@ -182,20 +182,21 @@ class TestModelAsPipelineFacade:
         assert result.representatives is not None
 
     def test_backend_choice_preserves_fit_structure(self, scenario):
-        generic = TrafficPatternModel(
-            ModelConfig(max_clusters=8, cluster_backend="generic")
+        lowmem = TrafficPatternModel(
+            ModelConfig(max_clusters=8, cluster_backend="nn_chain_lowmem")
         ).fit(scenario.traffic, city=scenario.city)
         chain = TrafficPatternModel(
             ModelConfig(max_clusters=8, cluster_backend="nn_chain")
         ).fit(scenario.traffic, city=scenario.city)
-        assert generic.num_clusters == chain.num_clusters
+        assert lowmem.num_clusters == chain.num_clusters
         # Same partition, label-for-label (labels are renumbered
         # deterministically by lowest member index).
-        assert np.array_equal(generic.labels, chain.labels)
+        assert np.array_equal(lowmem.labels, chain.labels)
 
-    def test_invalid_backend_rejected_by_config(self):
-        with pytest.raises(ValueError):
-            ModelConfig(cluster_backend="bogus")
+    @pytest.mark.parametrize("name", ["bogus", "generic"])
+    def test_invalid_backend_rejected_by_config(self, name):
+        with pytest.raises(ValueError, match="unknown cluster_backend"):
+            ModelConfig(cluster_backend=name)
 
 
 class TestEmptyLabelGuards:

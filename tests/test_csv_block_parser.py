@@ -39,8 +39,10 @@ INT64_MAX = 2**63 - 1
 CHUNK_SIZES = (1, 7, 1_000_000)
 
 IDS = st.integers(min_value=-(2**63), max_value=INT64_MAX)
-#: Non-negative doubles: zero, subnormals, huge values and infinity included.
-NON_NEGATIVE = st.floats(min_value=0.0, allow_nan=False)
+#: The largest finite double.
+MAX_DOUBLE = float(np.finfo(np.float64).max)
+#: Non-negative finite doubles: zero, subnormals and huge values included.
+NON_NEGATIVE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 RECORDS = st.lists(
     st.tuples(
         IDS, IDS, NON_NEGATIVE, NON_NEGATIVE, NON_NEGATIVE, st.sampled_from(NETWORK_NAMES)
@@ -50,18 +52,22 @@ RECORDS = st.lists(
 #: Records at the edges of every column type.
 EXTREMES = [
     (INT64_MAX, -(2**63), 0.0, 5e-324, 1.7976931348623157e308, "LTE"),
-    (0, INT64_MAX, 2.2250738585072014e-308, 1e300, float("inf"), "3G"),
+    (0, INT64_MAX, 2.2250738585072014e-308, 1e300, MAX_DOUBLE, "3G"),
     (-1, 1, 0.1, 0.1, 1e-310, "LTE"),
-    (12345678901234, 42, float("inf"), 0.0, 123.456, "3G"),
+    (12345678901234, 42, MAX_DOUBLE, 0.0, 123.456, "3G"),
 ]
 
 
 def make_batch(rows) -> RecordBatch:
-    """A batch from ``(user, tower, start, duration, bytes, network)`` tuples."""
+    """A batch from ``(user, tower, start, duration, bytes, network)`` tuples.
+
+    An end past the largest finite double (a huge start plus a huge
+    duration) is clamped to it.
+    """
     users, towers, starts, durations, volumes, networks = zip(*rows) if rows else [[]] * 6
     starts = np.asarray(starts, dtype=np.float64)
-    with np.errstate(over="ignore"):  # a huge start plus a huge duration is inf
-        ends = starts + np.asarray(durations, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        ends = np.minimum(starts + np.asarray(durations, dtype=np.float64), MAX_DOUBLE)
     return RecordBatch(
         user_id=np.asarray(users, dtype=np.int64),
         tower_id=np.asarray(towers, dtype=np.int64),
@@ -112,6 +118,8 @@ def assert_same_batches(actual, expected):
 #: Texts that replace one field of one record.
 BAD_LABELS = ["LTEX", "LTE#x", "lte", "4G", "", "LTE\x00", "3G\x00\x00x", "LT\xc9"]
 INT64_OVERFLOWS = [str(2**63), str(-(2**63) - 1)]
+#: Texts every float parser reads as an infinity, which validation rejects.
+INFINITIES = ["inf", "-inf", "Infinity", "1e999"]
 #: Floats in an id field, which numpy 1.23–1.26's ``loadtxt`` casts to ints.
 FLOAT_IDS = ["1.5", "1e3", "7.0"]
 #: Characters the two parsers could disagree about next to a number: C0
@@ -126,8 +134,8 @@ def _perturb_field(data, fields):
     kind = data.draw(
         st.sampled_from(
             [
-                "quote", "underscore", "spaces", "label", "nan", "negative_start",
-                "end_before_start", "overflow", "float_id", "odd_char",
+                "quote", "underscore", "spaces", "label", "nan", "infinite",
+                "negative_start", "end_before_start", "overflow", "float_id", "odd_char",
             ]
         )
     )
@@ -144,6 +152,8 @@ def _perturb_field(data, fields):
         fields[5] = data.draw(st.sampled_from(BAD_LABELS))
     elif kind == "nan":
         fields[data.draw(st.integers(2, 4))] = "nan"
+    elif kind == "infinite":
+        fields[data.draw(st.integers(2, 4))] = data.draw(st.sampled_from(INFINITIES))
     elif kind == "negative_start":
         fields[2] = "-1.5"
     elif kind == "end_before_start":
@@ -211,6 +221,10 @@ class TestEquivalenceWithRowLoop:
             ("1,2,3.0,4.0,5.0,LTE\n1,2,3.0,4.0,LTE\n", 3),
             ("1,2,3.0,4.0,5.0,LTE\n1,2,3.0,4.0,5.0,LTE,\n", 3),
             ("1,2,nan,4.0,5.0,LTE\n", 2),
+            ("1,2,3.0,4.0,5.0,LTE\n1,2,3.0,inf,5.0,LTE\n", 3),
+            ("1,2,3.0,4.0,inf,LTE\n", 2),
+            ("1,2,inf,inf,5.0,LTE\n", 2),
+            ("1,2,3.0,1e999,5.0,LTE\n", 2),
             ("9223372036854775808,2,3.0,4.0,5.0,LTE\n", 2),
             ("1,2,3.0,4.0,5.0,LTE\n1.5,2,3.0,4.0,5.0,LTE\n", 3),
             ("1,1e3,3.0,4.0,5.0,LTE\n", 2),

@@ -4,37 +4,61 @@ combination, polygon, time-domain mixture)."""
 import numpy as np
 import pytest
 
-from repro.decompose.convex import decompose_all, decompose_features, decompose_tower
+from repro.decompose.batch import decompose_features_batch
 from repro.decompose.mixture import mixture_time_series
 from repro.decompose.polygon import (
-    distance_to_hull,
     hull_containment_fraction,
     hull_distance_profile,
     polygon_vertices,
 )
 from repro.decompose.representative import RepresentativeTowers, select_representative_towers
-from repro.decompose.simplex import project_to_simplex, simplex_constrained_least_squares
+from repro.decompose.simplex import (
+    project_to_simplex_batch,
+    simplex_constrained_least_squares_batch,
+)
+
+
+def project_row(values):
+    """Project one vector through the row-wise projection."""
+    return project_to_simplex_batch(np.asarray(values, dtype=float)[None, :])[0]
+
+
+def solve_one(vertices, target, **options):
+    """Solve one target through the batched kernel."""
+    coefficients, residuals = simplex_constrained_least_squares_batch(
+        vertices, np.asarray(target, dtype=float)[None, :], **options
+    )
+    return coefficients[0], float(residuals[0])
+
+
+def decompose_one(feature, representatives):
+    """Decompose one feature vector through the batched decomposition."""
+    return decompose_features_batch(np.asarray(feature)[None, :], representatives).at(0)
 
 
 class TestSimplexProjection:
     def test_already_on_simplex_unchanged(self):
         values = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(project_to_simplex(values), values)
+        assert np.allclose(project_row(values), values)
 
     def test_projection_properties(self, rng):
         for _ in range(20):
             values = rng.normal(size=5) * 3
-            projected = project_to_simplex(values)
+            projected = project_row(values)
             assert np.all(projected >= -1e-12)
             assert projected.sum() == pytest.approx(1.0)
 
     def test_dominant_coordinate(self):
-        projected = project_to_simplex(np.array([10.0, 0.0, 0.0]))
+        projected = project_row(np.array([10.0, 0.0, 0.0]))
         assert projected[0] == pytest.approx(1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            project_to_simplex(np.array([]))
+            project_row(np.array([]))
+
+    def test_all_equal_row_projects_to_the_uniform_point(self):
+        for value in (0.0, 1e16, -3.5):
+            assert project_row(np.full(4, value)).tolist() == [0.25] * 4
 
 
 class TestSimplexLeastSquares:
@@ -42,20 +66,20 @@ class TestSimplexLeastSquares:
         vertices = rng.normal(size=(4, 3))
         true_weights = np.array([0.1, 0.4, 0.3, 0.2])
         target = true_weights @ vertices
-        weights, residual = simplex_constrained_least_squares(vertices, target)
+        weights, residual = solve_one(vertices, target)
         assert residual < 1e-8
         assert np.allclose(weights, true_weights, atol=1e-6)
 
     def test_vertex_recovered(self, rng):
         vertices = rng.normal(size=(4, 3))
-        weights, residual = simplex_constrained_least_squares(vertices, vertices[2])
+        weights, residual = solve_one(vertices, vertices[2])
         assert residual < 1e-8
         assert weights[2] == pytest.approx(1.0, abs=1e-6)
 
     def test_outside_point_projected(self):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         target = np.array([2.0, 2.0])
-        weights, residual = simplex_constrained_least_squares(vertices, target)
+        weights, residual = solve_one(vertices, target)
         assert residual > 0
         assert weights.sum() == pytest.approx(1.0)
         assert np.all(weights >= -1e-9)
@@ -67,15 +91,15 @@ class TestSimplexLeastSquares:
         for _ in range(25):
             vertices = rng.normal(size=(4, 3))
             target = rng.normal(size=3) * 2
-            weights, _ = simplex_constrained_least_squares(vertices, target)
+            weights, _ = solve_one(vertices, target)
             assert weights.sum() == pytest.approx(1.0)
             assert np.all(weights >= -1e-9)
 
     def test_exact_and_projected_gradient_agree(self, rng):
         vertices = rng.normal(size=(5, 4))
         target = rng.normal(size=4)
-        exact_w, exact_r = simplex_constrained_least_squares(vertices, target)
-        pg_w, pg_r = simplex_constrained_least_squares(
+        exact_w, exact_r = solve_one(vertices, target)
+        pg_w, pg_r = solve_one(
             vertices, target, exhaustive_limit=0, max_iterations=20_000
         )
         assert pg_r == pytest.approx(exact_r, abs=1e-4)
@@ -83,10 +107,10 @@ class TestSimplexLeastSquares:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            simplex_constrained_least_squares(np.ones((3, 2)), np.ones(3))
+            solve_one(np.ones((3, 2)), np.ones(3))
 
     def test_single_vertex(self):
-        weights, residual = simplex_constrained_least_squares(
+        weights, residual = solve_one(
             np.array([[1.0, 1.0]]), np.array([2.0, 2.0])
         )
         assert weights.tolist() == [1.0]
@@ -169,7 +193,7 @@ class TestConvexDecomposition:
         reps = select_representative_towers(features, labels, tower_ids)
         true_weights = np.array([0.25, 0.25, 0.25, 0.25])
         target = true_weights @ reps.features
-        decomposition = decompose_features(target, reps)
+        decomposition = decompose_one(target, reps)
         assert decomposition.residual < 1e-8
         assert np.allclose(
             np.array([decomposition.coefficient_of(c) for c in range(4)]),
@@ -182,14 +206,15 @@ class TestConvexDecomposition:
         features, labels, tower_ids, _ = feature_clusters
         reps = select_representative_towers(features, labels, tower_ids)
         tower_id = int(tower_ids[10])
-        decomposition = decompose_tower(features, tower_ids, tower_id, reps)
+        batch = decompose_features_batch(features, reps, tower_ids=tower_ids)
+        decomposition = batch.decomposition_of(tower_id)
         assert decomposition.tower_id == tower_id
         assert decomposition.dominant_component() == labels[10]
 
     def test_members_dominated_by_their_own_cluster(self, feature_clusters):
         features, labels, tower_ids, _ = feature_clusters
         reps = select_representative_towers(features, labels, tower_ids)
-        decompositions = decompose_all(features, tower_ids, reps)
+        decompositions = decompose_features_batch(features, reps, tower_ids=tower_ids)
         correct = sum(
             1 for d, label in zip(decompositions, labels) if d.dominant_component() == label
         )
@@ -198,20 +223,21 @@ class TestConvexDecomposition:
     def test_unknown_tower_rejected(self, feature_clusters):
         features, labels, tower_ids, _ = feature_clusters
         reps = select_representative_towers(features, labels, tower_ids)
+        batch = decompose_features_batch(features, reps, tower_ids=tower_ids)
         with pytest.raises(KeyError):
-            decompose_tower(features, tower_ids, 999_999, reps)
+            batch.decomposition_of(999_999)
 
     def test_coefficient_of_unknown_component(self, feature_clusters):
         features, labels, tower_ids, _ = feature_clusters
         reps = select_representative_towers(features, labels, tower_ids)
-        decomposition = decompose_features(features[0], reps)
+        decomposition = decompose_one(features[0], reps)
         with pytest.raises(KeyError):
             decomposition.coefficient_of(42)
 
     def test_as_dict_sums_to_one(self, feature_clusters):
         features, labels, tower_ids, _ = feature_clusters
         reps = select_representative_towers(features, labels, tower_ids)
-        decomposition = decompose_features(features[7], reps)
+        decomposition = decompose_one(features[7], reps)
         assert sum(decomposition.as_dict().values()) == pytest.approx(1.0)
 
 
@@ -224,7 +250,7 @@ class TestPolygon:
     def test_vertex_distance_zero(self, feature_clusters):
         features, labels, tower_ids, _ = feature_clusters
         reps = select_representative_towers(features, labels, tower_ids)
-        assert distance_to_hull(reps.features[0], reps.features) < 1e-9
+        assert hull_distance_profile(reps.features[:1], reps)[0] < 1e-9
 
     def test_containment_fraction_high_for_interior_points(self, feature_clusters):
         features, labels, tower_ids, _ = feature_clusters
@@ -249,7 +275,7 @@ class TestTimeDomainMixture:
         # Build synthetic component patterns and an exact mixture target.
         rng = np.random.default_rng(4)
         patterns = {int(label): np.abs(rng.normal(size=200)) + 0.1 for label in range(4)}
-        decomposition = decompose_features(
+        decomposition = decompose_one(
             0.5 * reps.feature_of(0) + 0.5 * reps.feature_of(1), reps
         )
         from repro.vectorize.normalize import NormalizationMethod, normalize_vector
@@ -273,14 +299,14 @@ class TestTimeDomainMixture:
     def test_missing_pattern_rejected(self, feature_clusters):
         features, labels, tower_ids, _ = feature_clusters
         reps = select_representative_towers(features, labels, tower_ids)
-        decomposition = decompose_features(features[0], reps)
+        decomposition = decompose_one(features[0], reps)
         with pytest.raises(KeyError):
             mixture_time_series(decomposition, {0: np.ones(10)}, np.ones(10))
 
     def test_length_mismatch_rejected(self, feature_clusters):
         features, labels, tower_ids, _ = feature_clusters
         reps = select_representative_towers(features, labels, tower_ids)
-        decomposition = decompose_features(features[0], reps)
+        decomposition = decompose_one(features[0], reps)
         patterns = {int(label): np.ones(10) for label in range(4)}
         with pytest.raises(ValueError):
             mixture_time_series(decomposition, patterns, np.ones(12))

@@ -1,27 +1,62 @@
-"""Batched simplex decomposition — batch↔scalar equivalence, edge cases,
-and the consumers riding on the batch path (model, server, polygon)."""
+"""Batched simplex decomposition — an analytic oracle, equivalence with the
+per-target solver in ``tests/oracles/simplex.py``, edge cases, and the
+consumers riding on the batch path (model, server, polygon)."""
+
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.simplex import project_to_simplex, simplex_constrained_least_squares
 from repro.decompose.batch import BatchDecomposition, decompose_features_batch
-from repro.decompose.convex import ConvexDecomposition, decompose_all, decompose_features
-from repro.decompose.polygon import (
-    distance_to_hull,
-    hull_containment_fraction,
-    hull_distance_profile,
-)
+from repro.decompose.convex import ConvexDecomposition
+from repro.decompose.polygon import hull_containment_fraction, hull_distance_profile
 from repro.decompose.representative import RepresentativeTowers
 from repro.decompose.simplex import (
-    project_to_simplex,
     project_to_simplex_batch,
-    simplex_constrained_least_squares,
     simplex_constrained_least_squares_batch,
 )
 
 EQUIVALENCE_ATOL = 1e-9
+
+
+def project_one(values):
+    """Project one vector through the row-wise projection."""
+    return project_to_simplex_batch(np.asarray(values, dtype=float)[None, :])[0]
+
+
+def oracle_decomposition(target, representatives):
+    """``(coefficients, residual, projection)`` of one target from the oracle."""
+    vertices = representatives.features
+    coefficients, residual = simplex_constrained_least_squares(vertices, target)
+    return coefficients, residual, coefficients @ vertices
+
+
+def barycentric_grid(k: int, steps: int) -> np.ndarray:
+    """Every weight vector over ``k`` vertices with entries in multiples of
+    ``1/steps`` summing to one (the lattice of a ``SimplexGrid``).
+
+    Stars and bars: ``k - 1`` bars among ``steps + k - 1`` slots, each
+    weight the number of stars between two bars.
+    """
+    slots = steps + k - 1
+    counts = [
+        [right - left - 1 for left, right in zip((-1, *bars), (*bars, slots))]
+        for bars in combinations(range(slots), k - 1)
+    ]
+    return np.array(counts, dtype=float) / steps
+
+
+def normal_basis(vertices: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the directions orthogonal to the vertices'
+    affine hull (``d - k + 1`` of them for affinely independent vertices)."""
+    k, d = vertices.shape
+    if k == 1:
+        return np.eye(d)
+    _, _, vt = np.linalg.svd(vertices[1:] - vertices[0])
+    return vt[k - 1:]
 
 
 def make_representatives(vertices: np.ndarray) -> RepresentativeTowers:
@@ -69,23 +104,23 @@ class TestProjectToSimplexEdgeCases:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            project_to_simplex(np.array([0.1, bad, 0.5]))
+            project_one(np.array([0.1, bad, 0.5]))
         with pytest.raises(ValueError, match="non-finite"):
             project_to_simplex_batch(np.array([[0.1, 0.2, 0.3], [0.1, bad, 0.5]]))
 
     @pytest.mark.parametrize("value", [0.0, 1.0, -5.0, 1e300, -1e300, 1e-300])
     def test_all_equal_projects_to_exact_uniform(self, value):
-        projected = project_to_simplex(np.full(4, value))
+        projected = project_one(np.full(4, value))
         assert projected.tolist() == [0.25, 0.25, 0.25, 0.25]
 
     def test_tied_inputs_stay_valid(self):
-        projected = project_to_simplex(np.array([2.0, 2.0, -1.0]))
+        projected = project_one(np.array([2.0, 2.0, -1.0]))
         assert np.all(projected >= 0)
         assert projected.sum() == pytest.approx(1.0)
         assert projected[0] == projected[1]
 
     def test_huge_spread_falls_back_to_one_hot(self):
-        projected = project_to_simplex(np.array([1e300, 0.0, -1e300]))
+        projected = project_one(np.array([1e300, 0.0, -1e300]))
         assert projected.tolist() == [1.0, 0.0, 0.0]
 
     def test_batch_matches_scalar_bitwise(self, rng):
@@ -105,6 +140,67 @@ class TestProjectToSimplexEdgeCases:
 
     def test_batch_empty_rows(self):
         assert project_to_simplex_batch(np.empty((0, 4))).shape == (0, 4)
+
+
+class TestAnalyticBarycentricGrid:
+    """Points with known coefficients: no second solver needed.
+
+    With ``k <= d + 1`` affinely independent vertices, a point built from
+    barycentric weights has exactly those weights as its unique convex
+    coefficients and a zero residual.  Offsetting it orthogonally to the
+    vertices' affine hull (possible when ``k <= d``) moves it away from the
+    polygon without changing its nearest point, so the coefficients stay
+    the weights and the residual is the offset's norm.
+    """
+
+    SEEDS = range(6)
+
+    @pytest.mark.parametrize(
+        "k, d", [(k, d) for d in (2, 3, 4) for k in range(1, d + 2)]
+    )
+    def test_grid_points_recover_their_weights(self, k, d):
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            vertices = rng.normal(size=(k, d)) * 2.0
+            weights = barycentric_grid(k, steps=5 + seed % 2)
+            coefficients, residuals = simplex_constrained_least_squares_batch(
+                vertices, weights @ vertices
+            )
+            assert np.abs(coefficients - weights).max() <= EQUIVALENCE_ATOL
+            assert np.abs(residuals).max() <= EQUIVALENCE_ATOL
+
+    @pytest.mark.parametrize("k, d", [(k, d) for d in (2, 3, 4) for k in range(1, d + 1)])
+    def test_orthogonal_offsets_keep_weights_and_measure_the_residual(self, k, d):
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(100 + seed)
+            vertices = rng.normal(size=(k, d)) * 2.0
+            weights = barycentric_grid(k, steps=5 + seed % 2)
+            basis = normal_basis(vertices)
+            assert np.abs(basis @ (vertices[1:] - vertices[0]).T).max(initial=0.0) < 1e-12
+            offsets = rng.normal(size=(weights.shape[0], basis.shape[0])) @ basis
+            coefficients, residuals = simplex_constrained_least_squares_batch(
+                vertices, weights @ vertices + offsets
+            )
+            assert np.abs(coefficients - weights).max() <= EQUIVALENCE_ATOL
+            expected = np.linalg.norm(offsets, axis=1)
+            assert np.abs(residuals - expected).max() <= EQUIVALENCE_ATOL
+
+    def test_decomposition_projects_offset_points_back_onto_the_grid(self):
+        rng = np.random.default_rng(7)
+        vertices = rng.normal(size=(4, 4))
+        weights = barycentric_grid(4, steps=6)
+        points = weights @ vertices
+        offsets = rng.normal(size=(weights.shape[0], 1)) @ normal_basis(vertices)
+        batch = decompose_features_batch(points + offsets, make_representatives(vertices))
+        assert np.abs(batch.projections - points).max() <= EQUIVALENCE_ATOL
+        assert np.all(batch.interior_mask() == (np.linalg.norm(offsets, axis=1) <= 1e-6))
+
+    def test_grid_enumeration(self):
+        grid = barycentric_grid(3, steps=4)
+        assert grid.shape == (15, 3)  # C(4 + 2, 2)
+        assert np.allclose(grid.sum(axis=1), 1.0)
+        assert len({tuple(row) for row in grid.tolist()}) == 15
+        assert barycentric_grid(1, steps=5).tolist() == [[1.0]]
 
 
 class TestBatchKernelEquivalence:
@@ -138,6 +234,20 @@ class TestBatchKernelEquivalence:
         renormalised = coefficients / coefficients.sum(axis=1, keepdims=True)
         assert np.abs(renormalised.sum(axis=1) - 1.0).max() <= 1e-12
         assert np.all(residuals >= 0)
+
+    def test_matches_scalar_on_2000_noisy_targets(self):
+        # The paper's shape: four vertices in a 3-D feature space, towers
+        # near the polygon with noise, and a tenth of them far outside.
+        rng = np.random.default_rng(2015)
+        vertices = rng.normal(size=(4, 3)) * 2.0
+        targets = rng.dirichlet(np.ones(4), size=2_000) @ vertices
+        targets += rng.normal(size=targets.shape) * 0.15
+        outliers = rng.random(2_000) < 0.1
+        targets[outliers] += rng.normal(size=(int(outliers.sum()), 3)) * 3.0
+        coefficients, residuals = simplex_constrained_least_squares_batch(vertices, targets)
+        scalar = [simplex_constrained_least_squares(vertices, target) for target in targets]
+        assert np.abs(coefficients - np.stack([c for c, _ in scalar])).max() <= EQUIVALENCE_ATOL
+        assert np.abs(residuals - np.array([r for _, r in scalar])).max() <= EQUIVALENCE_ATOL
 
     def test_single_vertex(self):
         vertices = np.array([[1.0, 1.0]])
@@ -217,20 +327,20 @@ class TestBatchDecomposition:
     def test_matches_scalar_decompose_features(self, batch_setup):
         representatives, targets, tower_ids, batch = batch_setup
         for row in range(targets.shape[0]):
-            scalar = decompose_features(
-                targets[row], representatives, tower_id=int(tower_ids[row])
+            coefficients, residual, projection = oracle_decomposition(
+                targets[row], representatives
             )
             view = batch.at(row)
             assert isinstance(view, ConvexDecomposition)
-            assert view.tower_id == scalar.tower_id
+            assert view.tower_id == int(tower_ids[row])
             np.testing.assert_allclose(
-                view.coefficients, scalar.coefficients, atol=EQUIVALENCE_ATOL, rtol=0
+                view.coefficients, coefficients, atol=EQUIVALENCE_ATOL, rtol=0
             )
-            assert view.residual == pytest.approx(scalar.residual, abs=EQUIVALENCE_ATOL)
+            assert view.residual == pytest.approx(residual, abs=EQUIVALENCE_ATOL)
             np.testing.assert_allclose(
-                view.projection, scalar.projection, atol=EQUIVALENCE_ATOL, rtol=0
+                view.projection, projection, atol=EQUIVALENCE_ATOL, rtol=0
             )
-            assert np.array_equal(view.component_labels, scalar.component_labels)
+            assert np.array_equal(view.component_labels, representatives.cluster_labels)
 
     def test_len_iter_and_lookup(self, batch_setup):
         _, targets, tower_ids, batch = batch_setup
@@ -305,10 +415,10 @@ class TestDegenerateRepresentativeSets:
         lone = np.array([[1.0, 2.0, 3.0]])
         representatives = make_representatives(lone)
         target = np.array([4.0, 2.0, 3.0])
-        scalar = decompose_features(target, representatives)
-        assert scalar.coefficients.tolist() == [1.0]
-        assert scalar.residual == pytest.approx(3.0)
-        np.testing.assert_array_equal(scalar.projection, lone[0])
+        coefficients, residual, projection = oracle_decomposition(target, representatives)
+        assert coefficients.tolist() == [1.0]
+        assert residual == pytest.approx(3.0)
+        np.testing.assert_array_equal(projection, lone[0])
 
         batch = decompose_features_batch(
             np.vstack([target, lone[0]]), representatives
@@ -324,12 +434,10 @@ class TestDegenerateRepresentativeSets:
         targets = rng.normal(size=(10, 2))
         batch = decompose_features_batch(targets, representatives)
         for row in range(10):
-            scalar = decompose_features(targets[row], representatives)
-            assert batch.residuals[row] == pytest.approx(
-                scalar.residual, abs=EQUIVALENCE_ATOL
-            )
+            _, residual, projection = oracle_decomposition(targets[row], representatives)
+            assert batch.residuals[row] == pytest.approx(residual, abs=EQUIVALENCE_ATOL)
             np.testing.assert_allclose(
-                batch.projections[row], scalar.projection, atol=EQUIVALENCE_ATOL, rtol=0
+                batch.projections[row], projection, atol=EQUIVALENCE_ATOL, rtol=0
             )
         assert np.all(batch.coefficients >= 0)
         assert np.abs(batch.coefficients.sum(axis=1) - 1.0).max() <= 1e-12
@@ -341,7 +449,7 @@ class TestPolygonRidesOnBatch:
         profile = hull_distance_profile(targets, representatives)
         assert profile.shape == (targets.shape[0],)
         for row in range(targets.shape[0]):
-            scalar = distance_to_hull(targets[row], representatives.features)
+            _, scalar, _ = oracle_decomposition(targets[row], representatives)
             assert profile[row] == pytest.approx(scalar, abs=EQUIVALENCE_ATOL)
 
     def test_containment_matches_scalar_count(self, batch_setup):
@@ -354,7 +462,7 @@ class TestPolygonRidesOnBatch:
         tolerance = 0.1 * float(np.sqrt((diffs**2).sum(axis=2)).max())
         expected = np.mean(
             [
-                distance_to_hull(targets[row], vertices) <= tolerance
+                simplex_constrained_least_squares(vertices, targets[row])[1] <= tolerance
                 for row in range(targets.shape[0])
             ]
         )
@@ -368,23 +476,21 @@ class TestPolygonRidesOnBatch:
 
 class TestDecomposeAllRidesOnBatch:
     def test_list_matches_scalar_reference(self, batch_setup):
-        representatives, targets, tower_ids, _ = batch_setup
-        decompositions = decompose_all(targets, tower_ids, representatives)
+        representatives, targets, tower_ids, batch = batch_setup
+        decompositions = list(batch)
         assert len(decompositions) == targets.shape[0]
         for row, decomposition in enumerate(decompositions):
-            scalar = decompose_features(
-                targets[row], representatives, tower_id=int(tower_ids[row])
-            )
-            assert decomposition.tower_id == scalar.tower_id
+            coefficients, _, _ = oracle_decomposition(targets[row], representatives)
+            assert decomposition.tower_id == int(tower_ids[row])
             np.testing.assert_allclose(
-                decomposition.coefficients, scalar.coefficients,
+                decomposition.coefficients, coefficients,
                 atol=EQUIVALENCE_ATOL, rtol=0,
             )
 
     def test_misaligned_ids_rejected(self, batch_setup):
         representatives, targets, _, _ = batch_setup
-        with pytest.raises(ValueError):
-            decompose_all(targets, np.arange(3), representatives)
+        with pytest.raises(ValueError, match="one entry per feature row"):
+            decompose_features_batch(targets, representatives, tower_ids=np.arange(3))
 
 
 class TestModelBatchDecomposition:

@@ -4,23 +4,18 @@ the chunked batch readers/writers in repro.ingest.loader."""
 import numpy as np
 import pytest
 
+from oracles.dedup import records_of
 from repro.ingest.batch import (
     NETWORK_CODES,
     RecordBatch,
-    batch_from_record_iter,
     decode_networks,
     encode_networks,
 )
 from repro.ingest.loader import (
     TraceFormatError,
     iter_record_batches_csv,
-    iter_record_batches_jsonl,
     read_record_batch_csv,
-    read_record_batch_jsonl,
-    read_records_csv,
-    read_records_jsonl,
     write_records_csv,
-    write_records_jsonl,
 )
 from repro.ingest.records import TrafficRecord
 
@@ -74,7 +69,7 @@ class TestRecordBatch:
         batch = RecordBatch.from_records(records)
         assert len(batch) == 50
         assert batch.num_records == 50
-        assert batch.to_records() == records
+        assert records_of(batch) == records
 
     def test_column_dtypes(self):
         batch = RecordBatch.from_records(make_records(5))
@@ -100,7 +95,7 @@ class TestRecordBatch:
     def test_empty(self):
         batch = RecordBatch.empty()
         assert len(batch) == 0
-        assert batch.to_records() == []
+        assert records_of(batch) == []
         assert batch.total_bytes == 0.0
 
     def test_validation_mirrors_record_invariants(self):
@@ -119,6 +114,22 @@ class TestRecordBatch:
                 user_id=[1], tower_id=[1], start_s=[0.0], end_s=[1.0],
                 bytes_used=[-1.0], network=["LTE"],
             )
+
+    @pytest.mark.parametrize("column", ["start_s", "end_s", "bytes_used"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_validation_rejects_non_finite_values(self, column, value):
+        columns = dict(
+            user_id=[1, 2], tower_id=[1, 1], start_s=[0.0, 0.0], end_s=[1.0, 1.0],
+            bytes_used=[1.0, 1.0], network=["LTE", "LTE"],
+        )
+        columns[column] = [1.0, value]
+        if column == "start_s":
+            columns["end_s"] = [1.0, value]
+        with pytest.raises(ValueError, match="record 1"):
+            RecordBatch(**columns)
+        row = {name: values[1] for name, values in columns.items()}
+        with pytest.raises(ValueError):
+            TrafficRecord(**row)
 
     def test_validation_reports_offending_index(self):
         with pytest.raises(ValueError, match="record 2"):
@@ -148,16 +159,16 @@ class TestRecordBatch:
         batch = RecordBatch.from_records(records)
         left, right = batch.take(np.arange(10)), batch.take(np.arange(10, 30))
         rejoined = RecordBatch.concat([left, right])
-        assert rejoined.to_records() == records
+        assert records_of(rejoined) == records
         assert RecordBatch.concat([]).num_records == 0
 
         lte = batch.filter(batch.network == NETWORK_CODES["LTE"])
-        assert all(record.network == "LTE" for record in lte.to_records())
+        assert all(record.network == "LTE" for record in records_of(lte))
 
     def test_take_delegates_boolean_masks_to_filter(self):
         batch = RecordBatch.from_records(make_records(6))
         mask = batch.network == NETWORK_CODES["LTE"]
-        assert batch.take(mask).to_records() == batch.filter(mask).to_records()
+        assert records_of(batch.take(mask)) == records_of(batch.filter(mask))
 
     def test_filter_rejects_bad_mask_shape(self):
         batch = RecordBatch.from_records(make_records(4))
@@ -169,7 +180,7 @@ class TestRecordBatch:
         batch = RecordBatch.from_records(records)
         chunks = list(batch.iter_chunks(10))
         assert [len(chunk) for chunk in chunks] == [10, 10, 5]
-        assert RecordBatch.concat(chunks).to_records() == records
+        assert records_of(RecordBatch.concat(chunks)) == records
         with pytest.raises(ValueError, match="chunk_size"):
             list(batch.iter_chunks(0))
 
@@ -183,12 +194,6 @@ class TestRecordBatch:
         assert replaced.bytes_used.tolist() == [1.0, 2.0, 3.0]
         assert replaced.user_id.tolist() == batch.user_id.tolist()
 
-    def test_batch_from_record_iter_chunks(self):
-        records = make_records(23)
-        batches = list(batch_from_record_iter(iter(records), 10))
-        assert [len(batch) for batch in batches] == [10, 10, 3]
-        assert RecordBatch.concat(batches).to_records() == records
-
 
 class TestBatchReadersCsv:
     def test_roundtrip_via_batch_writer_and_reader(self, tmp_path):
@@ -196,27 +201,25 @@ class TestBatchReadersCsv:
         batch = RecordBatch.from_records(records)
         path = tmp_path / "trace.csv"
         assert write_records_csv(batch, path) == 40
-        # batch writer output is readable by the scalar reader and vice versa
-        assert list(read_records_csv(path)) == records
-        assert read_record_batch_csv(path).to_records() == records
+        assert records_of(read_record_batch_csv(path)) == records
 
     def test_chunked_read_equals_whole_read(self, tmp_path):
         records = make_records(33)
         path = tmp_path / "trace.csv"
-        write_records_csv(records, path)
+        write_records_csv(RecordBatch.from_records(records), path)
         chunks = list(iter_record_batches_csv(path, chunk_size=10))
         assert [len(chunk) for chunk in chunks] == [10, 10, 10, 3]
-        assert RecordBatch.concat(chunks).to_records() == records
+        assert records_of(RecordBatch.concat(chunks)) == records
 
     def test_rejects_bad_chunk_size(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_records_csv([], path)
+        write_records_csv(RecordBatch.empty(), path)
         with pytest.raises(ValueError, match="chunk_size"):
             list(iter_record_batches_csv(path, chunk_size=0))
 
     def test_error_names_path_and_line_for_bad_value(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_records_csv(make_records(5), path)
+        write_records_csv(RecordBatch.from_records(make_records(5)), path)
         lines = path.read_text().splitlines()
         lines[3] = lines[3].replace(lines[3].split(",")[4], "not-a-number")
         path.write_text("\n".join(lines) + "\n")
@@ -246,69 +249,3 @@ class TestBatchReadersCsv:
         )
         with pytest.raises(TraceFormatError, match=rf"{path}:2"):
             list(iter_record_batches_csv(path))
-
-
-class TestBatchReadersJsonl:
-    def test_roundtrip_via_batch_writer_and_reader(self, tmp_path):
-        records = make_records(40, seed=1)
-        batch = RecordBatch.from_records(records)
-        path = tmp_path / "trace.jsonl"
-        assert write_records_jsonl(batch, path) == 40
-        assert list(read_records_jsonl(path)) == records
-        assert read_record_batch_jsonl(path).to_records() == records
-
-    def test_chunked_read_equals_whole_read(self, tmp_path):
-        records = make_records(21, seed=2)
-        path = tmp_path / "trace.jsonl"
-        write_records_jsonl(records, path)
-        chunks = list(iter_record_batches_jsonl(path, chunk_size=8))
-        assert [len(chunk) for chunk in chunks] == [8, 8, 5]
-        assert RecordBatch.concat(chunks).to_records() == records
-
-    def test_blank_lines_are_skipped(self, tmp_path):
-        records = make_records(3, seed=3)
-        path = tmp_path / "trace.jsonl"
-        write_records_jsonl(records, path)
-        content = path.read_text().replace("\n", "\n\n", 1)
-        path.write_text(content)
-        assert read_record_batch_jsonl(path).to_records() == records
-
-    def test_error_names_path_and_line_for_bad_json(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text('{"user_id": 1, "tower_id": 1, "start_s": 0, "end_s": 1, "bytes_used": 2}\nnot json\n')
-        with pytest.raises(TraceFormatError, match=rf"{path}:2"):
-            list(iter_record_batches_jsonl(path))
-
-    def test_error_names_path_and_line_for_invalid_record(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text(
-            '{"user_id": 1, "tower_id": 1, "start_s": 0, "end_s": 1, "bytes_used": 2}\n'
-            '{"user_id": 1, "tower_id": 1, "start_s": 9, "end_s": 1, "bytes_used": 2}\n'
-        )
-        with pytest.raises(TraceFormatError, match=rf"{path}:2"):
-            list(iter_record_batches_jsonl(path))
-
-    def test_error_names_path_and_line_for_missing_field(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text('{"user_id": 1}\n')
-        with pytest.raises(TraceFormatError, match=rf"{path}:1"):
-            list(iter_record_batches_jsonl(path))
-
-
-class TestScalarReaderErrorsNamePath:
-    """The record-at-a-time readers also name the file path, not just the line."""
-
-    def test_csv_value_error_names_path(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text(
-            "user_id,tower_id,start_s,end_s,bytes_used,network\n"
-            "1,1,0.0,10.0,oops,LTE\n"
-        )
-        with pytest.raises(TraceFormatError, match=rf"{path}:2"):
-            list(read_records_csv(path))
-
-    def test_jsonl_value_error_names_path(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text('{"user_id": 1, "tower_id": 1, "start_s": -4, "end_s": 1, "bytes_used": 2}\n')
-        with pytest.raises(TraceFormatError, match=rf"{path}:1"):
-            list(read_records_jsonl(path))

@@ -6,7 +6,7 @@ import pytest
 from repro.ingest.density import compute_density_map
 from repro.ingest.geocode import geocode_stations
 from repro.ingest.preprocess import preprocess_trace
-from repro.ingest.records import BaseStationInfo, TrafficRecord
+from repro.ingest.records import BaseStationInfo
 from repro.synth.geocoder import SyntheticGeocoder
 from repro.utils.geometry import GridSpec
 
@@ -98,7 +98,7 @@ class TestPreprocess:
         towers = session_scenario.city.towers
         stations = [BaseStationInfo(t.tower_id, t.address) for t in towers]
         geocoder = SyntheticGeocoder.from_towers(towers)
-        result = preprocess_trace(session_scenario.records, stations, geocoder)
+        result = preprocess_trace(session_scenario.session_batch(), stations, geocoder)
         report = result.report
         # Everything the corruption step added must be cleaned away.
         corruption = session_scenario.corruption_report
@@ -113,8 +113,8 @@ class TestPreprocess:
         towers = session_scenario.city.towers
         stations = [BaseStationInfo(t.tower_id, t.address) for t in towers]
         geocoder = SyntheticGeocoder.from_towers(towers)
-        result = preprocess_trace(session_scenario.records, stations, geocoder)
-        cleaned_volume = sum(r.bytes_used for r in result.records)
+        result = preprocess_trace(session_scenario.session_batch(), stations, geocoder)
+        cleaned_volume = result.records.total_bytes
         corrupted_volume = sum(r.bytes_used for r in session_scenario.records)
         # Cleaning must remove the duplicated volume: cleaned < corrupted.
         assert cleaned_volume < corrupted_volume
@@ -124,7 +124,7 @@ class TestPreprocess:
         stations = [BaseStationInfo(t.tower_id, t.address) for t in towers]
         geocoder = SyntheticGeocoder.from_towers(towers)
         result = preprocess_trace(
-            session_scenario.records, stations, geocoder, compute_density=False
+            session_scenario.session_batch(), stations, geocoder, compute_density=False
         )
         assert result.density is None
 
@@ -133,13 +133,16 @@ class TestPreprocess:
         stations = [
             BaseStationInfo(t.tower_id, t.address, lat=t.lat, lon=t.lon) for t in towers
         ]
-        result = preprocess_trace(session_scenario.records[:1000], stations, None)
+        result = preprocess_trace(session_scenario.session_batch().take(np.arange(1000)), stations, None)
         assert result.report.geocoding.num_failed == 0
         assert result.density is not None
 
     def test_station_by_id(self, session_scenario):
         towers = session_scenario.city.towers
         stations = [BaseStationInfo(t.tower_id, t.address) for t in towers]
-        result = preprocess_trace(session_scenario.records[:100], stations, None, compute_density=False)
+        result = preprocess_trace(
+            session_scenario.session_batch().take(np.arange(100)), stations, None,
+            compute_density=False,
+        )
         lookup = result.station_by_id()
         assert lookup[towers[0].tower_id].address == towers[0].address

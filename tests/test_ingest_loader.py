@@ -1,14 +1,13 @@
-"""Tests for repro.ingest.loader (CSV/JSONL round trips and error handling)."""
+"""Tests for repro.ingest.loader (CSV round trips and error handling)."""
 
 import pytest
 
+from repro.ingest.batch import RecordBatch
 from repro.ingest.loader import (
     TraceFormatError,
-    read_records_csv,
-    read_records_jsonl,
+    read_record_batch_csv,
     read_stations_csv,
     write_records_csv,
-    write_records_jsonl,
     write_stations_csv,
 )
 from repro.ingest.records import BaseStationInfo, TrafficRecord
@@ -16,11 +15,15 @@ from repro.ingest.records import BaseStationInfo, TrafficRecord
 
 @pytest.fixture
 def sample_records():
-    return [
-        TrafficRecord(user_id=1, tower_id=10, start_s=0.0, end_s=30.5, bytes_used=1234.5),
-        TrafficRecord(user_id=2, tower_id=11, start_s=100.0, end_s=160.0, bytes_used=99.0, network="3G"),
-        TrafficRecord(user_id=3, tower_id=10, start_s=200.25, end_s=200.25, bytes_used=0.0),
-    ]
+    return RecordBatch.from_records(
+        [
+            TrafficRecord(user_id=1, tower_id=10, start_s=0.0, end_s=30.5, bytes_used=1234.5),
+            TrafficRecord(
+                user_id=2, tower_id=11, start_s=100.0, end_s=160.0, bytes_used=99.0, network="3G"
+            ),
+            TrafficRecord(user_id=3, tower_id=10, start_s=200.25, end_s=200.25, bytes_used=0.0),
+        ]
+    )
 
 
 @pytest.fixture
@@ -36,21 +39,22 @@ class TestRecordsCsv:
         path = tmp_path / "trace.csv"
         written = write_records_csv(sample_records, path)
         assert written == 3
-        loaded = list(read_records_csv(path))
-        assert loaded == sample_records
+        loaded = read_record_batch_csv(path)
+        for column, expected in zip(loaded.columns(), sample_records.columns()):
+            assert column.tolist() == expected.tolist()
 
     def test_float_precision_preserved(self, tmp_path, sample_records):
         path = tmp_path / "trace.csv"
         write_records_csv(sample_records, path)
-        loaded = list(read_records_csv(path))
-        assert loaded[0].bytes_used == 1234.5
-        assert loaded[2].start_s == 200.25
+        loaded = read_record_batch_csv(path)
+        assert loaded.bytes_used[0] == 1234.5
+        assert loaded.start_s[2] == 200.25
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(TraceFormatError):
-            list(read_records_csv(path))
+            read_record_batch_csv(path)
 
     def test_bad_row_rejected(self, tmp_path, sample_records):
         path = tmp_path / "trace.csv"
@@ -58,7 +62,7 @@ class TestRecordsCsv:
         with path.open("a") as handle:
             handle.write("1,2,3\n")
         with pytest.raises(TraceFormatError):
-            list(read_records_csv(path))
+            read_record_batch_csv(path)
 
     def test_non_numeric_field_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -66,43 +70,20 @@ class TestRecordsCsv:
             "user_id,tower_id,start_s,end_s,bytes_used,network\nx,1,0,1,10,LTE\n"
         )
         with pytest.raises(TraceFormatError):
-            list(read_records_csv(path))
+            read_record_batch_csv(path)
 
-
-class TestRecordsJsonl:
-    def test_round_trip(self, tmp_path, sample_records):
-        path = tmp_path / "trace.jsonl"
-        written = write_records_jsonl(sample_records, path)
-        assert written == 3
-        loaded = list(read_records_jsonl(path))
-        assert loaded == sample_records
-
-    def test_blank_lines_skipped(self, tmp_path, sample_records):
-        path = tmp_path / "trace.jsonl"
-        write_records_jsonl(sample_records, path)
-        with path.open("a") as handle:
-            handle.write("\n\n")
-        assert len(list(read_records_jsonl(path))) == 3
-
-    def test_malformed_json_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("{not json}\n")
-        with pytest.raises(TraceFormatError):
-            list(read_records_jsonl(path))
-
-    def test_missing_field_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"user_id": 1, "tower_id": 2}\n')
-        with pytest.raises(TraceFormatError):
-            list(read_records_jsonl(path))
-
-    def test_default_network_applied(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text(
-            '{"user_id": 1, "tower_id": 2, "start_s": 0, "end_s": 5, "bytes_used": 7}\n'
-        )
-        loaded = list(read_records_jsonl(path))
-        assert loaded[0].network == "LTE"
+    @pytest.mark.parametrize("field", [2, 3, 4])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_value_names_the_line(self, tmp_path, sample_records, field, value):
+        path = tmp_path / "trace.csv"
+        write_records_csv(sample_records, path)
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        row[field] = value
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match=r"trace\.csv:3: "):
+            read_record_batch_csv(path)
 
 
 class TestStationsCsv:
@@ -124,4 +105,16 @@ class TestStationsCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c,d\n")
         with pytest.raises(TraceFormatError):
+            read_stations_csv(path)
+
+    def test_repeated_tower_names_both_lines(self, tmp_path, sample_stations):
+        path = tmp_path / "stations.csv"
+        write_stations_csv([*sample_stations, sample_stations[0]], path)
+        with pytest.raises(TraceFormatError, match=r"stations\.csv:4: tower 10 .*line 2"):
+            read_stations_csv(path)
+
+    def test_header_only_directory_names_the_path(self, tmp_path):
+        path = tmp_path / "stations.csv"
+        write_stations_csv([], path)
+        with pytest.raises(TraceFormatError, match=r"stations\.csv: no stations"):
             read_stations_csv(path)

@@ -4,9 +4,10 @@ and consistency between the session-level and profile-level generators."""
 import numpy as np
 import pytest
 
+from oracles.dedup import records_of
 from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
-from repro.ingest.loader import read_records_csv, write_records_csv
+from repro.ingest.loader import read_record_batch_csv, write_records_csv
 from repro.ingest.preprocess import preprocess_trace
 from repro.ingest.records import BaseStationInfo
 from repro.synth.geocoder import SyntheticGeocoder
@@ -20,7 +21,7 @@ class TestSessionToModelPipeline:
         towers = session_scenario.city.towers
         stations = [BaseStationInfo(t.tower_id, t.address) for t in towers]
         geocoder = SyntheticGeocoder.from_towers(towers)
-        return preprocess_trace(session_scenario.records, stations, geocoder)
+        return preprocess_trace(session_scenario.session_batch(), stations, geocoder)
 
     def test_aggregated_sessions_correlate_with_profile_traffic(
         self, session_scenario, preprocessed
@@ -29,7 +30,7 @@ class TestSessionToModelPipeline:
         activity templates: towers aggregate into series whose shape
         correlates with the profile-level generator's output."""
         vectorizer = TrafficVectorizer(method=NormalizationMethod.MAX)
-        vectorized = vectorizer.from_records(
+        vectorized = vectorizer.from_batch(
             preprocessed.records,
             session_scenario.window,
             tower_ids=session_scenario.traffic.tower_ids.tolist(),
@@ -48,12 +49,12 @@ class TestSessionToModelPipeline:
 
     def test_cleaning_reduces_volume_towards_truth(self, session_scenario, preprocessed):
         corrupted_volume = sum(r.bytes_used for r in session_scenario.records)
-        cleaned_volume = sum(r.bytes_used for r in preprocessed.records)
+        cleaned_volume = preprocessed.records.total_bytes
         assert cleaned_volume < corrupted_volume
 
     def test_model_fits_on_session_derived_matrix(self, session_scenario, preprocessed):
         vectorizer = TrafficVectorizer()
-        vectorized = vectorizer.from_records(
+        vectorized = vectorizer.from_batch(
             preprocessed.records,
             session_scenario.window,
             tower_ids=session_scenario.traffic.tower_ids.tolist(),
@@ -68,9 +69,8 @@ class TestTraceFileRoundTrip:
     def test_csv_round_trip_preserves_model_input(self, tmp_path, session_scenario):
         path = tmp_path / "trace.csv"
         sample = session_scenario.records[:5000]
-        write_records_csv(sample, path)
-        loaded = list(read_records_csv(path))
-        assert loaded == sample
+        write_records_csv(session_scenario.session_batch().take(np.arange(len(sample))), path)
+        assert records_of(read_record_batch_csv(path)) == sample
 
     def test_model_deterministic_given_same_traffic(self, scenario):
         model_a = TrafficPatternModel(ModelConfig(num_clusters=5))

@@ -17,11 +17,7 @@ from repro.core.model import TrafficPatternModel
 from repro.ingest.batch import RecordBatch
 from repro.ingest.dedup import clean_batch
 from repro.utils.timeutils import SECONDS_PER_DAY, SLOT_SECONDS, TimeWindow
-from repro.vectorize.aggregate import (
-    TowerRowIndex,
-    aggregate_batches,
-    aggregate_records_streaming,
-)
+from repro.vectorize.aggregate import TowerRowIndex, aggregate_batches
 from repro.vectorize.parallel import (
     ParallelIngestError,
     clean_chunk,
@@ -176,18 +172,6 @@ class TestParallelSerialEquivalence:
         serial = aggregate_batches(serial_cleaned(), WINDOW, TOWER_IDS)
         parallel = aggregate_batches(
             chunks, WINDOW, TOWER_IDS, workers=2, prepare=clean_chunk
-        )
-        assert np.allclose(parallel.traffic, serial.traffic, rtol=RTOL, atol=0.0)
-
-    def test_streaming_records_entry_point_forwards_workers(self, chunk_stream):
-        records = [
-            record for batch in chunk_stream[:2] for record in batch.to_records()
-        ]
-        serial = aggregate_records_streaming(
-            records, WINDOW, TOWER_IDS, chunk_size=1500
-        )
-        parallel = aggregate_records_streaming(
-            records, WINDOW, TOWER_IDS, chunk_size=1500, workers=2
         )
         assert np.allclose(parallel.traffic, serial.traffic, rtol=RTOL, atol=0.0)
 

@@ -169,11 +169,16 @@ class TestRoundTrip:
     def test_config_round_trip(self):
         config = ModelConfig(
             num_clusters=6,
-            cluster_backend="generic",
+            cluster_backend="nn_chain_lowmem",
             poi_radius_km=0.5,
             decomposition_feature=(("amplitude", "day"), ("phase", "half_day")),
         )
         assert config_from_manifest(config_to_manifest(config)) == config
+
+    def test_manifest_naming_the_generic_backend_loads_as_auto(self):
+        manifest = config_to_manifest(ModelConfig(num_clusters=6))
+        manifest["cluster_backend"] = "generic"
+        assert config_from_manifest(manifest) == ModelConfig(num_clusters=6)
 
     def test_unserialisable_extras_fail_loudly(self, fitted_model, tmp_path):
         result = fitted_model.result

@@ -8,13 +8,17 @@ from hypothesis.extra.numpy import arrays
 
 from repro.cluster.distance import euclidean_distance_matrix
 from repro.cluster.hierarchical import AgglomerativeClustering
-from repro.decompose.simplex import project_to_simplex, simplex_constrained_least_squares
-from repro.ingest.dedup import clean_records
+from repro.decompose.simplex import (
+    project_to_simplex_batch,
+    simplex_constrained_least_squares_batch,
+)
+from repro.ingest.batch import RecordBatch
+from repro.ingest.dedup import clean_batch
 from repro.ingest.records import TrafficRecord
 from repro.spectral.components import PrincipalComponents, reconstruct_from_components
 from repro.spectral.dft import dft, inverse_dft
 from repro.utils.stats import min_max_normalize, zscore_normalize
-from repro.vectorize.slots import split_bytes_over_slots
+from repro.vectorize.slots import split_bytes_over_slots_batch
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -94,7 +98,7 @@ class TestDftProperties:
 class TestSimplexProperties:
     @given(arrays(np.float64, st.integers(1, 10), elements=finite_floats))
     def test_projection_lands_on_simplex(self, values):
-        projected = project_to_simplex(values)
+        projected = project_to_simplex_batch(values[None, :])[0]
         assert np.all(projected >= -1e-12)
         assert float(projected.sum()) == pytest.approx(1.0, abs=1e-9)
 
@@ -110,7 +114,8 @@ class TestSimplexProperties:
     def test_solver_output_is_feasible_and_optimal_vs_vertices(self, vertices, target):
         if vertices.shape[1] != target.size:
             return
-        weights, residual = simplex_constrained_least_squares(vertices, target)
+        weights, residuals = simplex_constrained_least_squares_batch(vertices, target[None, :])
+        weights, residual = weights[0], residuals[0]
         assert np.all(weights >= -1e-9)
         assert float(weights.sum()) == pytest.approx(1.0, abs=1e-6)
         # The returned residual is never worse than using any single vertex.
@@ -161,13 +166,11 @@ class TestSlotSplittingProperties:
     )
     def test_volume_conserved_inside_window(self, start, duration, volume):
         end = min(start + duration, 86_400.0)
-        record = TrafficRecord(
-            user_id=0, tower_id=0, start_s=start, end_s=end, bytes_used=volume
+        _, slots, volumes = split_bytes_over_slots_batch(
+            np.array([start]), np.array([end]), np.array([volume]), 144
         )
-        contributions = split_bytes_over_slots(record, 144)
-        total = sum(v for _, v in contributions)
-        assert total == pytest.approx(volume, rel=1e-9, abs=1e-9)
-        assert all(0 <= slot < 144 for slot, _ in contributions)
+        assert volumes.sum() == pytest.approx(volume, rel=1e-9, abs=1e-9)
+        assert np.all((slots >= 0) & (slots < 144))
 
 
 class TestCleaningProperties:
@@ -186,15 +189,16 @@ class TestCleaningProperties:
         )
     )
     def test_cleaning_is_idempotent(self, raw):
-        records = [
+        records = RecordBatch.from_records(
             TrafficRecord(
                 user_id=u, tower_id=t, start_s=s, end_s=s + d, bytes_used=v
             )
             for u, t, s, d, v in raw
-        ]
-        once, report_once = clean_records(records)
-        twice, report_twice = clean_records(once)
-        assert once == twice
+        )
+        once, report_once = clean_batch(records)
+        twice, report_twice = clean_batch(once)
+        for first, second in zip(once.columns(), twice.columns()):
+            assert np.array_equal(first, second)
         assert report_twice.num_exact_duplicates_removed == 0
         assert report_twice.num_conflict_records_removed == 0
         assert report_once.num_output_records == len(once)
