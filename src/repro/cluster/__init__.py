@@ -18,11 +18,8 @@ from repro.cluster.backends import (
 )
 from repro.cluster.distance import (
     condensed_from_square,
-    condensed_index,
-    condensed_indices,
     euclidean_distance_matrix,
     pairwise_distances,
-    square_from_condensed,
 )
 from repro.cluster.hierarchical import (
     AgglomerativeClustering,
@@ -55,8 +52,6 @@ __all__ = [
     "calinski_harabasz_index",
     "cluster_centroids",
     "condensed_from_square",
-    "condensed_index",
-    "condensed_indices",
     "cut_by_distance",
     "cut_by_num_clusters",
     "davies_bouldin_index",
@@ -65,6 +60,5 @@ __all__ = [
     "pairwise_distances",
     "resolve_backend",
     "silhouette_score",
-    "square_from_condensed",
     "within_cluster_distances",
 ]

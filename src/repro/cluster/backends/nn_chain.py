@@ -8,7 +8,12 @@ therefore walks a chain ``a → nn(a) → nn(nn(a)) → …`` until it hits a
 reciprocal pair, merges it, and resumes from the truncated chain.  Every
 chain step is an O(n) scan of one condensed-distance row, and the total
 number of chain steps over a full run is O(n), giving O(n²) time overall —
-no per-merge full-matrix argmin scans.
+no per-merge full-matrix argmin scans.  Rows are gathered through an offset
+table (the pair ``i < j`` sits at ``base[i] + j`` of the condensed array)
+into reused buffers, and a retired slot's pairs are overwritten with +inf,
+so no scan needs a mask.  That sentinel makes finite distances a
+precondition, which :meth:`repro.cluster.hierarchical.AgglomerativeClustering.fit`
+checks before any backend runs.
 
 Merges are discovered in chain order, which is generally *not* sorted by
 merge distance, so the raw merge list is canonicalised afterwards: rows are
@@ -29,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.backends.base import ClusteringBackend
-from repro.cluster.distance import condensed_indices
 from repro.cluster.linkage import Linkage, lance_williams_update
 
 #: Criteria for which the reducibility property (and hence the chain
@@ -90,6 +94,21 @@ class NNChainBackend(ClusteringBackend):
         if use_squared:
             work **= 2
 
+        # The pair (i < j) sits at base[i] + j of the condensed array, so
+        # slot x's row is base[:x] + x followed by base[x] + (x … n-1).
+        slots = np.arange(n)
+        base = slots * (2 * n - slots - 1) // 2 - slots - 1
+        index = np.empty(n, dtype=np.int64)
+        row = np.empty(n)
+        index_y = np.empty(n, dtype=np.int64)
+        row_y = np.empty(n)
+
+        def gather(x: int, index: np.ndarray, row: np.ndarray) -> None:
+            np.add(base[:x], x, out=index[:x])
+            np.add(slots[x:], base[x], out=index[x:])
+            work.take(index, out=row)
+            row[x] = np.inf
+
         active = np.ones(n, dtype=bool)
         sizes = np.ones(n, dtype=np.int64)
         chain = np.empty(n, dtype=np.int64)
@@ -101,7 +120,6 @@ class NNChainBackend(ClusteringBackend):
         slot_b = np.empty(n - 1, dtype=np.int64)
         heights = np.empty(n - 1)
         merged_sizes = np.empty(n - 1, dtype=np.int64)
-        slots = np.arange(n)
         chain_steps = 0
 
         for merge_index in range(n - 1):
@@ -112,20 +130,19 @@ class NNChainBackend(ClusteringBackend):
             # Grow the chain until the tip and its nearest neighbour are a
             # reciprocal pair.  Preferring the chain's previous element on
             # ties keeps the walk from oscillating between equidistant
-            # clusters and guarantees termination.
+            # clusters and guarantees termination.  Retired slots read
+            # +inf, so the row needs no mask.
             while True:
                 chain_steps += 1
                 x = int(chain[chain_len - 1])
-                row = self._condensed_row(work, x, n)
-                row[x] = np.inf
-                row[~active] = np.inf
+                gather(x, index, row)
                 if chain_len > 1:
                     y = int(chain[chain_len - 2])
                     d_xy = float(row[y])
                 else:
                     y = -1
                     d_xy = np.inf
-                best = int(np.argmin(row))
+                best = int(row.argmin())
                 if float(row[best]) < d_xy:
                     y = best
                     d_xy = float(row[best])
@@ -146,39 +163,28 @@ class NNChainBackend(ClusteringBackend):
             )
             merged_sizes[merge_index] = new_size
 
-            others = slots[active]
-            others = others[(others != x) & (others != y)]
+            active[x] = active[y] = False
+            others = np.flatnonzero(active)
+            active[x] = True
             if others.size:
-                idx_x = condensed_indices(x, others, n)
-                updated = lance_williams_update(
+                gather(y, index_y, row_y)
+                work[index[others]] = lance_williams_update(
                     linkage,
-                    work[idx_x],
-                    work[condensed_indices(y, others, n)],
+                    row[others],
+                    row_y[others],
                     d_xy,
                     size_x,
                     size_y,
                     sizes[others],
                 )
-                work[idx_x] = updated
-
-            active[y] = False
+                # Retire slot y: +inf over every pair it is part of.  Its
+                # own diagonal entry is pointed at (x, y), dead as well.
+                index_y[y] = index[y]
+                work[index_y] = np.inf
             sizes[x] = new_size
 
         self.last_stats = {"merges": n - 1, "chain_steps": chain_steps}
         return _canonicalize(slot_a, slot_b, heights, merged_sizes, n)
-
-    @staticmethod
-    def _condensed_row(work: np.ndarray, x: int, n: int) -> np.ndarray:
-        """Return ``d(x, ·)`` as a length-``n`` vector gathered from ``work``."""
-        row = np.empty(n)
-        if x > 0:
-            k = np.arange(x)
-            row[:x] = work[k * (2 * n - k - 1) // 2 + (x - k - 1)]
-        row[x] = np.inf
-        if x < n - 1:
-            start = x * (2 * n - x - 1) // 2
-            row[x + 1 :] = work[start : start + (n - x - 1)]
-        return row
 
 
 def _canonicalize(

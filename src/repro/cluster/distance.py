@@ -23,11 +23,15 @@ def euclidean_distance_matrix(vectors: np.ndarray) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"vectors must be 2-D, got shape {arr.shape}")
     squared_norms = np.einsum("ij,ij->i", arr, arr)
+    # (x² + y²) - 2xy, evaluated in place so only two (n, n) arrays live.
     gram = arr @ arr.T
-    squared = squared_norms[:, None] + squared_norms[None, :] - 2.0 * gram
+    gram *= 2.0
+    squared = np.add.outer(squared_norms, squared_norms)
+    squared -= gram
+    del gram
     np.maximum(squared, 0.0, out=squared)
     np.fill_diagonal(squared, 0.0)
-    return np.sqrt(squared)
+    return np.sqrt(squared, out=squared)
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -47,52 +51,15 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(squared)
 
 
-def condensed_index(i: int, j: int, n: int) -> int:
-    """Return the condensed (upper-triangular) index of the pair ``(i, j)``.
+def condensed_from_square(matrix: np.ndarray) -> np.ndarray:
+    """Return the condensed (upper-triangular, row-major) form of ``matrix``.
 
     Matches the layout used by :func:`scipy.spatial.distance.squareform`.
     """
-    if i == j:
-        raise ValueError("condensed form has no diagonal entries")
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"indices ({i}, {j}) out of range for n={n}")
-    if i > j:
-        i, j = j, i
-    return int(n * i - (i * (i + 1)) // 2 + (j - i - 1))
-
-
-def condensed_indices(i: int, ks: np.ndarray, n: int) -> np.ndarray:
-    """Return the condensed indices of the pairs ``(i, k)`` for every ``k`` in ``ks``.
-
-    Vectorised counterpart of :func:`condensed_index`; ``ks`` must not
-    contain ``i`` itself (the condensed form has no diagonal).
-    """
-    ks = np.asarray(ks, dtype=np.int64)
-    lo = np.minimum(i, ks)
-    hi = np.maximum(i, ks)
-    return lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
-
-
-def condensed_from_square(matrix: np.ndarray) -> np.ndarray:
-    """Return the condensed (upper-triangular, row-major) form of ``matrix``."""
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"matrix must be square, got shape {arr.shape}")
-    return arr[np.triu_indices(arr.shape[0], k=1)]
-
-
-def square_from_condensed(condensed: np.ndarray, num_observations: int) -> np.ndarray:
-    """Return the symmetric ``(n, n)`` matrix encoded by ``condensed``."""
-    arr = np.asarray(condensed, dtype=float).ravel()
-    n = num_observations
-    expected = n * (n - 1) // 2
-    if arr.size != expected:
-        raise ValueError(
-            f"condensed form of {n} observations must have {expected} entries, "
-            f"got {arr.size}"
-        )
-    square = np.zeros((n, n))
-    rows, cols = np.triu_indices(n, k=1)
-    square[rows, cols] = arr
-    square[cols, rows] = arr
-    return square
+    n = arr.shape[0]
+    if n < 2:
+        return np.empty(0)
+    return np.concatenate([arr[i, i + 1 :] for i in range(n - 1)])

@@ -18,6 +18,7 @@ observations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -52,6 +53,18 @@ class Dendrogram:
             raise ValueError(
                 f"merges must have shape ({expected_rows}, 4), got {merges.shape}"
             )
+        # Row m may only join clusters that exist before it (ids below
+        # n + m), each at most once: the cuts follow parent pointers from
+        # every observation to its root and rely on them forming a forest.
+        children = merges[:, :2]
+        limit = self.num_observations + np.arange(expected_rows)[:, None]
+        if expected_rows and not (
+            np.all((children >= 0) & (children < limit) & (children == np.floor(children)))
+            and np.bincount(children.astype(np.int64).ravel()).max() == 1
+        ):
+            raise ValueError(
+                "merges must join existing clusters (ids below n + row), each once"
+            )
         object.__setattr__(self, "merges", merges)
 
     @property
@@ -71,8 +84,7 @@ class Dendrogram:
             raise ValueError(
                 f"num_clusters must be within [1, {n}], got {num_clusters}"
             )
-        num_merges = n - num_clusters
-        return self._labels_after_merges(num_merges)
+        return self._cut(n - num_clusters)[0]
 
     def labels_at_distance(self, threshold: float) -> np.ndarray:
         """Return cluster labels after performing all merges below ``threshold``.
@@ -87,34 +99,67 @@ class Dendrogram:
         # data), fall back to counting merges strictly below the threshold.
         if not np.all(np.diff(distances) >= -1e-12):
             num_merges = int(np.sum(distances < threshold))
-        return self._labels_after_merges(num_merges)
+        return self._cut(num_merges)[0]
 
-    def _labels_after_merges(self, num_merges: int) -> np.ndarray:
+    def cuts(
+        self, max_clusters: int, min_clusters: int = 1
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield ``(labels, nodes)`` for every cut from ``max_clusters`` down
+        to ``min_clusters`` clusters.
+
+        ``labels`` equals :meth:`labels_at_num_clusters` at that cut and
+        ``nodes[label]`` is the dendrogram node id of cluster ``label``
+        (an observation index, or ``n + m`` for the cluster merge ``m``
+        created).  Only the first cut is computed from the merge table;
+        each later one joins the two clusters of the next merge, so a sweep
+        costs one O(n) relabelling per cut.
+        """
         n = self.num_observations
-        parent = np.arange(n + max(num_merges, 0))
+        if not 1 <= min_clusters <= max_clusters <= n:
+            raise ValueError(
+                f"need 1 <= min_clusters <= max_clusters <= {n}, "
+                f"got {min_clusters} and {max_clusters}"
+            )
+        num_merges = n - max_clusters
+        labels, nodes = self._cut(num_merges)
+        while True:
+            yield labels, nodes
+            if nodes.size == min_clusters:
+                return
+            # The merged cluster's lowest observation is that of the lower
+            # of its two labels, so it keeps that label; the higher label
+            # disappears and every label above it moves down by one.
+            a, b = self.merges[num_merges, :2]
+            low, high = np.sort(np.flatnonzero((nodes == a) | (nodes == b)))
+            labels = labels.copy()
+            labels[labels == high] = low
+            labels[labels > high] -= 1
+            nodes = np.delete(nodes, high)
+            nodes[low] = n + num_merges
+            num_merges += 1
 
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for merge_index in range(num_merges):
-            a, b = int(self.merges[merge_index, 0]), int(self.merges[merge_index, 1])
-            new_id = n + merge_index
-            parent[find(a)] = new_id
-            parent[find(b)] = new_id
-
-        roots = np.array([find(i) for i in range(n)])
-        unique_roots: dict[int, int] = {}
-        labels = np.zeros(n, dtype=int)
-        for i, root in enumerate(roots):
-            if root not in unique_roots:
-                unique_roots[root] = len(unique_roots)
-            labels[i] = unique_roots[root]
-        return labels
+    def _cut(self, num_merges: int) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(labels, nodes)`` after the first ``num_merges`` merges."""
+        n = self.num_observations
+        created = n + np.arange(num_merges)
+        parent = np.arange(n + num_merges)
+        children = self.merges[:num_merges, :2].astype(np.int64)
+        parent[children[:, 0]] = created
+        parent[children[:, 1]] = created
+        # Pointer doubling: after ⌈log2(depth)⌉ rounds every node points at
+        # the root of its tree.
+        while True:
+            grandparent = parent[parent]
+            if np.array_equal(grandparent, parent):
+                break
+            parent = grandparent
+        roots, first, inverse = np.unique(
+            parent[:n], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.empty(order.size, dtype=int)
+        rank[order] = np.arange(order.size)
+        return rank[inverse], roots[order]
 
 
 @dataclass
@@ -221,11 +266,18 @@ class AgglomerativeClustering:
             Array of shape ``(n, d)`` — ignored when
             ``precomputed_distances`` is given (pass an ``(n, n)`` distance
             matrix instead, e.g. to cluster with a non-Euclidean metric).
+
+        Raises
+        ------
+        ValueError
+            If the input is malformed or holds a NaN or infinite value (the
+            message names the first such row).
         """
         if precomputed_distances is not None:
             distances = np.asarray(precomputed_distances, dtype=float)
             if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
                 raise ValueError("precomputed_distances must be a square matrix")
+            _require_finite_rows(distances, "precomputed_distances")
             n = distances.shape[0]
             if n == 1:
                 self.last_fit_stats = {"backend": self.backend.name, "merges": 0}
@@ -244,6 +296,7 @@ class AgglomerativeClustering:
             raise ValueError(f"vectors must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("need at least one observation")
+        _require_finite_rows(arr, "vectors")
         n = arr.shape[0]
         if n == 1:
             self.last_fit_stats = {"backend": self.backend.name, "merges": 0}
@@ -304,6 +357,18 @@ class AgglomerativeClustering:
             linkage=self.linkage,
             threshold=threshold,
         )
+
+
+def _require_finite_rows(values: np.ndarray, what: str) -> None:
+    """Raise a one-line ``ValueError`` naming the first row holding NaN/inf.
+
+    The backends need finite distances: ``nn_chain`` marks retired clusters
+    with +inf, and a NaN would make every nearest-neighbour scan ambiguous.
+    """
+    finite_rows = np.isfinite(values).all(axis=1)
+    if not finite_rows.all():
+        row = int(np.argmin(finite_rows))
+        raise ValueError(f"{what} row {row} holds a NaN or infinite value")
 
 
 def cut_by_num_clusters(dendrogram: Dendrogram, num_clusters: int) -> np.ndarray:

@@ -4,8 +4,9 @@ The paper's tuner evaluates the Davies–Bouldin index over candidate cuts of
 the dendrogram and stops the clustering at the cut minimising it (Fig. 6(a)
 shows the DBI curve; the optimum is five clusters, reached with a distance
 threshold of 16.33 on their data).  The tuner here sweeps a range of cluster
-counts on a single fitted dendrogram — re-cutting is cheap — and reports both
-the optimal number of clusters and the corresponding distance threshold.
+counts on a single fitted dendrogram — one cut at the largest count, then one
+join per smaller count — and reports both the optimal number of clusters and
+the corresponding distance threshold.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 from repro.cluster.hierarchical import Dendrogram
 from repro.cluster.validity import (
     calinski_harabasz_index,
+    cluster_stats,
+    davies_bouldin_from_stats,
     davies_bouldin_index,
     silhouette_score,
 )
@@ -99,6 +102,10 @@ class MetricTuner:
         self.index_name = index
         self.min_clusters = min_clusters
         self.max_clusters = max_clusters
+        #: Counters of the most recent sweep: ``clusters_scored``, the number
+        #: of clusters whose statistics it computed (observability only —
+        #: surfaced as a trace-span counter, never persisted).
+        self.last_stats: dict = {}
 
     def _threshold_for(self, dendrogram: Dendrogram, num_clusters: int) -> float:
         """Return a distance threshold that yields ``num_clusters`` clusters.
@@ -122,6 +129,26 @@ class MetricTuner:
 
     def evaluate(self, vectors: np.ndarray, dendrogram: Dendrogram) -> TuningCurve:
         """Evaluate the validity index over the configured range of cuts."""
+        return self._sweep(vectors, dendrogram)[0]
+
+    def select(
+        self, vectors: np.ndarray, dendrogram: Dendrogram
+    ) -> tuple[np.ndarray, TuningCurve]:
+        """Return ``(labels_at_best_cut, curve)`` for the given dendrogram."""
+        curve, cuts = self._sweep(vectors, dendrogram)
+        return cuts[curve.best()[0]], curve
+
+    def _sweep(
+        self, vectors: np.ndarray, dendrogram: Dendrogram
+    ) -> tuple[TuningCurve, dict[int, np.ndarray]]:
+        """Score every cut from ``max_clusters`` down to ``min_clusters``.
+
+        Returns the curve and the labels of each cut.  The cuts come from
+        one :meth:`Dendrogram.cuts` sweep, and the Davies–Bouldin index
+        computes each dendrogram node's ``(centroid, S)`` once for the whole
+        sweep — a cut at ``k`` shares all but one cluster with the cut at
+        ``k + 1`` — with the same arithmetic as :func:`davies_bouldin_index`.
+        """
         arr = np.asarray(vectors, dtype=float)
         function, lower_is_better = _INDEX_REGISTRY[self.index_name]
         max_k = min(self.max_clusters, dendrogram.num_observations - 1)
@@ -131,29 +158,32 @@ class MetricTuner:
             )
         ks = np.arange(self.min_clusters, max_k + 1)
         scores = np.zeros(ks.size)
-        thresholds = np.zeros(ks.size)
-        for position, k in enumerate(ks):
-            labels = dendrogram.labels_at_num_clusters(int(k))
-            # Cutting at k can yield fewer distinct labels in degenerate
-            # cases; guard against an undefined index.
-            if np.unique(labels).size < 2:
-                scores[position] = np.inf if lower_is_better else -np.inf
+        cuts: dict[int, np.ndarray] = {}
+        node_stats: dict[int, tuple[np.ndarray, float]] = {}
+        clusters_scored = 0
+        for labels, nodes in dendrogram.cuts(max_k, self.min_clusters):
+            k = nodes.size
+            if self.index_name == "davies_bouldin":
+                node_ids = nodes.tolist()
+                for label, node in enumerate(node_ids):
+                    if node not in node_stats:
+                        node_stats[node] = cluster_stats(arr[labels == label])
+                centroids = np.array([node_stats[node][0] for node in node_ids])
+                scatter = np.array([node_stats[node][1] for node in node_ids])
+                scores[k - self.min_clusters] = davies_bouldin_from_stats(
+                    centroids, scatter
+                )
             else:
-                scores[position] = function(arr, labels)
-            thresholds[position] = self._threshold_for(dendrogram, int(k))
-        return TuningCurve(
+                scores[k - self.min_clusters] = function(arr, labels)
+                clusters_scored += k
+            cuts[k] = labels
+        self.last_stats = {"clusters_scored": clusters_scored + len(node_stats)}
+        thresholds = np.array([self._threshold_for(dendrogram, int(k)) for k in ks])
+        curve = TuningCurve(
             num_clusters=ks,
             scores=scores,
             thresholds=thresholds,
             index_name=self.index_name,
             lower_is_better=lower_is_better,
         )
-
-    def select(
-        self, vectors: np.ndarray, dendrogram: Dendrogram
-    ) -> tuple[np.ndarray, TuningCurve]:
-        """Return ``(labels_at_best_cut, curve)`` for the given dendrogram."""
-        curve = self.evaluate(vectors, dendrogram)
-        best_k, _, _ = curve.best()
-        labels = dendrogram.labels_at_num_clusters(best_k)
-        return labels, curve
+        return curve, cuts

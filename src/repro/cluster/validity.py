@@ -25,6 +25,28 @@ def _check_inputs(vectors: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, 
     return arr, lab
 
 
+def cluster_stats(members: np.ndarray) -> tuple[np.ndarray, float]:
+    """Return ``(centroid, S)`` of one cluster's member rows.
+
+    ``S`` is the mean distance from the members to the centroid.  This is
+    the one per-cluster computation behind :func:`within_cluster_distances`,
+    :func:`davies_bouldin_index` and the metric tuner's sweep, so they agree
+    bit for bit (its centroid is :func:`cluster_centroids`' arithmetic).
+    """
+    centroid = members.mean(axis=0)
+    return centroid, float(np.mean(np.linalg.norm(members - centroid, axis=1)))
+
+
+def _all_cluster_stats(
+    vectors: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(centroids, S)`` of every cluster, in ascending label order."""
+    arr, lab = _check_inputs(vectors, labels)
+    stats = [cluster_stats(arr[lab == label]) for label in np.unique(lab)]
+    centroids = np.array([centroid for centroid, _ in stats]).reshape(len(stats), arr.shape[1])
+    return centroids, np.array([scatter for _, scatter in stats], dtype=float)
+
+
 def cluster_centroids(vectors: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Return the centroid of every cluster, indexed by label ``0 … k-1``."""
     arr, lab = _check_inputs(vectors, labels)
@@ -37,16 +59,7 @@ def cluster_centroids(vectors: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def within_cluster_distances(vectors: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Return ``S_i``: the mean distance from points to their cluster centroid."""
-    arr, lab = _check_inputs(vectors, labels)
-    unique = np.unique(lab)
-    centroids = cluster_centroids(arr, lab)
-    scatter = np.zeros(unique.size)
-    for index, label in enumerate(unique):
-        members = arr[lab == label]
-        scatter[index] = float(
-            np.mean(np.linalg.norm(members - centroids[index], axis=1))
-        )
-    return scatter
+    return _all_cluster_stats(vectors, labels)[1]
 
 
 def davies_bouldin_index(vectors: np.ndarray, labels: np.ndarray) -> float:
@@ -64,26 +77,29 @@ def davies_bouldin_index(vectors: np.ndarray, labels: np.ndarray) -> float:
     ValueError
         If fewer than two clusters are present (the index is undefined).
     """
-    arr, lab = _check_inputs(vectors, labels)
-    unique = np.unique(lab)
-    if unique.size < 2:
+    centroids, scatter = _all_cluster_stats(vectors, labels)
+    if scatter.size < 2:
         raise ValueError("Davies-Bouldin index requires at least two clusters")
-    centroids = cluster_centroids(arr, lab)
-    scatter = within_cluster_distances(arr, lab)
-    separations = pairwise_distances(centroids, centroids)
+    return davies_bouldin_from_stats(centroids, scatter)
 
-    ratios = np.zeros((unique.size, unique.size))
-    for i in range(unique.size):
-        for j in range(unique.size):
-            if i == j:
-                continue
-            separation = separations[i, j]
-            if separation <= 0:
-                ratios[i, j] = np.inf
-            else:
-                ratios[i, j] = (scatter[i] + scatter[j]) / separation
-    worst = ratios.max(axis=1)
-    return float(np.mean(worst))
+
+def davies_bouldin_from_stats(centroids: np.ndarray, scatter: np.ndarray) -> float:
+    """Return the Davies–Bouldin index of clusters given by ``(centroid, S)``.
+
+    Row ``i`` of ``centroids`` and entry ``i`` of ``scatter`` describe
+    cluster ``i`` (see :func:`cluster_stats`); two coinciding centroids give
+    an infinite ratio.
+    """
+    separations = pairwise_distances(centroids, centroids)
+    ratios = np.full(separations.shape, np.inf)
+    np.divide(
+        scatter[:, None] + scatter[None, :],
+        separations,
+        out=ratios,
+        where=separations > 0,
+    )
+    np.fill_diagonal(ratios, 0.0)
+    return float(np.mean(ratios.max(axis=1)))
 
 
 def silhouette_score(

@@ -65,6 +65,7 @@ class LabelStage:
                 span.count("towers", poi_profile.num_towers)
                 span.count("pois", len(city.pois))
                 span.count("pois_in_range", int(poi_profile.counts.sum()))
+                span.count("pairs_measured", poi_profile.pairs_measured)
         else:
             poi_profile = context.require("poi_profile_prior")
         labeling = label_clusters(poi_profile, clustering.labels)

@@ -58,6 +58,7 @@ class TuneStage:
         span = context.tracer.current
         if tuning_curve is not None:
             span.count("candidates", len(tuning_curve.num_clusters))
+            span.count("clusters_scored", tuner.last_stats["clusters_scored"])
         span.set("num_clusters", int(len(set(int(label) for label in labels))))
         context.set("clustering", clustering, producer=self.name)
         context.set("tuning_curve", tuning_curve, producer=self.name)

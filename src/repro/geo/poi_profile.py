@@ -9,7 +9,7 @@ the distribution to label and validate the traffic-pattern clusters
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,10 @@ class POIProfile:
     tower_ids: np.ndarray
     counts: np.ndarray
     radius_km: float
+    #: Tower–POI distances :func:`compute_poi_profiles` computed for this
+    #: profile (observability only — a trace-span counter, never persisted
+    #: or compared; 0 for a profile built any other way).
+    pairs_measured: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.tower_ids = np.asarray(self.tower_ids, dtype=int)
@@ -84,15 +88,25 @@ def compute_poi_profiles(
 
     The default radius of 0.2 km matches the paper's 200 m.
 
-    Only the POIs whose latitude lies within ``radius_km`` of a tower's (a
-    band found by binary search over the sorted POI latitudes) are measured:
-    a great circle is never shorter than the meridian arc between its end
-    latitudes, so no POI outside the band is within the radius.  That bound
-    needs latitudes in [-90, 90].  The band is widened by a relative 1e-6,
-    for the rounding of the computed distance, and by 1e-12 degrees, for the
-    rounding of the latitudes themselves (it decides at micrometre radii),
-    so the counts are identical to measuring every POI.  NaN coordinates
-    count nothing.
+    Only the POIs that pass two exact bounds are measured, so the counts are
+    identical to measuring every POI:
+
+    * **latitude** — a great circle is never shorter than the meridian arc
+      between its end latitudes, so only the POIs in a band of ``radius_km``
+      around the tower's latitude can count (two binary searches over the
+      sorted POI latitudes; needs latitudes in [-90, 90]);
+    * **longitude** — hav θ ≥ cos φ₁·cos φ₂·hav Δλ, and every POI in the
+      band has cos φ₂ ≥ cos(min(|φ₁| + band, 90°)), so a POI with
+      hav Δλ > hav(r/R) / (cos φ₁·cos φ₂,min) lies beyond the radius (Δλ
+      folded across the antimeridian; no bound where the ratio reaches 1
+      or the denominator is 0).
+
+    Both are widened by a relative 1e-6, for the rounding of the computed
+    distance, and by 1e-12 degrees, for the rounding of the coordinates
+    (it decides at micrometre radii); the longitude bound also by 1e-15 of
+    the longitudes' magnitude.  NaN coordinates count nothing.  The
+    surviving pairs are measured in blocks of ``_PAIRS_PER_BLOCK``, one
+    haversine call each, and counted in :attr:`POIProfile.pairs_measured`.
     """
     ids = np.asarray(tower_ids, dtype=int)
     lats = np.asarray(tower_lats, dtype=float)
@@ -112,16 +126,72 @@ def compute_poi_profiles(
     poi_lats, poi_lons, poi_categories = poi_lats[order], poi_lons[order], poi_categories[order]
     half_band = np.degrees(radius_km / EARTH_RADIUS_KM) * (1.0 + 1e-6) + 1e-12
     starts = np.searchsorted(poi_lats, lats - half_band, side="left")
-    stops = np.searchsorted(poi_lats, lats + half_band, side="right")
+    band_sizes = np.searchsorted(poi_lats, lats + half_band, side="right") - starts
+    half_widths = _longitude_half_widths(lats, lons, poi_lons, half_band, radius_km)
 
     num_categories = len(POICategory.ordered())
-    counts = np.zeros((ids.size, num_categories))
-    for row in np.nonzero(stops > starts)[0]:
-        band = slice(starts[row], stops[row])
-        distances = haversine_km(lats[row], lons[row], poi_lats[band], poi_lons[band])
-        nearby = distances <= radius_km
-        counts[row] = np.bincount(poi_categories[band][nearby], minlength=num_categories)
-    return POIProfile(tower_ids=ids, counts=counts, radius_km=radius_km)
+    counts = np.zeros(ids.size * num_categories, dtype=np.int64)
+    pairs_measured = 0
+    ends = np.cumsum(band_sizes)
+    total = int(ends[-1]) if ends.size else 0
+    firsts = np.searchsorted(ends, np.arange(0, total, _PAIRS_PER_BLOCK), side="right")
+    for first, stop in zip(firsts, [*firsts[1:], ids.size]):
+        sizes = band_sizes[first:stop]
+        tower = np.repeat(np.arange(first, stop), sizes)
+        # POI index of each pair: the tower's band start plus the pair's
+        # position within the band.
+        offsets = np.cumsum(sizes) - sizes - starts[first:stop]
+        poi = np.arange(tower.size) - np.repeat(offsets, sizes)
+        # Folded across the antimeridian; a difference over 360° (longitudes
+        # outside ±180°) folds negative and is always measured.
+        delta = np.abs(poi_lons[poi] - lons[tower])
+        near = np.minimum(delta, 360.0 - delta) <= half_widths[tower]
+        tower, poi = tower[near], poi[near]
+        pairs_measured += tower.size
+        distances = haversine_km(lats[tower], lons[tower], poi_lats[poi], poi_lons[poi])
+        hit = distances <= radius_km
+        counts += np.bincount(
+            tower[hit] * num_categories + poi_categories[poi[hit]],
+            minlength=counts.size,
+        )
+    profile = POIProfile(
+        tower_ids=ids,
+        counts=counts.reshape(ids.size, num_categories),
+        radius_km=radius_km,
+    )
+    profile.pairs_measured = pairs_measured
+    return profile
+
+
+#: Tower–POI pairs measured per haversine call (~10 MB of pair arrays).
+_PAIRS_PER_BLOCK = 1 << 18
+
+
+def _longitude_half_widths(
+    lats: np.ndarray,
+    lons: np.ndarray,
+    poi_lons: np.ndarray,
+    half_band: float,
+    radius_km: float,
+) -> np.ndarray:
+    """Return, per tower, the longitude difference in degrees beyond which no
+    POI of its latitude band is within ``radius_km`` (+inf: no bound).
+
+    ``cos φ₁`` is computed exactly as :func:`haversine_km` computes it, so
+    the bound holds for the computed distances, not only the exact ones.
+    """
+    cos_tower = np.cos(np.radians(lats))
+    cos_edge = np.cos(np.radians(np.minimum(np.abs(lats) + half_band, 90.0)))
+    denominator = cos_tower * cos_edge
+    hav_radius = math.sin(min(radius_km / EARTH_RADIUS_KM, math.pi) / 2.0) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = hav_radius / denominator
+    bounded = (denominator > 0) & (ratio < 1.0)
+    widths = np.degrees(2.0 * np.arcsin(np.sqrt(np.where(bounded, ratio, 0.0))))
+    finite = np.isfinite(poi_lons)
+    largest = float(np.max(np.abs(poi_lons[finite]), initial=0.0))
+    margins = 1e-12 + 1e-15 * (np.abs(lons) + largest)
+    return np.where(bounded, widths * (1.0 + 1e-6) + margins, np.inf)
 
 
 def _check_radius(radius_km: float) -> None:

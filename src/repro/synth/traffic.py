@@ -81,8 +81,18 @@ class TowerTrafficMatrix:
                 f"traffic has {self.traffic.shape[1]} slots but the window "
                 f"defines {self.window.num_slots}"
             )
-        if np.any(self.traffic < 0):
-            raise ValueError("traffic volumes must be non-negative")
+        if self.traffic.size:
+            # Two reductions and no (towers × slots) temporary: NaN
+            # propagates into the minimum, ±inf shows at either end.
+            low, high = self.traffic.min(), self.traffic.max()
+            if not (np.isfinite(low) and np.isfinite(high)):
+                row, slot = np.argwhere(~np.isfinite(self.traffic))[0]
+                raise ValueError(
+                    f"traffic of tower {self.tower_ids[row]} at slot {slot} is "
+                    f"{self.traffic[row, slot]}; volumes must be finite"
+                )
+            if low < 0:
+                raise ValueError("traffic volumes must be non-negative")
 
     @property
     def num_towers(self) -> int:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracles.condensed import square_from_condensed
 from repro.cluster.backends.base import ClusteringBackend
-from repro.cluster.distance import square_from_condensed
 from repro.cluster.linkage import Linkage, lance_williams_update
 
 

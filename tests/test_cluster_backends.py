@@ -13,6 +13,7 @@ equality.
 import numpy as np
 import pytest
 
+from oracles.condensed import square_from_condensed
 from oracles.generic_backend import GenericBackend
 from repro.cluster.backends import (
     AUTO_BACKEND,
@@ -22,13 +23,7 @@ from repro.cluster.backends import (
     get_backend,
     resolve_backend,
 )
-from repro.cluster.distance import (
-    condensed_from_square,
-    condensed_index,
-    condensed_indices,
-    euclidean_distance_matrix,
-    square_from_condensed,
-)
+from repro.cluster.distance import condensed_from_square, euclidean_distance_matrix
 from repro.cluster.hierarchical import AgglomerativeClustering, Dendrogram
 from repro.cluster.linkage import Linkage
 
@@ -95,13 +90,6 @@ class TestCondensedHelpers:
         condensed = condensed_from_square(square)
         assert condensed.shape == (9 * 8 // 2,)
         assert np.allclose(square_from_condensed(condensed, 9), square)
-
-    def test_condensed_indices_matches_scalar(self):
-        n = 11
-        for i in range(n):
-            ks = np.array([k for k in range(n) if k != i])
-            expected = [condensed_index(i, int(k), n) for k in ks]
-            assert condensed_indices(i, ks, n).tolist() == expected
 
     def test_square_from_condensed_validates_size(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from repro.cluster.distance import condensed_index, euclidean_distance_matrix, pairwise_distances
+from oracles.condensed import condensed_index
+from repro.cluster.distance import (
+    condensed_from_square,
+    euclidean_distance_matrix,
+    pairwise_distances,
+)
 from repro.cluster.linkage import Linkage, lance_williams_coefficients
 
 
@@ -40,6 +45,7 @@ class TestDistanceMatrix:
         full = (full + full.T) / 2
         np.fill_diagonal(full, 0.0)
         condensed = squareform(full, checks=False)
+        assert np.array_equal(condensed_from_square(full), condensed)
         for i in range(n):
             for j in range(n):
                 if i == j:

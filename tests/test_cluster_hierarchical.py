@@ -124,6 +124,23 @@ class TestDendrogram:
         with pytest.raises(ValueError):
             Dendrogram(merges=np.zeros((3, 4)), num_observations=3)
 
+    @pytest.mark.parametrize(
+        "children",
+        [
+            [[0, 1], [2, 5], [3, 4]],  # row 1 joins the cluster row 2 creates
+            [[0, 1], [0, 2], [3, 5]],  # observation 0 joined twice
+            [[0, 1], [2, 3], [4, -1]],  # negative id
+            [[0, 1], [2, 3], [4, 5.5]],  # fractional id
+            [[0, 1], [2, 3], [4, np.nan]],
+        ],
+    )
+    def test_merges_must_join_existing_clusters_once(self, children):
+        # The cuts follow parent pointers from each observation to its
+        # root, so the merge table must describe a forest.
+        merges = np.column_stack([np.array(children, dtype=float), [1.0, 2.0, 3.0], [2, 2, 4]])
+        with pytest.raises(ValueError, match="each once"):
+            Dendrogram(merges=merges, num_observations=4)
+
 
 class TestClusteringResult:
     def test_sizes_and_percentages(self, rng):
@@ -158,4 +175,31 @@ class TestClusteringResult:
         with pytest.raises(ValueError):
             AgglomerativeClustering().fit(
                 np.empty((0, 0)), precomputed_distances=np.ones((3, 4))
+            )
+
+
+class TestNonFiniteInput:
+    """NaN/inf input is refused before any backend runs: ``nn_chain`` marks
+    retired clusters with +inf, so finite distances are its precondition."""
+
+    @pytest.mark.parametrize("backend", ["nn_chain", "nn_chain_lowmem"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_vectors(self, rng, backend, value):
+        vectors = rng.normal(size=(8, 6))
+        vectors[5, 2] = value
+        vectors[7, 0] = value
+        with pytest.raises(ValueError, match="^vectors row 5 holds a NaN or infinite value$"):
+            AgglomerativeClustering(backend=backend).fit(vectors)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_precomputed_distances(self, rng, value):
+        from repro.cluster.distance import euclidean_distance_matrix
+
+        distances = euclidean_distance_matrix(rng.normal(size=(7, 3)))
+        distances[3, 4] = distances[4, 3] = value
+        with pytest.raises(
+            ValueError, match="^precomputed_distances row 3 holds a NaN or infinite value$"
+        ):
+            AgglomerativeClustering().fit(
+                np.empty((0, 0)), precomputed_distances=distances
             )

@@ -1,9 +1,14 @@
 """Tests for repro.cluster.validity and repro.cluster.tuner."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.hierarchical import AgglomerativeClustering
+from repro.cluster.linkage import Linkage
 from repro.cluster.tuner import MetricTuner, TuningCurve
 from repro.cluster.validity import (
     calinski_harabasz_index,
@@ -166,3 +171,117 @@ class TestMetricTuner:
         dendrogram = AgglomerativeClustering().fit(data)
         with pytest.raises(ValueError):
             MetricTuner(min_clusters=5, max_clusters=8).evaluate(data, dendrogram)
+
+
+@st.composite
+def vectors_with_duplicates(draw):
+    """Random vectors in which many rows repeat (exact distance ties)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 40))
+    distinct = rng.normal(size=(draw(st.integers(1, n)), draw(st.integers(1, 6))))
+    return distinct[rng.integers(0, distinct.shape[0], size=n)]
+
+
+def leaves(dendrogram, node):
+    """Observations under dendrogram ``node``, read off the merge table."""
+    n = dendrogram.num_observations
+    if node < n:
+        return {node}
+    a, b = dendrogram.merges[node - n, :2]
+    return leaves(dendrogram, int(a)) | leaves(dendrogram, int(b))
+
+
+class TestSweepEquivalence:
+    """The tuner's one sweep equals cutting and scoring every k on its own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        vectors=vectors_with_duplicates(),
+        linkage=st.sampled_from(list(Linkage)),
+        index=st.sampled_from(["davies_bouldin", "silhouette", "calinski_harabasz"]),
+    )
+    def test_labels_and_scores_bit_for_bit(self, vectors, linkage, index):
+        dendrogram = AgglomerativeClustering(linkage=linkage).fit(vectors)
+        n = vectors.shape[0]
+        expected_ks = list(range(min(12, n - 1), 1, -1))
+        cuts = list(dendrogram.cuts(expected_ks[0], 2))
+        assert [nodes.size for _, nodes in cuts] == expected_ks
+        for (labels, nodes), k in zip(cuts, expected_ks):
+            assert np.array_equal(labels, dendrogram.labels_at_num_clusters(k))
+            assert labels.dtype == dendrogram.labels_at_num_clusters(k).dtype
+            for label, node in enumerate(nodes):
+                assert set(np.flatnonzero(labels == label)) == leaves(dendrogram, node)
+
+        function = {
+            "davies_bouldin": davies_bouldin_index,
+            "silhouette": silhouette_score,
+            "calinski_harabasz": calinski_harabasz_index,
+        }[index]
+        tuner = MetricTuner(index=index, max_clusters=12)
+        best_labels, curve = tuner.select(vectors, dendrogram)
+        for k, score in zip(curve.num_clusters, curve.scores):
+            expected = function(vectors, dendrogram.labels_at_num_clusters(int(k)))
+            assert np.float64(score).tobytes() == np.float64(expected).tobytes()
+        assert np.array_equal(
+            best_labels, dendrogram.labels_at_num_clusters(curve.best()[0])
+        )
+        if index == "davies_bouldin":
+            # One (centroid, S) per cluster of the first cut, then one per join.
+            assert tuner.last_stats == {"clusters_scored": 2 * expected_ks[0] - 2}
+
+    def test_cuts_validates_its_range(self, blobs):
+        data, _ = blobs
+        dendrogram = AgglomerativeClustering().fit(data)
+        for max_k, min_k in ((3, 4), (81, 2), (5, 0)):
+            with pytest.raises(ValueError):
+                next(dendrogram.cuts(max_k, min_k))
+
+
+@st.composite
+def analytic_clusters(draw):
+    """Clusters of ± pairs at distance r_i around known, far-apart centroids.
+
+    Every member of cluster i lies at r_i from c_i and the pairs cancel, so
+    S_i = r_i and M_ij = |c_i − c_j| exactly.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 6))
+    dims = draw(st.integers(2, 5))
+    lattice = np.array(list(itertools.product(range(-3, 4), repeat=dims)), dtype=float)
+    centres = 20.0 * lattice[rng.choice(len(lattice), size=k, replace=False)]
+    radii = rng.uniform(0.5, 2.0, size=k)
+    points, labels = [], []
+    for index, (centre, radius) in enumerate(zip(centres, radii)):
+        directions = rng.normal(size=(draw(st.integers(1, 5)), dims))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        for sign in (1.0, -1.0):
+            points.append(centre + sign * radius * directions)
+            labels += [index] * directions.shape[0]
+    return np.vstack(points), np.array(labels), centres, radii
+
+
+def closed_form_dbi(centres, radii):
+    """DBI = (1/k) Σ_i max_{j≠i} (r_i + r_j) / |c_i − c_j|."""
+    k = len(radii)
+    worst = [
+        max((radii[i] + radii[j]) / np.linalg.norm(centres[i] - centres[j])
+            for j in range(k) if j != i)
+        for i in range(k)
+    ]
+    return float(np.mean(worst))
+
+
+class TestAnalyticDaviesBouldin:
+    @settings(max_examples=100, deadline=None)
+    @given(case=analytic_clusters())
+    def test_index_and_sweep_match_the_closed_form(self, case):
+        points, labels, centres, radii = case
+        expected = closed_form_dbi(centres, radii)
+        assert davies_bouldin_index(points, labels) == pytest.approx(expected, rel=1e-12)
+        # Clusters at least 20 apart with diameters of at most 4: the cut at
+        # k is the designed partition, and the sweep scores it the same.
+        k = len(radii)
+        dendrogram = AgglomerativeClustering().fit(points)
+        curve = MetricTuner(max_clusters=k).evaluate(points, dendrogram)
+        assert curve.num_clusters[-1] == k
+        assert curve.scores[-1] == pytest.approx(expected, rel=1e-12)

@@ -470,6 +470,12 @@ class TestPipelineIntegration:
         assert cluster.counters["merges"] == 14
         assert cluster.attributes["towers"] == 15
 
+    def test_tune_counts_each_cluster_it_scored_once(self, traced_fit):
+        # The default k = 10 … 2: ten clusters at the first cut, then one
+        # new cluster per join.
+        tracer, _ = traced_fit
+        assert tracer.find("tune").counters == {"candidates": 9, "clusters_scored": 18}
+
     def test_label_times_poi_profiling_in_its_own_span(self, scenario, traced_fit):
         tracer, result = traced_fit
         label = tracer.find("label")
@@ -478,6 +484,7 @@ class TestPipelineIntegration:
             "towers": 15,
             "pois": len(scenario.city.pois),
             "pois_in_range": int(result.poi_profile.counts.sum()),
+            "pairs_measured": result.poi_profile.pairs_measured,
         }
         assert result.poi_profile.counts.sum() > 0
 
@@ -494,6 +501,46 @@ class TestPipelineIntegration:
         assert label.attributes["source"] == "prior"
         assert label.children == []
         assert updated.labeling.as_dict() == model.result.labeling.as_dict()
+
+    def test_streamed_fit_is_equal_traced_and_untraced(self):
+        # A serial streamed fit computes the same model with tracing on,
+        # and its trace covers the ingest and all six stages.
+        from repro.core.model import TrafficPatternModel
+        from repro.ingest.batch import RecordBatch
+        from repro.utils.timeutils import SLOT_SECONDS, TimeWindow
+        from repro.vectorize.parallel import clean_chunk
+
+        window = TimeWindow(num_days=7)
+        rng = np.random.default_rng(2015)
+        size, towers = 20_000, 24
+        starts = rng.uniform(0, window.num_seconds, size=size)
+        trace = RecordBatch(
+            user_id=rng.integers(0, 2_000, size=size),
+            tower_id=rng.integers(0, towers, size=size),
+            start_s=starts,
+            end_s=np.minimum(
+                starts + rng.exponential(0.6 * SLOT_SECONDS, size=size),
+                float(window.num_seconds),
+            ),
+            bytes_used=rng.lognormal(9.0, 1.0, size=size),
+            network=np.where(rng.random(size) < 0.7, 1, 0).astype(np.uint8),
+        )
+
+        def fit(tracer=None):
+            return TrafficPatternModel().fit_batches(
+                (clean_chunk(chunk) for chunk in trace.iter_chunks(5_000)),
+                window,
+                list(range(towers)),
+                tracer=tracer,
+            )
+
+        tracer = Tracer()
+        plain, traced = fit(), fit(tracer)
+        np.testing.assert_array_equal(plain.labels, traced.labels)
+        np.testing.assert_array_equal(plain.vectorized.vectors, traced.vectorized.vectors)
+        (root,) = tracer.roots
+        assert {"fit", "ingest", "vectorize", "cluster", "tune", "label",
+                "spectral", "decompose"} <= {span.name for span in root.walk()}
 
     def test_untraced_fit_produces_equal_result(self):
         from repro.core.model import TrafficPatternModel

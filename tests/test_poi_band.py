@@ -1,10 +1,11 @@
-"""The latitude-band POI count equals the full scan of every POI.
+"""The bounded POI count equals the full scan of every POI.
 
 ``compute_poi_profiles`` measures only the POIs in a latitude band around
-each tower.  These tests hold it to the full scan in
-:mod:`oracles.poi_profile`: counts must be equal, not close, including for
-POIs a rounding error away from the radius, towers at the poles or the
-antimeridian, duplicates and NaN coordinates.
+each tower and within its longitude bound.  These tests hold it to the full
+scan in :mod:`oracles.poi_profile`: counts must be equal, not close,
+including for POIs a rounding error away from the radius (due east and west
+too), towers at the poles or the antimeridian, duplicates and NaN
+coordinates.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from oracles.poi_profile import full_scan_poi_counts
 from repro.geo.poi_profile import compute_poi_profiles
 from repro.synth.poi import POI, POICategory
-from repro.utils.geometry import EARTH_RADIUS_KM
+from repro.utils.geometry import EARTH_RADIUS_KM, haversine_km
 
 RADII_KM = (0.05, 0.2, 1.0, 5.0)
 #: Distances from a tower, as multiples of the radius, that sit on the edge.
@@ -120,6 +121,111 @@ def test_scenario_counts_equal_the_full_scan(scenario):
     expected = full_scan_poi_counts(lats, lons, scenario.city.pois, 0.2)
     assert expected.sum() > 0
     assert np.array_equal(profile.counts, expected)
+
+
+#: Tower latitudes from the equator to 0.001° from either pole.
+EDGE_LATITUDES = (0.0, 30.0, -45.0, 60.0, -80.0, 89.0, -89.9, 89.99, -89.999, 89.999)
+#: Tower longitudes on the antimeridian and 0.0001° either side of it.
+EDGE_LONGITUDES = (0.0, 179.9999, -179.9999, 180.0, -180.0)
+#: Due east and west, and a degree off either way.
+EAST_WEST = (90.0, 270.0, 89.0, 91.0, 269.0, 271.0)
+
+
+def east_west_edge_points(lat, lon, radius):
+    """POIs east and west of ``(lat, lon)`` at ``radius`` × each edge factor,
+    plus two well inside the radius."""
+    return [
+        (*destination(lat, lon, factor * radius, bearing), category % 4)
+        for category, (factor, bearing) in enumerate(
+            (factor, bearing)
+            for factor in (0.5, 0.99, *EDGE_FACTORS)
+            for bearing in EAST_WEST
+        )
+    ]
+
+
+@pytest.mark.parametrize("radius", RADII_KM)
+@pytest.mark.parametrize("lon", EDGE_LONGITUDES)
+@pytest.mark.parametrize("lat", EDGE_LATITUDES)
+def test_east_west_edges_equal_the_full_scan(lat, lon, radius):
+    # The longitude bound is widest-reaching due east and west: POIs a
+    # rounding error inside or outside the radius there, at every latitude
+    # up to 0.001° from a pole and across ±180°, count as in the full scan.
+    pois = make_pois(east_west_edge_points(lat, lon, radius))
+    profile = compute_poi_profiles(
+        np.array([0]), np.array([lat]), np.array([lon]), pois, radius_km=radius
+    )
+    expected = full_scan_poi_counts(np.array([lat]), np.array([lon]), pois, radius)
+    assert expected.sum() > 0
+    assert np.array_equal(profile.counts, expected)
+
+
+def last_longitude_within(lat, lon, radius, sign):
+    """Return the last double east (``sign`` +1) or west (-1) of ``lon`` on
+    the parallel ``lat`` whose computed distance is within ``radius``, and
+    the first one beyond it."""
+    span = 3.0 * np.degrees(radius / EARTH_RADIUS_KM) / np.cos(np.radians(lat))
+    inside, outside = lon, lon + sign * span
+    while True:
+        middle = 0.5 * (inside + outside)
+        if middle in (inside, outside):
+            return inside, outside
+        if haversine_km(lat, lon, lat, middle) <= radius:
+            inside = middle
+        else:
+            outside = middle
+
+
+@pytest.mark.parametrize("radius", (1e-8, 1e-6, 1e-3, 0.2))
+@pytest.mark.parametrize("lon", (0.0, 120.0, 179.99999, -179.99999))
+@pytest.mark.parametrize("lat", (0.0, 1e-9, 30.0, 60.0, -89.0, 89.999))
+def test_last_float_inside_the_radius_counts(lat, lon, radius):
+    # POIs on the tower's parallel, one on the last double within the
+    # computed radius and one on the first beyond it, east and west.  At
+    # these points the longitude bound is tight: without its widening the
+    # inner POI is dropped (at centimetre radii and below, where the
+    # rounding of the longitudes themselves decides).
+    points = []
+    for sign in (1.0, -1.0):
+        inside, outside = last_longitude_within(lat, lon, radius, sign)
+        points += [(lat, inside, 0), (lat, outside, 1)]
+    pois = make_pois(points)
+    profile = compute_poi_profiles(
+        np.array([0]), np.array([lat]), np.array([lon]), pois, radius_km=radius
+    )
+    expected = full_scan_poi_counts(np.array([lat]), np.array([lon]), pois, radius)
+    assert expected[0, 0] == 2
+    assert np.array_equal(profile.counts, expected)
+
+
+@pytest.mark.parametrize("turns", (-2, -1, 1, 3))
+@pytest.mark.parametrize("lat", (0.0, 60.0, -89.99))
+def test_longitudes_outside_the_usual_range_count_as_in_the_full_scan(lat, turns):
+    # POI longitudes whole turns away from the tower's: a difference near
+    # 360° folds to near 0, one over 360° folds negative and is always
+    # measured, so the counts still equal the full scan's.
+    points = east_west_edge_points(lat, 179.9999, 0.2)
+    pois = make_pois([(poi_lat, poi_lon + 360.0 * turns, c) for poi_lat, poi_lon, c in points])
+    profile = compute_poi_profiles(
+        np.array([0]), np.array([lat]), np.array([179.9999]), pois, radius_km=0.2
+    )
+    expected = full_scan_poi_counts(np.array([lat]), np.array([179.9999]), pois, 0.2)
+    assert expected.sum() > 0
+    assert np.array_equal(profile.counts, expected)
+
+
+def test_bounds_measure_a_fraction_of_the_band(scenario):
+    # The longitude bound is what makes the label stage cheap: on the
+    # synthetic city it measures far fewer pairs than the latitude band
+    # holds, yet never fewer than the POIs it counts.
+    lats, lons = scenario.city.tower_coordinates()
+    profile = compute_poi_profiles(
+        scenario.traffic.tower_ids, lats, lons, scenario.city.pois, radius_km=0.2
+    )
+    poi_lats = np.array([poi.lat for poi in scenario.city.pois])
+    half_band = np.degrees(0.2 / EARTH_RADIUS_KM)
+    in_band = sum(int(np.sum(np.abs(poi_lats - lat) <= half_band)) for lat in lats)
+    assert profile.counts.sum() <= profile.pairs_measured < in_band
 
 
 def test_band_holds_at_a_micrometre_radius():

@@ -56,6 +56,20 @@ class TestTowerTrafficMatrix:
         assert subset.num_towers == 3
         assert np.array_equal(subset.traffic[1], traffic.traffic[2])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_volume_names_tower_and_slot(self, value):
+        # NaN slipped past the sign check and z-scored to an all-zero
+        # (idle-looking) vector; inf did the same and left NaN amplitudes.
+        window = TimeWindow(num_days=1)
+        traffic = np.ones((3, window.num_slots))
+        traffic[1, 17] = value
+        with pytest.raises(ValueError) as info:
+            TowerTrafficMatrix(
+                tower_ids=np.array([40, 41, 42]), traffic=traffic, window=window
+            )
+        message = str(info.value)
+        assert "tower 41 at slot 17" in message and "\n" not in message
+
     def test_shape_validation(self):
         window = TimeWindow(num_days=1)
         with pytest.raises(ValueError):
