@@ -26,7 +26,6 @@ from repro.ingest.preprocess import preprocess_trace
 from repro.ingest.records import BaseStationInfo
 from repro.io.server import ModelServer
 from repro.synth.geocoder import SyntheticGeocoder
-from repro.vectorize.vectorizer import TrafficVectorizer
 from repro.viz.ascii import ascii_heatmap
 
 
@@ -72,15 +71,16 @@ def main() -> None:
     print("\nTraffic density across the city (bytes/km², dark = low):")
     print(ascii_heatmap(result.density.normalized() ** 0.5))
 
-    # 4. Vectorize the clean batch and fit the pattern model.
-    vectorizer = TrafficVectorizer()
-    vectorized = vectorizer.from_batch(
-        result.records,
-        scenario.window,
-        tower_ids=scenario.traffic.tower_ids.tolist(),
-    )
+    # 4. Fit the pattern model on the clean batch: its records are folded
+    #    into per-tower 10-minute slots (a stream of one batch) and each
+    #    tower's series is normalised before clustering.
     model = TrafficPatternModel(ModelConfig(num_clusters=5))
-    fit = model.fit(vectorized.raw, city=scenario.city)
+    fit = model.fit_batches(
+        [result.records],
+        scenario.window,
+        scenario.traffic.tower_ids.tolist(),
+        city=scenario.city,
+    )
     print("\nPatterns identified from the cleaned operator trace:")
     for summary in fit.summaries():
         print(f"  #{summary.cluster_label + 1} {summary.region.value:<14} "

@@ -63,7 +63,6 @@ from pathlib import Path
 from repro.cluster.backends import BACKEND_CHOICES
 from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
-from repro.ingest.dedup import clean_batch
 from repro.ingest.loader import (
     TraceFormatError,
     iter_record_batches_csv,
@@ -72,7 +71,6 @@ from repro.ingest.loader import (
     write_records_csv,
     write_stations_csv,
 )
-from repro.ingest.preprocess import preprocess_trace
 from repro.ingest.records import BaseStationInfo
 from repro.io.persist import (
     PersistError,
@@ -160,6 +158,13 @@ def _streaming_options(args: argparse.Namespace) -> tuple[int, int]:
             f"--workers must be >= -1 (0 = serial, -1 = all cores), got {workers}"
         )
     return chunk_size or 0, workers or 0
+
+
+def _record_chunks(path: str | Path, chunk_size: int):
+    """The records CSV as ``chunk_size``-record batches, or one whole batch."""
+    if chunk_size:
+        return iter_record_batches_csv(path, chunk_size=chunk_size)
+    return [read_record_batch_csv(path)]
 
 
 def _trace_options(args: argparse.Namespace) -> tuple[bool, Path | None]:
@@ -296,7 +301,6 @@ def _fit_model(
         max_clusters=args.max_clusters,
         num_clusters=args.clusters,
         cluster_backend=backend,
-        workers=workers,
     )
     if tile_size is not None:
         config_kwargs["cluster_tile_size"] = tile_size
@@ -320,34 +324,21 @@ def _fit_model(
         stations = read_stations_csv(args.stations)
         _check_tower_count(len(stations), config, args.stations)
         tower_ids = [station.tower_id for station in stations]
-        window = TimeWindow(num_days=args.days)
-        if chunk_size:
-            # Out-of-core streaming fit: each chunk is cleaned independently
-            # and scattered into the accumulator matrix, so memory stays
-            # bounded by the chunk size regardless of the trace size.  With
-            # --workers the chunks fan out to a multiprocessing pool that
-            # cleans and scatters into shared-memory shard grids while the
-            # main process keeps reading the CSV.
-            chunks = iter_record_batches_csv(args.input, chunk_size=chunk_size)
-            if workers:
-                model.fit_batches(
-                    chunks, window, tower_ids, workers=workers,
-                    prepare=clean_chunk, tracer=tracer, metrics=metrics,
-                )
-            else:
-                def cleaned_batches():
-                    for batch in chunks:
-                        cleaned, _ = clean_batch(batch)
-                        yield cleaned
-
-                model.fit_batches(
-                    cleaned_batches(), window, tower_ids,
-                    tracer=tracer, metrics=metrics,
-                )
-            return model, None
-        batch = read_record_batch_csv(args.input)
-        preprocessed = preprocess_trace(batch, stations, None, compute_density=False)
-        model.fit_batch(preprocessed.records, window, tower_ids=tower_ids, tracer=tracer)
+        # Each chunk is cleaned on its own (clean_chunk) and scattered into
+        # the accumulator matrix, so with --chunk-size memory stays bounded
+        # by the chunk size regardless of the trace size.  With --workers
+        # the chunks fan out to a multiprocessing pool that cleans and
+        # scatters into shared-memory shard grids while the main process
+        # keeps reading the CSV.
+        model.fit_batches(
+            _record_chunks(args.input, chunk_size),
+            TimeWindow(num_days=args.days),
+            tower_ids,
+            workers=workers,
+            prepare=clean_chunk,
+            tracer=tracer,
+            metrics=metrics,
+        )
         return model, None
 
     _check_tower_count(args.towers, config, "--towers")
@@ -471,28 +462,13 @@ def _cmd_update(args: argparse.Namespace) -> int:
     model = TrafficPatternModel.load(args.model)
     window = model.result.window
     trace_path = _require_file(args.input, "input trace")
-
-    def cleaned_batches():
-        if chunk_size:
-            chunks = iter_record_batches_csv(trace_path, chunk_size=chunk_size)
-        else:
-            chunks = [read_record_batch_csv(trace_path)]
-        for batch in chunks:
-            cleaned, _ = clean_batch(batch)
-            yield cleaned
-
-    if workers:
-        # Shard the scatter across the pool; each worker cleans its own
-        # chunks (prepare) while the main process streams the CSV.
-        result = model.update(
-            iter_record_batches_csv(trace_path, chunk_size=chunk_size),
-            workers=workers,
-            prepare=clean_chunk,
-            tracer=tracer,
-            metrics=metrics,
-        )
-    else:
-        result = model.update(cleaned_batches(), tracer=tracer, metrics=metrics)
+    result = model.update(
+        _record_chunks(trace_path, chunk_size),
+        workers=workers,
+        prepare=clean_chunk,
+        tracer=tracer,
+        metrics=metrics,
+    )
     stats = result.extras.get("update_stats", {})
     seen = stats.get("records_seen", 0)
     folded = stats.get("records_folded", 0)

@@ -50,16 +50,6 @@ class ModelConfig:
         Which (kind, component) pairs form the feature vector used by the
         convex decomposition; the default matches the paper's
         ``(A_day, P_day, A_halfday)``.
-    workers:
-        Default worker count for the streaming ingest→aggregate paths
-        (:meth:`~repro.core.model.TrafficPatternModel.fit_batches` and
-        :meth:`~repro.core.model.TrafficPatternModel.update`): ``0``
-        (default) streams serially in-process — the equivalence reference —
-        ``-1`` uses all cores, ``>= 1`` fans chunks out to that many
-        multiprocessing workers with shared-memory shard grids (see
-        :mod:`repro.vectorize.parallel`).  Parallel results are
-        deterministic for a fixed worker count but may differ from the
-        serial matrix at the ulp level.
     """
 
     normalization: NormalizationMethod = NormalizationMethod.ZSCORE
@@ -79,7 +69,6 @@ class ModelConfig:
             ("amplitude", "half_day"),
         )
     )
-    workers: int = 0
 
     def __post_init__(self) -> None:
         if self.cluster_backend not in BACKEND_CHOICES:
@@ -106,8 +95,3 @@ class ModelConfig:
             )
         if not self.decomposition_feature:
             raise ValueError("decomposition_feature must not be empty")
-        if self.workers < -1:
-            raise ValueError(
-                f"workers must be >= -1 (0 = serial, -1 = all cores), "
-                f"got {self.workers}"
-            )

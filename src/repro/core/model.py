@@ -50,12 +50,8 @@ from repro.synth.traffic import TowerTrafficMatrix
 from repro.utils.timeutils import TimeWindow
 from repro.vectorize.aggregate import (
     TowerRowIndex,
+    accumulate_batches,
     aggregate_batches,
-    scatter_batch_into,
-)
-from repro.vectorize.parallel import (
-    parallel_aggregate_batches_with_stats,
-    resolve_workers,
 )
 
 
@@ -138,47 +134,6 @@ class TrafficPatternModel:
             )
             return self._run_pipeline(context)
 
-    def fit_batch(
-        self,
-        batch: RecordBatch,
-        window: TimeWindow,
-        *,
-        tower_ids: Sequence[int] | None = None,
-        city: CityModel | None = None,
-        tracer: Tracer | NullTracer | None = None,
-    ) -> ModelResult:
-        """Fit the model directly on a columnar record batch.
-
-        The batch is aggregated through the vectorized columnar path by the
-        pipeline's vectorize stage (which publishes the resulting matrix for
-        the downstream stages).
-
-        Parameters
-        ----------
-        batch:
-            Cleaned connection records in columnar layout.
-        window:
-            Observation window defining the slot grid.
-        tower_ids:
-            Optional explicit row ordering (towers absent from the batch get
-            all-zero rows).
-        city:
-            Optional city model for the labelling stage.
-        tracer:
-            Optional span tracer; see :meth:`fit`.
-        """
-        tracer = tracer if tracer is not None else NULL_TRACER
-        with tracer.span("fit") as span:
-            span.count("records", len(batch))
-            context = PipelineContext(
-                config=self.config, traffic=None, city=city, tracer=tracer
-            )
-            context.set("record_batch", batch, producer="input")
-            context.set("window", window, producer="input")
-            if tower_ids is not None:
-                context.set("tower_ids", list(tower_ids), producer="input")
-            return self._run_pipeline(context)
-
     def fit_batches(
         self,
         batches: Iterable[RecordBatch],
@@ -186,35 +141,32 @@ class TrafficPatternModel:
         tower_ids: Sequence[int],
         *,
         city: CityModel | None = None,
-        workers: int | None = None,
+        workers: int = 0,
         prepare=None,
         tracer: Tracer | NullTracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> ModelResult:
-        """Fit the model on a stream of cleaned record batches (out-of-core).
+        """Fit the model on a stream of record batches (out-of-core).
 
         Each batch is scattered into the accumulator matrix as it arrives,
         so traces larger than memory can be fitted; ``tower_ids`` must be
-        known up front (typically from the station directory).  Batches must
-        already be cleaned — run each chunk through
-        :func:`repro.ingest.dedup.clean_batch` first (the pattern the CLI's
-        ``--chunk-size`` path uses), otherwise duplicates and conflicting
-        copies inflate the matrix silently — or pass
-        ``prepare=repro.vectorize.parallel.clean_chunk`` to clean each chunk
-        on the fly (inside the workers when parallel).
+        known up front (typically from the station directory) and give the
+        row order.  A whole trace in memory is a stream of one batch.
+        Batches must be cleaned — pass
+        ``prepare=repro.vectorize.parallel.clean_chunk`` to clean each
+        chunk on the fly (inside the workers when parallel), or clean them
+        with :func:`repro.ingest.dedup.clean_batch` first — otherwise
+        duplicates and conflicting copies inflate the matrix silently.
 
         ``workers`` shards the aggregation across a multiprocessing pool
-        (``0`` = serial reference, ``-1`` = all cores, default: the
-        ``workers`` field of the model config); see
-        :func:`repro.vectorize.aggregate.aggregate_batches` for the
+        (``0``, the default, = serial reference, ``-1`` = all cores); see
+        :func:`repro.vectorize.aggregate.accumulate_batches` for the
         determinism/ulp notes.
 
         ``tracer``/``metrics`` thread the optional telemetry plane through
         the ingest (an ``ingest`` child span under the ``fit`` root, with
         per-worker child spans when parallel) and the pipeline stages.
         """
-        if workers is None:
-            workers = self.config.workers
         tracer = tracer if tracer is not None else NULL_TRACER
         # Build the context inline rather than delegating to fit(): the
         # ingest span must live under the same "fit" root as the stages.
@@ -273,7 +225,7 @@ class TrafficPatternModel:
         batches: RecordBatch | Iterable[RecordBatch],
         *,
         city: CityModel | None = None,
-        workers: int | None = None,
+        workers: int = 0,
         prepare=None,
         tracer: Tracer | NullTracer | None = None,
         metrics: MetricsRegistry | None = None,
@@ -281,32 +233,30 @@ class TrafficPatternModel:
         """Fold new record batches into the fitted model (incremental fit).
 
         The new batches — typically one fresh day of cleaned traces — are
-        scatter-added onto the existing aggregate slot grid, continuing the
-        exact accumulation sequence a full re-aggregation of the
-        concatenated trace would perform, so the merged matrix (and every
-        downstream cut, on tie-free distances) is bit-for-bit identical to a
-        full refit.  Only the downstream stages whose input fingerprints
-        changed are re-run; unchanged stages republish their previous
-        outputs (``extras["stages_reused"]`` lists them).
+        scatter-added onto a copy of the stored slot grid by the same call
+        :meth:`fit_batches` makes
+        (:func:`repro.vectorize.aggregate.accumulate_batches`).  Serially
+        (``workers=0``, the default) that continues the exact accumulation
+        sequence a full re-aggregation of the concatenated trace would
+        perform, so the merged matrix (and every downstream cut, on
+        tie-free distances) is bit-for-bit identical to a full refit.  Only
+        the downstream stages whose input fingerprints changed are re-run;
+        unchanged stages republish their previous outputs
+        (``extras["stages_reused"]`` lists them).
 
         Towers absent from the stored grid are ignored and the observation
         window is fixed at fit time — records starting past its end
         contribute nothing.  ``extras["update_stats"]`` on the returned
         result reports how many of the incoming records actually landed on
         the grid, so callers can detect a trace that silently missed the
-        window entirely.  Like :meth:`fit_batches`, each batch must already
-        be cleaned (:func:`repro.ingest.dedup.clean_batch`) — or pass
-        ``prepare=repro.vectorize.parallel.clean_chunk`` to clean each batch
-        on the fly.  A city is only
-        needed to recompute POI profiles from scratch; when omitted, the
-        persisted POI profile re-labels the fresh cluster cut.
+        window entirely.  ``prepare``, ``tracer`` and ``metrics`` work as
+        in :meth:`fit_batches`.  A city is only needed to recompute POI
+        profiles from scratch; when omitted, the persisted POI profile
+        re-labels the fresh cluster cut.
 
-        ``workers`` shards the scatter of the new batches — e.g. the chunks
-        of several fresh days — across a multiprocessing pool (``0`` =
-        serial reference, ``-1`` = all cores, default: the ``workers`` field
-        of the model config).  The workers build a shared-memory delta grid
-        that is then added onto the stored grid; as with the parallel fit
-        path, the result is deterministic for a fixed worker count but may
+        ``workers >= 1`` (``-1`` = all cores) shards the scatter across a
+        multiprocessing pool whose summed shard grids are added onto the
+        stored grid once: deterministic for a fixed worker count, but it may
         differ from the serial update at the ulp level.
         """
         result = self.result
@@ -318,45 +268,18 @@ class TrafficPatternModel:
             traffic=base.traffic.copy(),
             window=base.window,
         )
-        if workers is None:
-            workers = self.config.workers
-        num_workers = resolve_workers(workers)
-        window_end = float(merged.window.num_seconds)
         tracer = tracer if tracer is not None else NULL_TRACER
         with tracer.span("update") as root:
-            with tracer.span("ingest") as ingest:
-                if num_workers > 0:
-                    delta, stats = parallel_aggregate_batches_with_stats(
-                        batches,
-                        merged.window,
-                        merged.tower_ids,
-                        workers=num_workers,
-                        prepare=prepare,
-                        tracer=tracer,
-                        metrics=metrics,
-                    )
-                    merged.traffic += delta.traffic
-                    records_seen = stats.records_seen
-                    records_folded = stats.records_folded
-                else:
-                    records_seen = 0
-                    records_folded = 0
-                    index = TowerRowIndex(merged.tower_ids)
-                    for batch in batches:
-                        if prepare is not None:
-                            batch = prepare(batch)
-                        records_seen += len(batch)
-                        contributes = index.rows_of(batch.tower_id) >= 0
-                        contributes &= batch.start_s < window_end
-                        records_folded += int(np.count_nonzero(contributes))
-                        scatter_batch_into(merged, batch, index=index)
-                ingest.count("records_seen", records_seen)
-                ingest.count("records_folded", records_folded)
-            if metrics is not None and num_workers == 0:
-                # The parallel path accumulates these inside the pool entry
-                # point; only the serial loop needs them counted here.
-                metrics.counter("ingest.records_seen").inc(records_seen)
-                metrics.counter("ingest.records_folded").inc(records_folded)
+            with tracer.span("ingest"):
+                records_seen, records_folded = accumulate_batches(
+                    merged.traffic,
+                    TowerRowIndex(merged.tower_ids),
+                    batches,
+                    workers=workers,
+                    prepare=prepare,
+                    tracer=tracer,
+                    metrics=metrics,
+                )
             root.set("towers", int(merged.tower_ids.shape[0]))
 
             context = PipelineContext(

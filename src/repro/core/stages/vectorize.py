@@ -4,28 +4,25 @@ from __future__ import annotations
 
 from repro.core.pipeline import PipelineContext
 from repro.utils.fingerprint import fingerprint
-from repro.utils.timeutils import TimeWindow
 from repro.vectorize.vectorizer import TrafficVectorizer
 
 
 class VectorizeStage:
-    """Aggregate traffic to 10-minute slots and normalise per tower.
+    """Normalise each tower's 10-minute slot series in ``context.traffic``.
 
-    Two input shapes are supported: a pre-aggregated traffic matrix in
-    ``context.traffic`` (the fast path), or a columnar record batch published
-    as the ``record_batch`` artifact together with a ``window`` artifact (and
-    optionally ``tower_ids``), in which case the stage aggregates it through
-    the vectorized columnar path and publishes the resulting matrix back as
-    ``context.traffic`` for downstream stages.
+    Records reach the slot grid before the pipeline runs
+    (:meth:`~repro.core.model.TrafficPatternModel.fit_batches` and
+    :meth:`~repro.core.model.TrafficPatternModel.update` fold them with
+    :func:`repro.vectorize.aggregate.accumulate_batches`).
     """
 
     name = "vectorize"
 
-    def fingerprint(self, context: PipelineContext) -> str | None:
-        """Digest of the input matrix + normalisation (matrix path only)."""
+    def fingerprint(self, context: PipelineContext) -> str:
+        """Digest of the input matrix + normalisation."""
         traffic = context.traffic
         if traffic is None:
-            return None
+            raise ValueError("the vectorize stage needs context.traffic")
         return fingerprint(
             traffic.traffic,
             traffic.tower_ids,
@@ -36,21 +33,7 @@ class VectorizeStage:
 
     def run(self, context: PipelineContext) -> None:
         vectorizer = TrafficVectorizer(method=context.config.normalization)
-        if context.traffic is None:
-            batch = context.get("record_batch")
-            if batch is None:
-                raise ValueError(
-                    "the vectorize stage needs context.traffic or a "
-                    "'record_batch' artifact"
-                )
-            window = context.require("window", TimeWindow)
-            vectorized = vectorizer.from_batch(
-                batch, window, tower_ids=context.get("tower_ids")
-            )
-            context.traffic = vectorized.raw
-            context.tracer.current.count("records", len(batch))
-        else:
-            vectorized = vectorizer.from_matrix(context.traffic)
+        vectorized = vectorizer.from_matrix(context.traffic)
         span = context.tracer.current
         span.set("towers", int(vectorized.vectors.shape[0]))
         span.set("slots", int(vectorized.vectors.shape[1]))

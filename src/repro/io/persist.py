@@ -104,12 +104,15 @@ def config_to_manifest(config: ModelConfig) -> dict:
         "poi_radius_km": config.poi_radius_km,
         "feature_normalization": config.feature_normalization.value,
         "decomposition_feature": [list(pair) for pair in config.decomposition_feature],
-        "workers": config.workers,
     }
 
 
 def config_from_manifest(data: dict) -> ModelConfig:
-    """Rebuild the :class:`ModelConfig` recorded in a manifest."""
+    """Rebuild the :class:`ModelConfig` recorded in a manifest.
+
+    Keys it does not read are ignored, e.g. the ``workers`` key of bundles
+    written while the worker count was part of the config.
+    """
     return ModelConfig(
         normalization=NormalizationMethod(data["normalization"]),
         linkage=Linkage(data["linkage"]),
@@ -128,9 +131,6 @@ def config_from_manifest(data: dict) -> ModelConfig:
         poi_radius_km=float(data["poi_radius_km"]),
         feature_normalization=NormalizationMethod(data["feature_normalization"]),
         decomposition_feature=tuple(tuple(pair) for pair in data["decomposition_feature"]),
-        # Bundles written before the parallel ingest plane carry no workers
-        # field; they load as serial (0), the old behaviour.
-        workers=int(data.get("workers", 0)),
     )
 
 

@@ -10,18 +10,11 @@ discovery.
 
 from repro.vectorize.aggregate import (
     TowerRowIndex,
-    aggregate_batch,
+    accumulate_batches,
     aggregate_batches,
 )
 from repro.vectorize.normalize import NormalizationMethod, normalize_matrix, normalize_vector
-from repro.vectorize.parallel import (
-    ParallelAggregateStats,
-    ParallelIngestError,
-    clean_chunk,
-    parallel_aggregate_batches,
-    parallel_aggregate_batches_with_stats,
-    resolve_workers,
-)
+from repro.vectorize.parallel import ParallelIngestError, clean_chunk, resolve_workers
 from repro.vectorize.slots import (
     slot_edges,
     slot_spans_of_intervals,
@@ -31,18 +24,15 @@ from repro.vectorize.vectorizer import TrafficVectorizer, VectorizedTraffic
 
 __all__ = [
     "NormalizationMethod",
-    "ParallelAggregateStats",
     "ParallelIngestError",
     "TowerRowIndex",
     "TrafficVectorizer",
     "VectorizedTraffic",
-    "aggregate_batch",
+    "accumulate_batches",
     "aggregate_batches",
     "clean_chunk",
     "normalize_matrix",
     "normalize_vector",
-    "parallel_aggregate_batches",
-    "parallel_aggregate_batches_with_stats",
     "resolve_workers",
     "slot_edges",
     "slot_spans_of_intervals",

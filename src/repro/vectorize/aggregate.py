@@ -1,15 +1,16 @@
 """Aggregation phase of the traffic vectorizer.
 
 Converts raw connection records into a per-tower × per-slot traffic matrix.
-Three entry points are provided:
+Every path from records to a slot grid goes through one function:
 
-* :func:`aggregate_batch` — one :class:`~repro.ingest.batch.RecordBatch`
-  in, matrix out, fully vectorized (slot-range expansion + scatter-add).
-* :func:`aggregate_batches` — the out-of-core path: a stream of batches
-  scattered into one accumulator matrix, so traces larger than memory can be
-  aggregated chunk by chunk.
+* :func:`accumulate_batches` — folds a stream of
+  :class:`~repro.ingest.batch.RecordBatch` chunks onto a grid the caller
+  owns, serially or through the shard pool of :mod:`repro.vectorize.parallel`,
+  and counts what it folded.  :func:`aggregate_batches` calls it with a zero
+  grid (the fit), :meth:`~repro.core.model.TrafficPatternModel.update` with a
+  copy of the stored grid.
 * :func:`scatter_batch_into` — one batch scatter-added onto an existing
-  matrix (the incremental update).
+  :class:`~repro.synth.traffic.TowerTrafficMatrix`.
 
 The paper's Hadoop job processed petabytes; these paths are the
 single-machine analogue.  Each record's bytes are split over the slots it
@@ -25,8 +26,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.ingest.batch import RecordBatch
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.synth.traffic import TowerTrafficMatrix
-from repro.utils.timeutils import TimeWindow
+from repro.utils.timeutils import SLOT_SECONDS, TimeWindow
+from repro.vectorize.parallel import fold_in_workers, resolve_workers
 from repro.vectorize.slots import split_bytes_over_slots_batch
 
 
@@ -50,7 +54,7 @@ class TowerRowIndex:
     computed once at construction, so a streaming pass over thousands of
     chunks pays the ``argsort`` of the (typically small) tower directory a
     single time instead of once per chunk.  Build one per stream and pass it
-    to :func:`scatter_batch_into` (or call :meth:`rows_of` directly).
+    to :func:`accumulate_batches` (or call :meth:`rows_of` directly).
     """
 
     __slots__ = ("ordered_ids", "_sorter", "_sorted_ids")
@@ -73,44 +77,87 @@ class TowerRowIndex:
         return np.where(matched, self._sorter[positions], -1)
 
 
-def _scatter_batch(batch: RecordBatch, traffic: np.ndarray, index: TowerRowIndex) -> None:
-    """Scatter-add one batch's contributions into the traffic matrix."""
+def _scatter_batch(batch: RecordBatch, traffic: np.ndarray, index: TowerRowIndex) -> int:
+    """Scatter-add one batch's contributions into the traffic matrix.
+
+    Returns the number of records folded: those on a known tower row whose
+    start falls inside the grid's window.
+    """
     num_slots = traffic.shape[1]
     rows = index.rows_of(batch.tower_id)
     known = rows >= 0
     if not np.any(known):
-        return
+        return 0
+    start_s = batch.start_s[known]
+    folded = int(np.count_nonzero(start_s < num_slots * SLOT_SECONDS))
     record_index, slots, volumes = split_bytes_over_slots_batch(
-        batch.start_s[known], batch.end_s[known], batch.bytes_used[known], num_slots
+        start_s, batch.end_s[known], batch.bytes_used[known], num_slots
     )
     if slots.size == 0:
-        return
+        return folded
     # np.add.at applies additions in index order, i.e. the record-then-slot
     # order the expansion emits, which keeps float accumulation identical to
     # a record-at-a-time loop — and it scatters in place, so a streaming
     # pass costs one chunk plus the accumulator, never a full dense temp.
     np.add.at(traffic.reshape(-1), rows[known][record_index] * num_slots + slots, volumes)
+    return folded
 
 
-def aggregate_batch(
-    batch: RecordBatch,
-    window: TimeWindow,
+def accumulate_batches(
+    traffic: np.ndarray,
+    index: TowerRowIndex,
+    batches: Iterable[RecordBatch],
     *,
-    tower_ids: Sequence[int] | None = None,
-) -> TowerTrafficMatrix:
-    """Aggregate a columnar record batch into a :class:`TowerTrafficMatrix`.
+    workers: int = 0,
+    prepare: Callable[[RecordBatch], RecordBatch] | None = None,
+    tracer: Tracer | NullTracer | None = None,
+    metrics: MetricsRegistry | None = None,
+) -> tuple[int, int]:
+    """Fold a stream of record batches onto ``traffic``, in place.
 
-    Rows follow ``tower_ids`` when given — towers absent from it are
-    ignored, towers without records get all-zero rows, and duplicate ids
-    raise ``ValueError`` — else the sorted set of tower ids in the batch.
+    ``traffic`` is a ``(towers, slots)`` grid whose rows follow ``index``;
+    records on other towers are ignored.  Returns ``(records_seen,
+    records_folded)``: the records the stream delivered (after
+    ``prepare``), and those on a known tower starting inside the window.
+    ``chunks``, ``records_seen`` and ``records_folded`` are counted here
+    once, on the open span and as ``ingest.*`` in ``metrics``.
+
+    ``workers=0`` scatters each chunk onto ``traffic`` in stream order.
+    ``>= 1`` (``-1``: one per core) fans the chunks out to a pool of zeroed
+    shard grids whose sum is added onto ``traffic`` once
+    (:func:`repro.vectorize.parallel.fold_in_workers`); that is
+    deterministic for a fixed worker count but may differ from the serial
+    grid at the ulp level.  ``prepare`` transforms each chunk before it is
+    scattered (e.g. :func:`~repro.vectorize.parallel.clean_chunk`); on the
+    parallel path it runs in the workers, so it must be picklable.
     """
-    if tower_ids is None:
-        ordered = np.unique(batch.tower_id)
+    tracer = tracer if tracer is not None else NULL_TRACER
+    num_workers = resolve_workers(workers)
+    if num_workers > 0:
+        chunks, records_seen, records_folded = fold_in_workers(
+            traffic,
+            index,
+            batches,
+            workers=num_workers,
+            prepare=prepare,
+            tracer=tracer,
+            metrics=metrics,
+        )
     else:
-        ordered = _ordered_tower_ids(tower_ids)
-    traffic = np.zeros((ordered.size, window.num_slots))
-    _scatter_batch(batch, traffic, TowerRowIndex(ordered))
-    return TowerTrafficMatrix(tower_ids=ordered, traffic=traffic, window=window)
+        chunks = records_seen = records_folded = 0
+        for batch in batches:
+            if prepare is not None:
+                batch = prepare(batch)
+            chunks += 1
+            records_seen += len(batch)
+            records_folded += _scatter_batch(batch, traffic, index)
+    span = tracer.current
+    counts = (chunks, records_seen, records_folded)
+    for name, value in zip(("chunks", "records_seen", "records_folded"), counts):
+        span.count(name, value)
+        if metrics is not None:
+            metrics.counter(f"ingest.{name}").inc(value)
+    return records_seen, records_folded
 
 
 def aggregate_batches(
@@ -120,109 +167,44 @@ def aggregate_batches(
     *,
     workers: int = 0,
     prepare: Callable[[RecordBatch], RecordBatch] | None = None,
-    tracer=None,
-    metrics=None,
+    tracer: Tracer | NullTracer | None = None,
+    metrics: MetricsRegistry | None = None,
 ) -> TowerTrafficMatrix:
     """Aggregate a stream of record batches without materialising the trace.
 
-    ``tower_ids`` must be provided up front (a streaming pass cannot discover
-    the row set without a second pass over the data).  Peak memory is one
-    chunk plus the accumulator matrix, so arbitrarily large traces fit.
-
-    Parameters
-    ----------
-    workers:
-        ``0`` (default) streams the chunks serially through this process —
-        the equivalence reference.  ``>= 1`` fans chunks out to that many
-        :mod:`multiprocessing` workers scattering into shared-memory shard
-        grids (see :mod:`repro.vectorize.parallel`); ``-1`` uses all cores.
-        Parallel results are deterministic for a fixed worker count but may
-        differ from the serial matrix at the ulp level (per-shard partial
-        sums are reduced in fixed shard order, a different accumulation
-        order than the serial single-accumulator pass).
-    prepare:
-        Optional per-chunk transform (e.g. cleaning) applied to each batch
-        before scattering — inline when serial, inside the workers when
-        parallel (it must be picklable then, i.e. a module-level callable).
-    tracer:
-        Optional :class:`repro.obs.Tracer`.  Chunk/record counters land on
-        the innermost open span (``tracer.current``); the parallel path
-        additionally grafts one pre-measured ``worker-{id}`` child span per
-        shard.  Defaults to the no-op tracer.
-    metrics:
-        Optional :class:`repro.obs.MetricsRegistry` accumulating the
-        ``ingest.chunks`` / ``ingest.records_seen`` counters (plus
-        ``ingest.records_folded`` and the queue-occupancy histogram on the
-        parallel path).
+    Rows follow ``tower_ids`` — towers absent from it are ignored, towers
+    without records get all-zero rows, and duplicate ids raise
+    ``ValueError``.  Peak memory is one chunk plus the accumulator matrix,
+    so arbitrarily large traces fit.  The stream is folded onto a zero grid
+    by :func:`accumulate_batches`, whose keywords these are.
     """
-    from repro.obs.trace import NULL_TRACER
-    from repro.vectorize.parallel import (
-        parallel_aggregate_batches_with_stats,
-        resolve_workers,
-    )
-
-    tracer = tracer if tracer is not None else NULL_TRACER
-    num_workers = resolve_workers(workers)
-    if num_workers > 0:
-        matrix, stats = parallel_aggregate_batches_with_stats(
-            batches,
-            window,
-            tower_ids,
-            workers=num_workers,
-            prepare=prepare,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        span = tracer.current
-        span.count("chunks", stats.chunks)
-        span.count("records_seen", stats.records_seen)
-        span.count("records_folded", stats.records_folded)
-        return matrix
     ordered = _ordered_tower_ids(tower_ids)
-    index = TowerRowIndex(ordered)
     traffic = np.zeros((ordered.size, window.num_slots))
-    span = tracer.current
-    chunks = 0
-    records_seen = 0
-    for batch in batches:
-        if prepare is not None:
-            batch = prepare(batch)
-        chunks += 1
-        records_seen += len(batch)
-        _scatter_batch(batch, traffic, index)
-    span.count("chunks", chunks)
-    span.count("records_seen", records_seen)
-    if metrics is not None:
-        metrics.counter("ingest.chunks").inc(chunks)
-        metrics.counter("ingest.records_seen").inc(records_seen)
+    accumulate_batches(
+        traffic,
+        TowerRowIndex(ordered),
+        batches,
+        workers=workers,
+        prepare=prepare,
+        tracer=tracer,
+        metrics=metrics,
+    )
     return TowerTrafficMatrix(tower_ids=ordered, traffic=traffic, window=window)
 
 
-def scatter_batch_into(
-    matrix: TowerTrafficMatrix,
-    batch: RecordBatch,
-    *,
-    index: TowerRowIndex | None = None,
-) -> TowerTrafficMatrix:
+def scatter_batch_into(matrix: TowerTrafficMatrix, batch: RecordBatch) -> TowerTrafficMatrix:
     """Scatter-add one record batch into an *existing* traffic matrix, in place.
 
-    This is the incremental-update primitive: folding a fresh day of cleaned
-    records into a previously aggregated matrix continues the exact
-    accumulation sequence :func:`aggregate_batches` would have performed had
-    the new batch been part of the original stream — ``np.add.at`` applies
-    additions in record-then-slot order, so the result is bit-for-bit
-    identical to a full re-aggregation of the concatenated trace.  Towers in
-    the batch that have no row in ``matrix`` are ignored (same semantics as
-    the explicit ``tower_ids`` path of :func:`aggregate_batch`).
+    Folding a fresh day of cleaned records into a previously aggregated
+    matrix continues the exact accumulation sequence
+    :func:`aggregate_batches` would have performed had the new batch been
+    part of the original stream — ``np.add.at`` applies additions in
+    record-then-slot order, so the result is bit-for-bit identical to a full
+    re-aggregation of the concatenated trace.  Towers in the batch that have
+    no row in ``matrix`` are ignored.
 
     The matrix is mutated and also returned for chaining.  Callers that need
     the original intact should pass a copy.
-
-    Callers scattering many batches into the same matrix should build a
-    :class:`TowerRowIndex` over ``matrix.tower_ids`` once and pass it as
-    ``index`` so the row lookup tables are not re-sorted per batch.
     """
-    if index is None:
-        index = TowerRowIndex(matrix.tower_ids)
-    _scatter_batch(batch, matrix.traffic, index)
+    _scatter_batch(batch, matrix.traffic, TowerRowIndex(matrix.tower_ids))
     return matrix

@@ -1,12 +1,13 @@
 """Shard-parallel ingest→aggregate plane.
 
 The paper's original pipeline was a Hadoop job over petabytes of operator
-records; the serial single-machine analogue (:func:`~repro.vectorize.
-aggregate.aggregate_batches`) streams chunks through one process and leaves
-every other core idle.  Slot scatter-add is associative, so the work shards
-cleanly: per-chunk partial traffic grids can be built by independent workers
-and merged by summation.  This module implements that plane on
-:mod:`multiprocessing`:
+records; the serial single-machine analogue (the ``workers=0`` path of
+:func:`~repro.vectorize.aggregate.accumulate_batches`) streams chunks
+through one process and leaves every other core idle.  Slot scatter-add is
+associative, so the work shards cleanly: per-chunk partial traffic grids can
+be built by independent workers and merged by summation.  This module
+implements that plane on :mod:`multiprocessing`; its one entry point,
+:func:`fold_in_workers`, is called by ``accumulate_batches``:
 
 * the **feeder** (main process) iterates the batch stream — typically a
   chunked CSV reader, so file I/O overlaps with scattering — and
@@ -16,15 +17,16 @@ and merged by summation.  This module implements that plane on
   arrays through a pipe would cost as much as the scatter itself and cap
   the scaling), and only a tiny ``(block name, column layout)`` descriptor
   travels through the shard's *bounded* task queue — so peak memory stays
-  at roughly ``workers × queue_depth`` chunks in flight plus the shard
-  grids;
+  at roughly ``workers ×`` :data:`DEFAULT_QUEUE_DEPTH` chunks in flight
+  plus the shard grids;
 * each **worker** owns one shard: it maps the chunk block, applies the
   optional ``prepare`` transform (e.g. :func:`clean_chunk`), scatters into
-  a per-worker accumulator grid (also a shared-memory ndarray) and unlinks
+  a zeroed per-worker grid (also a shared-memory ndarray) and unlinks
   the chunk block.  A shard's queue is FIFO, so chunks accumulate within a
   shard in stream order;
-* the **reducer** sums the shard grids in fixed shard order ``0..workers-1``
-  once all workers report done.
+* the **reducer** sums the shard grids from zeros in fixed shard order
+  ``0..workers-1`` once all workers report done, and that sum is added onto
+  the caller's grid in one step.
 
 Determinism and float semantics
 -------------------------------
@@ -51,17 +53,17 @@ import os
 import queue as queue_module
 import time
 import traceback
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
 from repro.ingest.batch import RecordBatch
 from repro.ingest.dedup import clean_batch
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.synth.traffic import TowerTrafficMatrix
-from repro.utils.timeutils import TimeWindow
+from repro.obs.trace import NullTracer, Tracer
+
+if TYPE_CHECKING:
+    from repro.vectorize.aggregate import TowerRowIndex
 
 #: Maximum number of chunks queued per worker before the feeder blocks.
 DEFAULT_QUEUE_DEPTH = 2
@@ -75,16 +77,6 @@ _JOIN_SECONDS = 10.0
 
 class ParallelIngestError(RuntimeError):
     """A worker of the parallel ingest pool failed (or died silently)."""
-
-
-@dataclass(frozen=True)
-class ParallelAggregateStats:
-    """Pool-wide counters summed over all workers of one parallel pass."""
-
-    workers: int
-    chunks: int
-    records_seen: int
-    records_folded: int
 
 
 def resolve_workers(workers: int) -> int:
@@ -109,8 +101,9 @@ def clean_chunk(batch: RecordBatch) -> RecordBatch:
 
     Module-level (hence picklable) wrapper around
     :func:`repro.ingest.dedup.clean_batch` for use as the ``prepare``
-    callable of the parallel plane — each worker cleans its own chunks
-    before scattering, mirroring the serial ``--chunk-size`` CLI path.
+    callable — inline on the serial path, inside each worker on the
+    parallel one.  The CLI's ``fit --input`` and ``update`` clean every
+    chunk with it.
     """
     cleaned, _ = clean_batch(batch)
     return cleaned
@@ -164,7 +157,6 @@ def _worker_main(
     shm_name: str,
     grid_shape: tuple[int, int],
     ordered_ids: np.ndarray,
-    window_seconds: float,
     prepare: Callable[[RecordBatch], RecordBatch] | None,
     task_queue,
     done_queue,
@@ -195,11 +187,7 @@ def _worker_main(
                     if prepare is not None:
                         batch = prepare(batch)
                     records_seen += len(batch)
-                    if len(batch):
-                        contributes = index.rows_of(batch.tower_id) >= 0
-                        contributes &= batch.start_s < window_seconds
-                        records_folded += int(np.count_nonzero(contributes))
-                    _scatter_batch(batch, grid, index)
+                    records_folded += _scatter_batch(batch, grid, index)
                     chunks += 1
                 finally:
                     # Each chunk block is consumed exactly once: drop the
@@ -229,10 +217,8 @@ class _ShardPool:
         num_workers: int,
         grid_shape: tuple[int, int],
         ordered_ids: np.ndarray,
-        window_seconds: float,
         *,
         prepare: Callable[[RecordBatch], RecordBatch] | None,
-        queue_depth: int,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         import multiprocessing as mp
@@ -255,7 +241,7 @@ class _ShardPool:
                 shm = shared_memory.SharedMemory(create=True, size=nbytes)
                 np.ndarray(grid_shape, dtype=np.float64, buffer=shm.buf).fill(0.0)
                 self.shards.append(shm)
-                self.task_queues.append(context.Queue(maxsize=queue_depth))
+                self.task_queues.append(context.Queue(maxsize=DEFAULT_QUEUE_DEPTH))
             for worker_id in range(num_workers):
                 process = context.Process(
                     target=_worker_main,
@@ -264,7 +250,6 @@ class _ShardPool:
                         self.shards[worker_id].name,
                         grid_shape,
                         ordered_ids,
-                        window_seconds,
                         prepare,
                         self.task_queues[worker_id],
                         self.done_queue,
@@ -342,7 +327,7 @@ class _ShardPool:
         self._sent_blocks.append(handle[0])
         self.put(shard, handle)
 
-    def finish(self) -> ParallelAggregateStats:
+    def finish(self) -> None:
         """Send sentinels, wait for every worker's final report."""
         for shard in range(self.num_workers):
             self.put(shard, None)
@@ -351,15 +336,6 @@ class _ShardPool:
             self._check_liveness()
         for process in self.processes:
             process.join(timeout=_JOIN_SECONDS)
-        chunks = sum(payload[0] for payload in self._done.values())
-        seen = sum(payload[1] for payload in self._done.values())
-        folded = sum(payload[2] for payload in self._done.values())
-        return ParallelAggregateStats(
-            workers=self.num_workers,
-            chunks=chunks,
-            records_seen=seen,
-            records_folded=folded,
-        )
 
     def worker_reports(self) -> list[tuple[int, tuple[int, int, int, float, float]]]:
         """Per-worker ``(chunks, seen, folded, wall_s, cpu_s)`` reports.
@@ -410,40 +386,26 @@ class _ShardPool:
                 leftover.unlink()
 
 
-def parallel_aggregate_batches_with_stats(
+def fold_in_workers(
+    traffic: np.ndarray,
+    index: TowerRowIndex,
     batches: Iterable[RecordBatch],
-    window: TimeWindow,
-    tower_ids: Sequence[int] | np.ndarray,
     *,
     workers: int,
-    prepare: Callable[[RecordBatch], RecordBatch] | None = None,
-    queue_depth: int = DEFAULT_QUEUE_DEPTH,
-    tracer: Tracer | NullTracer | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> tuple[TowerTrafficMatrix, ParallelAggregateStats]:
-    """Shard-parallel :func:`~repro.vectorize.aggregate.aggregate_batches`.
+    prepare: Callable[[RecordBatch], RecordBatch] | None,
+    tracer: Tracer | NullTracer,
+    metrics: MetricsRegistry | None,
+) -> tuple[int, int, int]:
+    """Fold ``batches`` onto ``traffic`` through a pool of ``workers`` shards.
 
-    Fans the batch stream out to ``workers`` processes (chunk ``i`` →
-    shard ``i mod workers``), scatters each shard into its own
-    shared-memory grid and reduces the grids in fixed shard order.  Returns
-    the aggregated matrix together with pool-wide counters
-    (``records_folded`` counts records landing on a known tower row with a
-    start inside the window — the quantity
-    :meth:`~repro.core.model.TrafficPatternModel.update` reports).
-
-    ``workers`` must be ``>= 1`` here; callers wanting the ``0 = serial`` /
-    ``-1 = all cores`` convention should go through
-    :func:`~repro.vectorize.aggregate.aggregate_batches` (or call
-    :func:`resolve_workers` first).  ``prepare`` must be picklable
-    (module-level), e.g. :func:`clean_chunk`.
-
-    ``tracer`` grafts one pre-measured ``worker-{id}`` child span per shard
-    (wall/CPU time measured inside the worker process, counters ``chunks``/
-    ``records_seen``/``records_folded``) under the currently open span, in
-    ascending worker-id order — never completion order — so merged traces
-    are deterministic.  ``metrics`` feeds the cumulative ingest counters and
-    the ``ingest.queue_occupancy`` histogram (task-queue depth sampled at
-    each enqueue).
+    The pool entry of :func:`~repro.vectorize.aggregate.accumulate_batches`;
+    returns the pool-wide ``(chunks, records_seen, records_folded)``.  Chunk
+    ``i`` goes to shard ``i mod workers``; the zeroed shard grids are summed
+    in shard order and the sum is added onto ``traffic`` in one step.  One
+    pre-measured ``worker-{id}`` span per shard (wall/CPU time measured in
+    the worker, its three counters) is grafted under the open span in
+    worker-id order, so traces are deterministic; ``metrics`` gets the
+    ``ingest.queue_occupancy`` histogram (task-queue depth at each enqueue).
 
     Raises
     ------
@@ -451,35 +413,21 @@ def parallel_aggregate_batches_with_stats(
         If a worker raises or dies; the pool is torn down first, so the
         error surfaces instead of a hang.
     """
-    from repro.vectorize.aggregate import _ordered_tower_ids
-
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1 for the parallel plane, got {workers}")
-    if queue_depth < 1:
-        raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
-    ordered = _ordered_tower_ids(tower_ids)
-    grid_shape = (int(ordered.size), int(window.num_slots))
-    tracer = tracer if tracer is not None else NULL_TRACER
     pool = _ShardPool(
-        workers,
-        grid_shape,
-        ordered,
-        float(window.num_seconds),
-        prepare=prepare,
-        queue_depth=queue_depth,
-        metrics=metrics,
+        workers, traffic.shape, index.ordered_ids, prepare=prepare, metrics=metrics
     )
     try:
         for chunk_index, batch in enumerate(batches):
             pool.put_batch(chunk_index % workers, batch)
-        stats = pool.finish()
-        traffic = pool.reduce()
+        pool.finish()
+        traffic += pool.reduce()
     except BaseException:
         pool.close(force=True)
         raise
     pool.close()
+    reports = pool.worker_reports()
     if tracer.enabled:
-        for worker_id, (chunks, seen, folded, wall, cpu) in pool.worker_reports():
+        for worker_id, (chunks, seen, folded, wall, cpu) in reports:
             tracer.attach(
                 f"worker-{worker_id}",
                 wall_seconds=wall,
@@ -490,36 +438,7 @@ def parallel_aggregate_batches_with_stats(
                     "records_folded": folded,
                 },
             )
-    if metrics is not None:
-        metrics.counter("ingest.chunks").inc(stats.chunks)
-        metrics.counter("ingest.records_seen").inc(stats.records_seen)
-        metrics.counter("ingest.records_folded").inc(stats.records_folded)
-    return (
-        TowerTrafficMatrix(tower_ids=ordered, traffic=traffic, window=window),
-        stats,
+    chunks, seen, folded = (
+        sum(payload[column] for _, payload in reports) for column in range(3)
     )
-
-
-def parallel_aggregate_batches(
-    batches: Iterable[RecordBatch],
-    window: TimeWindow,
-    tower_ids: Sequence[int] | np.ndarray,
-    *,
-    workers: int,
-    prepare: Callable[[RecordBatch], RecordBatch] | None = None,
-    queue_depth: int = DEFAULT_QUEUE_DEPTH,
-    tracer: Tracer | NullTracer | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> TowerTrafficMatrix:
-    """:func:`parallel_aggregate_batches_with_stats` without the counters."""
-    matrix, _ = parallel_aggregate_batches_with_stats(
-        batches,
-        window,
-        tower_ids,
-        workers=workers,
-        prepare=prepare,
-        queue_depth=queue_depth,
-        tracer=tracer,
-        metrics=metrics,
-    )
-    return matrix
+    return chunks, seen, folded

@@ -1,24 +1,21 @@
-"""The traffic vectorizer: records or matrices → normalised traffic vectors.
+"""The traffic vectorizer: traffic matrices → normalised traffic vectors.
 
 This is the first element of the paper's three-element system (traffic
-vectorizer → pattern identifier → metric tuner).  The vectorizer takes
-columnar record batches (one, or a stream of them) or a pre-aggregated
-:class:`~repro.synth.traffic.TowerTrafficMatrix`, and always produces a
-:class:`VectorizedTraffic` whose rows are the per-tower normalised vectors
-``X_j = (x_j[1], …, x_j[N])``.
+vectorizer → pattern identifier → metric tuner).  The vectorizer takes a
+per-tower :class:`~repro.synth.traffic.TowerTrafficMatrix` — records reach
+one through :func:`repro.vectorize.aggregate.aggregate_batches` — and
+produces a :class:`VectorizedTraffic` whose rows are the per-tower
+normalised vectors ``X_j = (x_j[1], …, x_j[N])``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.ingest.batch import RecordBatch
 from repro.synth.traffic import TowerTrafficMatrix
 from repro.utils.timeutils import TimeWindow
-from repro.vectorize.aggregate import aggregate_batch, aggregate_batches
 from repro.vectorize.normalize import NormalizationMethod, normalize_matrix
 
 
@@ -83,7 +80,7 @@ class VectorizedTraffic:
 
 
 class TrafficVectorizer:
-    """Convert traffic logs or matrices into normalised traffic vectors.
+    """Convert traffic matrices into normalised traffic vectors.
 
     Parameters
     ----------
@@ -95,7 +92,7 @@ class TrafficVectorizer:
         self.method = method
 
     def from_matrix(self, matrix: TowerTrafficMatrix) -> VectorizedTraffic:
-        """Vectorize a pre-aggregated traffic matrix (fast path)."""
+        """Vectorize a per-tower traffic matrix."""
         vectors = normalize_matrix(matrix.traffic, self.method)
         return VectorizedTraffic(
             tower_ids=matrix.tower_ids.copy(),
@@ -104,26 +101,3 @@ class TrafficVectorizer:
             method=self.method,
             window=matrix.window,
         )
-
-    def from_batch(
-        self,
-        batch: RecordBatch,
-        window: TimeWindow,
-        *,
-        tower_ids: Sequence[int] | None = None,
-    ) -> VectorizedTraffic:
-        """Vectorize a columnar record batch (fully vectorized aggregation)."""
-        return self.from_matrix(aggregate_batch(batch, window, tower_ids=tower_ids))
-
-    def from_batches(
-        self,
-        batches: Iterable[RecordBatch],
-        window: TimeWindow,
-        tower_ids: Sequence[int],
-    ) -> VectorizedTraffic:
-        """Vectorize a stream of record batches (out-of-core aggregation).
-
-        ``tower_ids`` must be given up front: a streaming pass cannot
-        discover the row set without re-reading the data.
-        """
-        return self.from_matrix(aggregate_batches(batches, window, tower_ids))

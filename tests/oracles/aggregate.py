@@ -2,7 +2,7 @@
 
 Splits each record's bytes over its slots in a Python loop and adds them to
 the matrix one contribution at a time, in record-then-slot order.
-``aggregate_batch`` must build the same matrix bit for bit.
+``aggregate_batches`` over one batch must build the same matrix bit for bit.
 """
 
 from __future__ import annotations

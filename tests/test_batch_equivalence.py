@@ -24,11 +24,18 @@ from repro.ingest.records import BaseStationInfo, TrafficRecord
 from repro.synth.noise import LogCorruptionConfig, corrupt_batch
 from repro.synth.scenario import ScenarioConfig, generate_scenario
 from repro.utils.timeutils import SLOT_SECONDS, TimeWindow
-from repro.vectorize.aggregate import aggregate_batch, aggregate_batches
+from repro.vectorize.aggregate import aggregate_batches
 from repro.vectorize.slots import slot_spans_of_intervals, split_bytes_over_slots_batch
 from repro.vectorize.vectorizer import TrafficVectorizer
 
 WINDOW = TimeWindow(num_days=2)
+
+
+def aggregate_one(batch, window, tower_ids=None):
+    """Aggregate one batch; rows default to its sorted tower ids."""
+    if tower_ids is None:
+        tower_ids = np.unique(batch.tower_id)
+    return aggregate_batches([batch], window, tower_ids)
 
 
 def random_records(seed, n=400, num_towers=8, include_edge_cases=True):
@@ -198,7 +205,7 @@ class TestCorruptedTraceEndToEnd:
         scalar_clean, scalar_report = clean_records(records_of(trace))
         scalar = aggregate_records(scalar_clean, window)
         cleaned, report = clean_batch(trace)
-        columnar = aggregate_batch(cleaned, window)
+        columnar = aggregate_one(cleaned, window)
         assert report == scalar_report
         assert np.array_equal(columnar.tower_ids, scalar.tower_ids)
         assert np.array_equal(columnar.traffic, scalar.traffic)
@@ -211,7 +218,7 @@ class TestAggregateEquivalence:
         records = random_records(seed)
         batch = RecordBatch.from_records(records)
         scalar = aggregate_records(records, WINDOW)
-        columnar = aggregate_batch(batch, WINDOW)
+        columnar = aggregate_one(batch, WINDOW)
         assert np.array_equal(scalar.tower_ids, columnar.tower_ids)
         assert np.array_equal(scalar.traffic, columnar.traffic)
 
@@ -220,7 +227,7 @@ class TestAggregateEquivalence:
         batch = RecordBatch.from_records(records)
         tower_ids = [4, 2, 99, 0]  # 99 has no records; towers 1,3,5 are dropped
         scalar = aggregate_records(records, WINDOW, tower_ids=tower_ids)
-        columnar = aggregate_batch(batch, WINDOW, tower_ids=tower_ids)
+        columnar = aggregate_one(batch, WINDOW, tower_ids)
         assert np.array_equal(scalar.tower_ids, columnar.tower_ids)
         assert np.array_equal(scalar.traffic, columnar.traffic)
         assert np.all(columnar.traffic[2] == 0.0)
@@ -241,7 +248,7 @@ class TestAggregateEquivalence:
             )
         records = [r for r in records if r.end_s <= WINDOW.num_seconds]
         batch = RecordBatch.from_records(records)
-        matrix = aggregate_batch(batch, WINDOW)
+        matrix = aggregate_one(batch, WINDOW)
         total = sum(r.bytes_used for r in records)
         assert matrix.traffic.sum() == pytest.approx(total, rel=1e-12)
 
@@ -249,7 +256,7 @@ class TestAggregateEquivalence:
         records = random_records(70)
         batch = RecordBatch.from_records(records)
         tower_ids = sorted({r.tower_id for r in records})
-        whole = aggregate_batch(batch, WINDOW, tower_ids=tower_ids)
+        whole = aggregate_one(batch, WINDOW, tower_ids)
         chunked = aggregate_batches(batch.iter_chunks(37), WINDOW, tower_ids)
         assert np.array_equal(whole.traffic, chunked.traffic)
 
@@ -257,7 +264,7 @@ class TestAggregateEquivalence:
         records = random_records(80, n=20)
         batch = RecordBatch.from_records(records)
         with pytest.raises(ValueError, match=r"duplicate .*\[2, 7\]"):
-            aggregate_batch(batch, WINDOW, tower_ids=[2, 7, 2, 7, 1])
+            aggregate_batches([batch], WINDOW, [2, 7, 2, 7, 1])
         with pytest.raises(ValueError, match=r"duplicate .*\[3\]"):
             aggregate_batches([batch], WINDOW, [3, 3])
 
@@ -282,17 +289,17 @@ class TestAggregateEquivalence:
         ]
         batch = RecordBatch.from_records(records)
         scalar = aggregate_records(records, window)
-        columnar = aggregate_batch(batch, window)
+        columnar = aggregate_one(batch, window)
         assert np.array_equal(scalar.traffic, columnar.traffic)
 
 
 class TestVectorizerAndPreprocessEquivalence:
-    def test_vectorizer_from_batch_matches_scalar_aggregate(self):
+    def test_vectorizer_matches_scalar_aggregate(self):
         records = random_records(90)
         batch = RecordBatch.from_records(records)
         vectorizer = TrafficVectorizer()
         via_records = vectorizer.from_matrix(aggregate_records(records, WINDOW))
-        via_batch = vectorizer.from_batch(batch, WINDOW)
+        via_batch = vectorizer.from_matrix(aggregate_one(batch, WINDOW))
         assert np.array_equal(via_records.vectors, via_batch.vectors)
         assert np.array_equal(via_records.raw.traffic, via_batch.raw.traffic)
 
@@ -318,14 +325,13 @@ class TestVectorizerAndPreprocessEquivalence:
         )
         assert np.allclose(result.density.density, expected.density)
 
-    def test_model_fit_batch_matches_fit_on_aggregate(self):
+    def test_model_fit_batches_matches_fit_on_aggregate(self):
         records = random_records(92, n=600, num_towers=12, include_edge_cases=False)
         batch = RecordBatch.from_records(records)
-        window = WINDOW
-        matrix = aggregate_batch(batch, window)
+        tower_ids = np.unique(batch.tower_id)
         config = ModelConfig(num_clusters=3)
-        direct = TrafficPatternModel(config).fit(matrix)
-        via_batch = TrafficPatternModel(config).fit_batch(batch, window)
+        direct = TrafficPatternModel(config).fit(aggregate_one(batch, WINDOW))
+        via_batch = TrafficPatternModel(config).fit_batches([batch], WINDOW, tower_ids)
         assert np.array_equal(direct.labels, via_batch.labels)
         assert np.array_equal(
             direct.vectorized.raw.traffic, via_batch.vectorized.raw.traffic
@@ -336,9 +342,7 @@ class TestVectorizerAndPreprocessEquivalence:
         batch = RecordBatch.from_records(records)
         tower_ids = sorted(set(batch.tower_id.tolist()))
         config = ModelConfig(num_clusters=3)
-        whole = TrafficPatternModel(config).fit_batch(
-            batch, WINDOW, tower_ids=tower_ids
-        )
+        whole = TrafficPatternModel(config).fit_batches([batch], WINDOW, tower_ids)
         chunked = TrafficPatternModel(config).fit_batches(
             batch.iter_chunks(100), WINDOW, tower_ids
         )
@@ -388,7 +392,7 @@ class TestSynthBatchPath:
         }
         # aggregating the cleaned sessions lands near the profile traffic scale
         cleaned, _ = clean_batch(batch)
-        matrix = aggregate_batch(
-            cleaned, scenario.window, tower_ids=scenario.traffic.tower_ids.tolist()
+        matrix = aggregate_batches(
+            [cleaned], scenario.window, scenario.traffic.tower_ids.tolist()
         )
         assert matrix.traffic.sum() > 0

@@ -373,6 +373,29 @@ class TestUpdate:
         # The failed update left the bundle as it was.
         assert main(["query", "--model", str(bundle)]) == 0
 
+    def test_noop_update_of_a_whole_file_fit_reuses_every_stage(self, tmp_path, capsys):
+        # A fit that reads the trace whole records a vectorize fingerprint
+        # like a streamed one, so an update with no records re-runs nothing.
+        trace, stations = _generated_trace(tmp_path)
+        bundle = tmp_path / "bundle"
+        assert main(
+            [
+                "fit",
+                "--input", str(trace),
+                "--stations", str(stations),
+                "--days", "3",
+                "--clusters", "3",
+                "--save", str(bundle),
+            ]
+        ) == 0
+        header_only = tmp_path / "header.csv"
+        header_only.write_text(trace.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert main(["update", "--model", str(bundle), "--input", str(header_only)]) == 0
+        out = capsys.readouterr().out
+        assert "folded 0 of 0 clean records" in out
+        assert "stages re-run: <none>\n" in out
+
 
 class TestDecompose:
     def test_decompose_default_towers(self, capsys):
@@ -899,6 +922,68 @@ class TestParallelCLI:
         serial = load_model(tmp_path / "serial-upd").result.vectorized.raw.traffic
         parallel = load_model(tmp_path / "parallel-upd").result.vectorized.raw.traffic
         assert np.allclose(parallel, serial, rtol=1e-9, atol=0.0)
+
+    def test_update_without_workers_is_serial_after_a_parallel_fit(self, tmp_path, capsys):
+        # --workers belongs to the run, not the bundle: updating a bundle
+        # fitted with --workers 2 runs no worker pool unless asked to, and
+        # equals the serial library update bit for bit.
+        import json
+
+        import numpy as np
+
+        from repro.core.model import TrafficPatternModel
+        from repro.ingest.dedup import clean_batch
+        from repro.ingest.loader import iter_record_batches_csv, read_record_batch_csv
+        from repro.io.persist import load_model
+
+        def span_names(span):
+            yield span["name"]
+            for child in span["children"]:
+                yield from span_names(child)
+
+        trace_dir = self._generate(tmp_path)
+        fresh = self._generate(tmp_path / "fresh", seed=14) / "trace.csv"
+        bundle = tmp_path / "bundle"
+        assert main(
+            [
+                "fit",
+                "--input", str(trace_dir / "trace.csv"),
+                "--stations", str(trace_dir / "stations.csv"),
+                "--days", "3",
+                "--clusters", "3",
+                "--chunk-size", "4000",
+                "--workers", "2",
+                "--save", str(bundle),
+            ]
+        ) == 0
+        for name, chunk_size in (("whole", None), ("chunked", 3000)):
+            target = tmp_path / f"{name}.json"
+            chunking = ["--chunk-size", str(chunk_size)] if chunk_size else []
+            assert main(
+                [
+                    "update",
+                    "--model", str(bundle),
+                    "--input", str(fresh),
+                    "--save", str(tmp_path / name),
+                    "--trace", str(target),
+                    *chunking,
+                ]
+            ) == 0
+            (root,) = json.loads(target.read_text())["spans"]
+            names = list(span_names(root))
+            assert "ingest" in names
+            assert not [n for n in names if n.startswith("worker-")]
+            chunks = (
+                iter_record_batches_csv(fresh, chunk_size=chunk_size)
+                if chunk_size
+                else [read_record_batch_csv(fresh)]
+            )
+            cleaned = [clean_batch(chunk)[0] for chunk in chunks]
+            serial = TrafficPatternModel.load(bundle).update(cleaned, workers=0)
+            assert np.array_equal(
+                load_model(tmp_path / name).result.vectorized.raw.traffic,
+                serial.vectorized.raw.traffic,
+            )
 
 
 class TestTraceCLI:

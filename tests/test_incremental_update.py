@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
 from repro.ingest.batch import RecordBatch
+from repro.obs import Tracer
 from repro.synth.scenario import ScenarioConfig, generate_scenario
 from repro.synth.traffic import TowerTrafficMatrix
 from repro.utils.timeutils import SECONDS_PER_DAY, SLOT_SECONDS, TimeWindow
@@ -249,6 +250,21 @@ class TestUpdateStats:
         assert stats["records_seen"] == n
         assert stats["records_folded"] == 0
         assert np.array_equal(result.vectorized.raw.traffic, before)
+
+    def test_update_ingest_reads_only_the_new_records(self, daily_batches, tmp_path):
+        # An update folds the new day onto the stored grid: its ingest sees
+        # the new records alone, never the history behind the bundle.
+        model = TrafficPatternModel(ModelConfig(num_clusters=4))
+        model.fit_batches(daily_batches[:-1], WINDOW, TOWER_IDS)
+        reloaded = TrafficPatternModel.load(model.save(tmp_path / "bundle"))
+        tracer = Tracer()
+        new_day = daily_batches[-1]
+        reloaded.update(new_day.iter_chunks(1_000), tracer=tracer)
+        assert tracer.find("ingest").counters == {
+            "chunks": 3,
+            "records_seen": len(new_day),
+            "records_folded": len(new_day),
+        }
 
     def test_unknown_tower_records_not_counted_as_folded(self, daily_batches):
         model = TrafficPatternModel(ModelConfig(num_clusters=4))

@@ -11,6 +11,7 @@ from repro.ingest.loader import read_record_batch_csv, write_records_csv
 from repro.ingest.preprocess import preprocess_trace
 from repro.ingest.records import BaseStationInfo
 from repro.synth.geocoder import SyntheticGeocoder
+from repro.vectorize.aggregate import aggregate_batches
 from repro.vectorize.normalize import NormalizationMethod
 from repro.vectorize.vectorizer import TrafficVectorizer
 
@@ -30,10 +31,12 @@ class TestSessionToModelPipeline:
         activity templates: towers aggregate into series whose shape
         correlates with the profile-level generator's output."""
         vectorizer = TrafficVectorizer(method=NormalizationMethod.MAX)
-        vectorized = vectorizer.from_batch(
-            preprocessed.records,
-            session_scenario.window,
-            tower_ids=session_scenario.traffic.tower_ids.tolist(),
+        vectorized = vectorizer.from_matrix(
+            aggregate_batches(
+                [preprocessed.records],
+                session_scenario.window,
+                session_scenario.traffic.tower_ids.tolist(),
+            )
         )
         profile_based = TrafficVectorizer(method=NormalizationMethod.MAX).from_matrix(
             session_scenario.traffic
@@ -53,14 +56,13 @@ class TestSessionToModelPipeline:
         assert cleaned_volume < corrupted_volume
 
     def test_model_fits_on_session_derived_matrix(self, session_scenario, preprocessed):
-        vectorizer = TrafficVectorizer()
-        vectorized = vectorizer.from_batch(
-            preprocessed.records,
-            session_scenario.window,
-            tower_ids=session_scenario.traffic.tower_ids.tolist(),
-        )
         model = TrafficPatternModel(ModelConfig(num_clusters=5, max_clusters=6))
-        result = model.fit(vectorized.raw, city=session_scenario.city)
+        result = model.fit_batches(
+            [preprocessed.records],
+            session_scenario.window,
+            session_scenario.traffic.tower_ids.tolist(),
+            city=session_scenario.city,
+        )
         assert result.num_clusters == 5
         assert result.labels.shape[0] == session_scenario.traffic.num_towers
 

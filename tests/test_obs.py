@@ -179,7 +179,7 @@ class TestAttachAndWorkerMergeOrdering:
     def test_parallel_ingest_worker_spans_are_deterministically_ordered(self):
         from repro.ingest.batch import RecordBatch
         from repro.utils.timeutils import TimeWindow
-        from repro.vectorize.parallel import parallel_aggregate_batches_with_stats
+        from repro.vectorize.aggregate import aggregate_batches
 
         window = TimeWindow(num_days=2)
         rng = np.random.default_rng(5)
@@ -199,7 +199,7 @@ class TestAttachAndWorkerMergeOrdering:
         tracer = Tracer()
         metrics = MetricsRegistry()
         with tracer.span("ingest"):
-            _, stats = parallel_aggregate_batches_with_stats(
+            aggregate_batches(
                 batches(),
                 window,
                 list(range(10)),
@@ -211,7 +211,7 @@ class TestAttachAndWorkerMergeOrdering:
         names = [child.name for child in ingest.children]
         assert names == ["worker-0", "worker-1"]
         seen = sum(child.counters["records_seen"] for child in ingest.children)
-        assert seen == stats.records_seen == 6 * 500
+        assert seen == ingest.counters["records_seen"] == 6 * 500
         assert metrics.counter("ingest.records_seen").snapshot() == seen
 
 

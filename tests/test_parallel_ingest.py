@@ -16,15 +16,10 @@ from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
 from repro.ingest.batch import RecordBatch
 from repro.ingest.dedup import clean_batch
+from repro.obs import MetricsRegistry, Tracer
 from repro.utils.timeutils import SECONDS_PER_DAY, SLOT_SECONDS, TimeWindow
 from repro.vectorize.aggregate import TowerRowIndex, aggregate_batches
-from repro.vectorize.parallel import (
-    ParallelIngestError,
-    clean_chunk,
-    parallel_aggregate_batches,
-    parallel_aggregate_batches_with_stats,
-    resolve_workers,
-)
+from repro.vectorize.parallel import ParallelIngestError, clean_chunk, resolve_workers
 
 NUM_TOWERS = 40
 WINDOW = TimeWindow(num_days=7)
@@ -141,12 +136,8 @@ class TestParallelSerialEquivalence:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_deterministic_run_to_run(self, chunk_stream, workers):
-        first = parallel_aggregate_batches(
-            chunk_stream, WINDOW, TOWER_IDS, workers=workers
-        )
-        second = parallel_aggregate_batches(
-            chunk_stream, WINDOW, TOWER_IDS, workers=workers
-        )
+        first = aggregate_batches(chunk_stream, WINDOW, TOWER_IDS, workers=workers)
+        second = aggregate_batches(chunk_stream, WINDOW, TOWER_IDS, workers=workers)
         assert np.array_equal(first.traffic, second.traffic)
 
     def test_prepare_runs_inside_the_workers(self, chunk_stream):
@@ -176,14 +167,18 @@ class TestParallelSerialEquivalence:
         assert np.allclose(parallel.traffic, serial.traffic, rtol=RTOL, atol=0.0)
 
     def test_stats_count_folded_records(self, chunk_stream):
-        matrix, stats = parallel_aggregate_batches_with_stats(
-            chunk_stream, WINDOW, TOWER_IDS, workers=2
-        )
+        tracer = Tracer()
+        with tracer.span("ingest") as span:
+            matrix = aggregate_batches(
+                chunk_stream, WINDOW, TOWER_IDS, workers=2, tracer=tracer
+            )
         total = sum(len(batch) for batch in chunk_stream)
-        assert stats.workers == 2
-        assert stats.chunks == len(chunk_stream)
-        assert stats.records_seen == total
-        assert stats.records_folded == total  # every tower known, in-window
+        assert [child.name for child in span.children] == ["worker-0", "worker-1"]
+        assert span.counters == {
+            "chunks": len(chunk_stream),
+            "records_seen": total,
+            "records_folded": total,  # every tower known, in-window
+        }
         assert matrix.traffic.sum() > 0
 
 
@@ -226,7 +221,7 @@ class TestWorkerFailures:
         poison.tower_id[0] = MARKER_TOWER
         stream = [make_batch(rng, n=50) for _ in range(6)] + [poison]
         with pytest.raises(ParallelIngestError, match="synthetic prepare failure"):
-            parallel_aggregate_batches(
+            aggregate_batches(
                 stream, WINDOW, TOWER_IDS, workers=2, prepare=_fail_on_marker
             )
 
@@ -234,9 +229,7 @@ class TestWorkerFailures:
         rng = np.random.default_rng(5)
         stream = [make_batch(rng, n=50) for _ in range(8)]
         with pytest.raises(ParallelIngestError, match="died with exit code 3"):
-            parallel_aggregate_batches(
-                stream, WINDOW, TOWER_IDS, workers=2, prepare=_exit_hard
-            )
+            aggregate_batches(stream, WINDOW, TOWER_IDS, workers=2, prepare=_exit_hard)
 
 
 class TestModelIntegration:
@@ -274,16 +267,6 @@ class TestModelIntegration:
             atol=0.0,
         )
 
-    def test_config_workers_field_is_the_default(self, daily_batches):
-        explicit = TrafficPatternModel(ModelConfig(num_clusters=3))
-        explicit.fit_batches(daily_batches[:2], WINDOW, TOWER_IDS, workers=2)
-        configured = TrafficPatternModel(ModelConfig(num_clusters=3, workers=2))
-        configured.fit_batches(daily_batches[:2], WINDOW, TOWER_IDS)
-        assert np.array_equal(
-            configured.result.vectorized.raw.traffic,
-            explicit.result.vectorized.raw.traffic,
-        )
-
     def test_update_parallel_matches_serial_update(self, daily_batches):
         def fitted():
             model = TrafficPatternModel(ModelConfig(num_clusters=3))
@@ -305,6 +288,65 @@ class TestModelIntegration:
             == serial_result.extras["update_stats"]
         )
 
-    def test_config_rejects_workers_below_minus_one(self):
-        with pytest.raises(ValueError, match="workers"):
-            ModelConfig(workers=-2)
+
+class TestIngestCounters:
+    """Serial and parallel, fit and update: one counter set on every path."""
+
+    @pytest.fixture(scope="class")
+    def awkward_stream(self):
+        # Known towers in the window, unknown towers, records starting past
+        # the window's end, a chunk mixing all three, and empty chunks.
+        rng = np.random.default_rng(8)
+        shift = float(WINDOW.num_seconds)
+        early = make_batch(rng, n=400)
+        late = RecordBatch(
+            user_id=early.user_id,
+            tower_id=early.tower_id,
+            start_s=early.start_s + shift,
+            end_s=early.end_s + shift,
+            bytes_used=early.bytes_used,
+            network=early.network,
+        )
+        known = make_batch(rng, n=1500)
+        unknown = make_batch(rng, n=300, tower_offset=10_000)
+        mixed = RecordBatch.concat(
+            [make_batch(rng, n=100), unknown.take(np.arange(50)), late.take(np.arange(25))]
+        )
+        return [known, empty_batch(), unknown, late, mixed, empty_batch()]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("call", ["fit", "update"])
+    def test_every_path_reports_the_same_counters(self, awkward_stream, call, workers):
+        expected = {"chunks": 6, "records_seen": 2_375, "records_folded": 1_600}
+        tracer, metrics = Tracer(), MetricsRegistry()
+        model = TrafficPatternModel(ModelConfig(num_clusters=3))
+        if call == "fit":
+            model.fit_batches(
+                awkward_stream, WINDOW, TOWER_IDS,
+                workers=workers, tracer=tracer, metrics=metrics,
+            )
+        else:
+            model.fit_batches([make_batch(np.random.default_rng(9))], WINDOW, TOWER_IDS)
+            result = model.update(
+                awkward_stream, workers=workers, tracer=tracer, metrics=metrics
+            )
+            assert result.extras["update_stats"] == {
+                "records_seen": expected["records_seen"],
+                "records_folded": expected["records_folded"],
+            }
+        (root,) = tracer.roots
+        ingest = root.children[0]
+        assert (root.name, ingest.name) == (call, "ingest")
+        assert ingest.counters == expected
+        ingest_metrics = {
+            name: value
+            for name, value in metrics.snapshot()["counters"].items()
+            if name.startswith("ingest.")
+        }
+        assert ingest_metrics == {f"ingest.{name}": n for name, n in expected.items()}
+        assert [child.name for child in ingest.children] == [
+            f"worker-{worker_id}" for worker_id in range(workers)
+        ]
+        for name, value in expected.items():
+            worker_total = sum(child.counters[name] for child in ingest.children)
+            assert worker_total == (value if workers else 0)

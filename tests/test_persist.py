@@ -180,6 +180,19 @@ class TestRoundTrip:
         manifest["cluster_backend"] = "generic"
         assert config_from_manifest(manifest) == ModelConfig(num_clusters=6)
 
+    def test_manifest_with_a_workers_key_loads_and_ignores_it(self, fitted_model, tmp_path):
+        # Bundles written while the worker count was a config field carry a
+        # "workers" key; it is not part of the model, so it is ignored.
+        bundle = fitted_model.save(tmp_path / "bundle")
+        manifest_path = bundle / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        assert "workers" not in manifest["config"]
+        manifest["config"]["workers"] = 2
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = load_model(bundle)
+        assert loaded.config == fitted_model.config
+        _assert_results_equal(fitted_model.result, loaded.result)
+
     def test_unserialisable_extras_fail_loudly(self, fitted_model, tmp_path):
         result = fitted_model.result
         polluted = dict(result.extras)

@@ -6,7 +6,7 @@ import pytest
 from repro.ingest.batch import RecordBatch
 from repro.ingest.records import TrafficRecord
 from repro.utils.timeutils import TimeWindow
-from repro.vectorize.aggregate import aggregate_batch, aggregate_batches
+from repro.vectorize.aggregate import aggregate_batches
 from repro.vectorize.normalize import NormalizationMethod, normalize_matrix, normalize_vector
 from repro.vectorize.slots import (
     slot_edges,
@@ -24,6 +24,13 @@ def make_record(start, end, volume=100.0, user=1, tower=0):
 
 def batch_of(records):
     return RecordBatch.from_records(records)
+
+
+def aggregate_one(batch, window, tower_ids=None):
+    """Aggregate one batch; rows default to its sorted tower ids."""
+    if tower_ids is None:
+        tower_ids = np.unique(batch.tower_id)
+    return aggregate_batches([batch], window, tower_ids)
 
 
 def span(start, end):
@@ -115,7 +122,7 @@ class TestAggregate:
             make_record(100.0, 200.0, 40.0, tower=0),
             make_record(700.0, 800.0, 10.0, tower=1),
         ]
-        matrix = aggregate_batch(batch_of(records), window)
+        matrix = aggregate_one(batch_of(records), window)
         assert matrix.num_towers == 2
         assert matrix.traffic[0, 0] == pytest.approx(100.0)
         assert matrix.traffic[1, 1] == pytest.approx(10.0)
@@ -137,20 +144,20 @@ class TestAggregate:
             r if r.end_s <= window.num_seconds else make_record(r.start_s, window.num_seconds, r.bytes_used, tower=r.tower_id)
             for r in records
         ]
-        matrix = aggregate_batch(batch_of(records), window)
+        matrix = aggregate_one(batch_of(records), window)
         assert matrix.traffic.sum() == pytest.approx(sum(r.bytes_used for r in records))
 
     def test_explicit_tower_ids_and_zero_rows(self):
         window = TimeWindow(num_days=1)
         records = [make_record(0.0, 10.0, 5.0, tower=3)]
-        matrix = aggregate_batch(batch_of(records), window, tower_ids=[3, 7])
+        matrix = aggregate_one(batch_of(records), window, [3, 7])
         assert matrix.num_towers == 2
         assert matrix.traffic[1].sum() == 0.0
 
     def test_unlisted_towers_ignored(self):
         window = TimeWindow(num_days=1)
         records = [make_record(0.0, 10.0, 5.0, tower=3), make_record(0.0, 10.0, 5.0, tower=9)]
-        matrix = aggregate_batch(batch_of(records), window, tower_ids=[3])
+        matrix = aggregate_one(batch_of(records), window, [3])
         assert matrix.num_towers == 1
         assert matrix.traffic.sum() == pytest.approx(5.0)
 
@@ -158,7 +165,7 @@ class TestAggregate:
         window = TimeWindow(num_days=1)
         end = window.num_seconds + 1200.0
         start = window.num_seconds - 300.0
-        matrix = aggregate_batch(batch_of([make_record(start, end, 150.0)]), window)
+        matrix = aggregate_one(batch_of([make_record(start, end, 150.0)]), window)
         assert matrix.traffic[0, -1] == 150.0 * (300.0 / 1500.0)
         assert matrix.traffic.sum() == 150.0 * (300.0 / 1500.0)
 
@@ -170,7 +177,7 @@ class TestAggregate:
         # start slot.
         window = TimeWindow(num_days=1)
         start, volume = 100.0, 3.0e6
-        matrix = aggregate_batch(batch_of([make_record(start, end, volume)]), window)
+        matrix = aggregate_one(batch_of([make_record(start, end, volume)]), window)
         edges = slot_edges(window.num_slots)
         overlap = np.minimum(edges[1:], end) - np.maximum(edges[:-1], start)
         expected = volume * (overlap / (end - start))
@@ -187,7 +194,7 @@ class TestAggregate:
             )
         ]
         batch = batch_of(records)
-        in_memory = aggregate_batch(batch, window, tower_ids=[0, 1, 2, 3])
+        in_memory = aggregate_one(batch, window, [0, 1, 2, 3])
         streaming = aggregate_batches(batch.iter_chunks(64), window, [0, 1, 2, 3])
         assert np.array_equal(in_memory.traffic, streaming.traffic)
 
@@ -239,20 +246,20 @@ class TestVectorizer:
         with pytest.raises(KeyError):
             vectorized.vector(123456)
 
-    def test_from_batch_matches_manual_aggregation(self):
+    def test_unnormalised_vectors_are_the_aggregate(self):
         window = TimeWindow(num_days=1)
         batch = batch_of([
             make_record(0.0, 300.0, 60.0, tower=0),
             make_record(700.0, 900.0, 30.0, tower=1),
         ])
-        vectorized = TrafficVectorizer(method=NormalizationMethod.NONE).from_batch(batch, window)
-        manual = aggregate_batch(batch, window)
+        manual = aggregate_one(batch, window)
+        vectorized = TrafficVectorizer(method=NormalizationMethod.NONE).from_matrix(manual)
         assert np.array_equal(vectorized.vectors, manual.traffic)
 
     def test_paper_dimensions(self):
         # 28 days at 10-minute granularity = 4032 dimensions (Section 3.2).
         window = TimeWindow(num_days=28)
-        vectorized = TrafficVectorizer().from_batch(
-            batch_of([make_record(0.0, 100.0, 5.0, tower=0)]), window
+        vectorized = TrafficVectorizer().from_matrix(
+            aggregate_one(batch_of([make_record(0.0, 100.0, 5.0, tower=0)]), window)
         )
         assert vectorized.num_slots == 4032
