@@ -4,7 +4,7 @@ The pattern identifier is an average-linkage agglomerative (hierarchical)
 clustering over the normalised traffic vectors using Euclidean distances;
 the metric tuner selects the stopping threshold (equivalently the number of
 clusters) by minimising the Davies–Bouldin index.  Everything is implemented
-from scratch on numpy/scipy primitives: distance matrices, Lance–Williams
+from scratch on numpy primitives: distance matrices, Lance–Williams
 linkage updates, dendrogram cutting, and three cluster-validity indices.
 """
 

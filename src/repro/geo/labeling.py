@@ -5,17 +5,17 @@ region by combining the geographic distribution of its towers with the POI
 composition around its densest locations (Section 3.3.1).  The automated
 version implemented here scores every (cluster, region) assignment using the
 cluster's averaged normalised POI profile and solves the resulting
-assignment problem, with the special rule the paper also applies: the
+assignment problem exactly, with the special rule the paper also applies: the
 cluster whose POI profile is *least* skewed towards any single category (and
 whose towers are spread across the whole city) is the comprehensive one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.geo.poi_profile import POIProfile, normalized_poi_by_cluster
 from repro.synth.poi import POICategory
@@ -84,6 +84,68 @@ def _skewness_score(row: np.ndarray) -> float:
     return float(shares.max() - shares.mean())
 
 
+def assign_regions(scores: np.ndarray) -> list[int | None]:
+    """Return the region column each cluster row of ``scores`` takes, or ``None``.
+
+    ``scores`` is a ``(clusters, regions)`` matrix with few region columns
+    (the four pure regions).  Each cluster takes at most one region and each
+    region goes to at most one cluster; exactly ``min(clusters, regions)``
+    pairs are made, with the largest possible total score.  The search is an
+    exact dynamic program over the subsets of regions already taken (bit
+    masks): ``best[i][mask]`` is the largest total that clusters ``i…`` can
+    add once the regions in ``mask`` are taken, which costs
+    ``clusters × 2^regions × regions`` steps.
+
+    Ties: when several assignments reach the best total, cluster 0 takes the
+    first column that still reaches it (a region before none), then cluster 1
+    likewise, and so on.  With the pure regions in ``RegionType`` order, a
+    tie goes to the lower cluster label, and within one cluster to resident,
+    transport, office, entertainment in that order.  Totals are compared
+    exactly, as floats summed from the last cluster back.
+
+    Raises
+    ------
+    ValueError
+        If a score is not finite.
+    """
+    matrix = np.asarray(scores, dtype=float)
+    if not np.isfinite(matrix).all():
+        raise ValueError("assignment scores must be finite")
+    num_clusters, num_regions = matrix.shape
+    rows = matrix.tolist()
+    masks = range(1 << num_regions)
+    target = min(num_clusters, num_regions)
+    # best[i][mask]; -inf where clusters i… cannot end with ``target`` taken.
+    best = [[-math.inf] * len(masks) for _ in range(num_clusters)]
+    best.append([0.0 if mask.bit_count() == target else -math.inf for mask in masks])
+    for i in reversed(range(num_clusters)):
+        after = best[i + 1]
+        for mask in masks:
+            best[i][mask] = max(
+                [after[mask]]
+                + [
+                    rows[i][j] + after[mask | 1 << j]
+                    for j in range(num_regions)
+                    if not mask >> j & 1
+                ]
+            )
+    choice: list[int | None] = []
+    mask = 0
+    for i, row in enumerate(rows):
+        taken = next(
+            (
+                j
+                for j in range(num_regions)
+                if not mask >> j & 1 and row[j] + best[i + 1][mask | 1 << j] == best[i][mask]
+            ),
+            None,
+        )
+        if taken is not None:
+            mask |= 1 << taken
+        choice.append(taken)
+    return choice
+
+
 def label_clusters(
     profile: POIProfile,
     labels: np.ndarray,
@@ -100,13 +162,14 @@ def label_clusters(
     Notes
     -----
     The four pure regions (resident, transport, office, entertainment) are
-    assigned to clusters by solving a rectangular assignment problem
-    (Hungarian algorithm) that maximises the total share of the matching POI
-    category in each assigned cluster's averaged normalised POI row.  Any
-    cluster left without a pure region — the fifth cluster when the paper's
-    five patterns are found, or every extra cluster for finer cuts — is
-    labelled comprehensive.  This global assignment is robust to the relative
-    skew of individual clusters, which a greedy per-cluster rule is not.
+    assigned to clusters by :func:`assign_regions`, an exact search that
+    maximises the total share of the matching POI category in each assigned
+    cluster's averaged normalised POI row (ties go to the lower cluster
+    label).  Any cluster left without a pure region — the fifth cluster when
+    the paper's five patterns are found, or every extra cluster for finer
+    cuts — is labelled comprehensive.  This global assignment is robust to
+    the relative skew of individual clusters, which a greedy per-cluster rule
+    is not.
     """
     label_array = np.asarray(labels, dtype=int)
     unique = np.unique(label_array)
@@ -124,28 +187,20 @@ def label_clusters(
         for j, region in enumerate(pure_regions):
             score_matrix[i, j] = shares[_POI_FOR_REGION[region].index]
 
-    region_types: list[RegionType | None] = [None] * num_clusters
+    # Each pure region is claimed by exactly one cluster (when at least four
+    # clusters exist); leftover clusters are comprehensive.
+    region_types: list[RegionType] = []
     scores = np.zeros(num_clusters)
-    # Rectangular assignment: each pure region is claimed by exactly one
-    # cluster (when at least four clusters exist); leftover clusters are
-    # comprehensive.
-    row_ind, col_ind = linear_sum_assignment(-score_matrix)
-    for i, j in zip(row_ind, col_ind):
-        region_types[i] = pure_regions[j]
-        scores[i] = score_matrix[i, j]
-
-    for i in range(num_clusters):
-        if region_types[i] is None:
-            region_types[i] = RegionType.COMPREHENSIVE
+    for i, j in enumerate(assign_regions(score_matrix)):
+        if j is None:
+            region_types.append(RegionType.COMPREHENSIVE)
             scores[i] = _skewness_score(table[i])
-
-    final_regions = [
-        region if region is not None else RegionType.COMPREHENSIVE
-        for region in region_types
-    ]
+        else:
+            region_types.append(pure_regions[j])
+            scores[i] = score_matrix[i, j]
     return ClusterLabeling(
         cluster_labels=unique,
-        region_types=final_regions,
+        region_types=region_types,
         scores=scores,
     )
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from repro.geo.grid import cluster_density_maps, densest_point_of_cluster, towers_in_cell
-from repro.geo.labeling import label_accuracy, label_clusters
+from repro.geo.labeling import assign_regions, label_accuracy, label_clusters
 from repro.geo.poi_profile import POIProfile, compute_poi_profiles, normalized_poi_by_cluster, poi_share_by_cluster
 from repro.geo.tfidf import compute_ntf_idf, compute_tf_idf, ntf_idf_of_towers
 from repro.geo.validation import macro_validation_table, validate_case_study
@@ -177,6 +180,58 @@ class TestLabeling:
         labeling = label_clusters(poi_profile, labels)
         regions = set(labeling.region_types)
         assert len(regions) == 4
+
+
+@st.composite
+def tie_free_scores(draw):
+    """A (k × 4) score matrix on which every assignment has a distinct total.
+
+    Entry (i, j) is ``(a[i, j] · M + w(i, j)) / 2³²`` with drawn integers
+    ``a`` and a tie-breaking weight ``w`` whose sum over a full assignment
+    is that assignment's digits in base k (k ≥ 4: the cluster of each
+    region) or base 4 (k < 4: the region of each cluster), below ``M``.
+    Totals of four entries stay below 2⁵³ · 2⁻³², so they are exact.
+    """
+    k = draw(st.integers(1, 30))
+    a = np.array(draw(st.lists(st.integers(0, 1000), min_size=4 * k, max_size=4 * k)))
+    i, j = np.indices((k, 4))
+    if k >= 4:
+        weight, bound = i * k**j, k**4
+    else:
+        weight, bound = j * 4**i, 4**k
+    return (a.reshape(k, 4) * bound + weight) / 2.0**32
+
+
+class TestAssignRegions:
+    @settings(max_examples=300, deadline=None)
+    @given(scores=tie_free_scores())
+    def test_matches_linear_sum_assignment_without_ties(self, scores):
+        rows, cols = linear_sum_assignment(scores, maximize=True)
+        pairs = [(i, j) for i, j in enumerate(assign_regions(scores)) if j is not None]
+        assert pairs == list(zip(rows.tolist(), cols.tolist()))
+
+    def test_ties_go_to_the_lower_cluster_then_the_earlier_region(self):
+        # Clusters 0 and 1 tie for resident; the lower label takes it.
+        scores = np.array(
+            [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+            + [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        )
+        assert assign_regions(scores) == [0, None, 1, 2, 3]
+        # Every assignment ties: clusters take regions in order, a region
+        # before none.
+        assert assign_regions(np.zeros((6, 4))) == [0, 1, 2, 3, None, None]
+        assert assign_regions(np.zeros((2, 4))) == [0, 1]
+        # Equal rows: the lower cluster takes the earlier of two tied regions.
+        assert assign_regions(np.full((2, 4), [0.4, 0.4, 0.1, 0.1])) == [0, 1]
+
+    def test_fewer_clusters_than_regions_each_take_one(self):
+        scores = np.array([[0.1, 0.2, 0.9, 0.3], [0.2, 0.1, 0.8, 0.7]])
+        assert assign_regions(scores) == [2, 3]
+        assert assign_regions(np.zeros((0, 4))) == []
+
+    def test_non_finite_scores_are_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            assign_regions(np.array([[np.nan, 0.0, 0.0, 0.0]]))
 
 
 class TestGrids:

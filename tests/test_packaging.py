@@ -1,4 +1,5 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package imports is a declared dependency,
+and the only declared runtime dependency is numpy."""
 
 from __future__ import annotations
 
@@ -41,3 +42,7 @@ def test_runtime_imports_are_declared_dependencies():
         sys.stdlib_module_names
     ) - {"repro"}
     assert third_party <= declared_dependencies()
+
+
+def test_runtime_depends_on_numpy_alone():
+    assert declared_dependencies() == {"numpy"}

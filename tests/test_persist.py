@@ -1,15 +1,22 @@
 """Tests for repro.io — model bundles (save/load) and the query server."""
 
+import io
 import json
+import shutil
+import struct
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
 from repro.io.persist import (
     ARRAYS_NAME,
     MANIFEST_NAME,
+    NPY_HEADER_LIMIT,
     SCHEMA_VERSION,
     PersistError,
     config_from_manifest,
@@ -374,3 +381,236 @@ class TestMmapLoad:
         (bundle / ARRAYS_NAME).write_bytes(b"not a zip archive")
         with pytest.raises(PersistError):
             load_model(bundle, mmap=True)
+
+
+def _deflated(blob: bytes) -> bytes:
+    """The same arrays written the way older versions did (``savez_compressed``)."""
+    with np.load(io.BytesIO(blob)) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    out = io.BytesIO()
+    np.savez_compressed(out, **arrays)
+    return out.getvalue()
+
+
+def _rewrite(blob: bytes, *, drop: str | None = None, add: tuple | None = None) -> bytes:
+    """Copy an archive member by member, without ``drop`` and with ``add``.
+
+    ``add`` is ``(name, data, compress_type)``; a name already present is
+    replaced.
+    """
+    skipped = {drop, add[0] if add else None}
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(blob)) as source, zipfile.ZipFile(out, "w") as target:
+        for info in source.infolist():
+            if info.filename not in skipped:
+                target.writestr(info, source.read(info))
+        if add is not None:
+            name, data, compress_type = add
+            target.writestr(name, data, compress_type=compress_type)
+    return out.getvalue()
+
+
+def _data_start(blob: bytes, info: zipfile.ZipInfo) -> int:
+    """Offset of a member's (possibly deflated) bytes after its local header."""
+    name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+    return info.header_offset + 30 + name_len + extra_len
+
+
+def _regions(blob: bytes) -> dict[str, list[int]]:
+    """Byte offsets of an archive's zip headers, ``.npy`` headers and data.
+
+    A deflated member's ``.npy`` header is inside its compressed stream, so
+    all of that stream counts as data.
+    """
+    regions: dict[str, list[int]] = {"zip header": [], "npy header": [], "data": []}
+    with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+        regions["zip header"] += range(archive.start_dir, len(blob))
+        for info in archive.infolist():
+            start = _data_start(blob, info)
+            end = start + info.compress_size
+            regions["zip header"] += range(info.header_offset, start)
+            if info.compress_type == zipfile.ZIP_STORED:
+                assert blob[start + 6] == 1  # .npy format version 1.0
+                (header_len,) = struct.unpack_from("<H", blob, start + 8)
+                regions["npy header"] += range(start, start + 10 + header_len)
+                start += 10 + header_len
+            regions["data"] += range(start, end)
+    return {name: offsets for name, offsets in regions.items() if offsets}
+
+
+def _assert_one_line_error(err, path):
+    message = str(err.value)
+    assert "\n" not in message
+    assert message.startswith(str(path))
+
+
+@pytest.fixture(scope="module")
+def small_model():
+    """A labelled fit small enough to load hundreds of times."""
+    scenario = generate_scenario(
+        ScenarioConfig(num_towers=12, num_users=30, num_days=7, seed=5)
+    )
+    model = TrafficPatternModel(ModelConfig(num_clusters=5))
+    model.fit(scenario.traffic, city=scenario.city)
+    return model
+
+
+class TestArchiveLayout:
+    def test_save_writes_only_stored_members(self, fitted_model, tmp_path):
+        bundle = fitted_model.save(tmp_path / "bundle")
+        with zipfile.ZipFile(bundle / ARRAYS_NAME) as archive:
+            infos = archive.infolist()
+        assert len(infos) == len(read_manifest(bundle)["arrays"])
+        assert {info.compress_type for info in infos} == {zipfile.ZIP_STORED}
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_deflated_bundle_loads_bit_identical(self, fitted_model, tmp_path, mmap):
+        bundle = fitted_model.save(tmp_path / "bundle")
+        arrays_path = bundle / ARRAYS_NAME
+        arrays_path.write_bytes(_deflated(arrays_path.read_bytes()))
+        with zipfile.ZipFile(arrays_path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+        _assert_results_equal(fitted_model.result, load_model(bundle, mmap=mmap).result)
+
+
+@pytest.mark.parametrize("mmap", [False, True])
+class TestDeclaredMembers:
+    """Only the members the manifest declares are read, each within its size."""
+
+    def test_undeclared_member_is_never_read(self, small_model, tmp_path, mmap):
+        bundle = small_model.save(tmp_path / "bundle")
+        arrays_path = bundle / ARRAYS_NAME
+        # Reading this member would fail: its header length is over numpy's limit.
+        unreadable = b"\x93NUMPY\x01\x00" + b"\xff" * 1000
+        arrays_path.write_bytes(
+            _rewrite(
+                arrays_path.read_bytes(), add=("extra.npy", unreadable, zipfile.ZIP_DEFLATED)
+            )
+        )
+        _assert_results_equal(small_model.result, load_model(bundle, mmap=mmap).result)
+
+    def test_oversized_member_is_refused_before_it_is_read(self, small_model, tmp_path, mmap):
+        bundle = small_model.save(tmp_path / "bundle")
+        arrays_path = bundle / ARRAYS_NAME
+        meta = read_manifest(bundle)["arrays"]["clustering.labels"]
+        limit = int(np.prod(meta["shape"])) * np.dtype(meta["dtype"]).itemsize
+        limit += NPY_HEADER_LIMIT
+        # One byte over the limit, and unreadable: the size alone refuses it.
+        arrays_path.write_bytes(
+            _rewrite(
+                arrays_path.read_bytes(),
+                add=("clustering.labels.npy", b"\0" * (limit + 1), zipfile.ZIP_DEFLATED),
+            )
+        )
+        with pytest.raises(PersistError, match=f"more than the {limit}") as err:
+            load_model(bundle, mmap=mmap)
+        _assert_one_line_error(err, arrays_path)
+
+    def test_member_at_the_limit_is_read(self, small_model, tmp_path, mmap):
+        bundle = small_model.save(tmp_path / "bundle")
+        arrays_path = bundle / ARRAYS_NAME
+        labels = small_model.result.clustering.labels
+        # A valid .npy member whose header pads it to exactly the limit.
+        header = repr(
+            {
+                "descr": np.lib.format.dtype_to_descr(labels.dtype),
+                "fortran_order": False,
+                "shape": labels.shape,
+            }
+        )
+        header_len = NPY_HEADER_LIMIT - 10
+        member = (
+            b"\x93NUMPY\x01\x00"
+            + struct.pack("<H", header_len)
+            + (header.ljust(header_len - 1) + "\n").encode("latin1")
+            + labels.tobytes()
+        )
+        assert len(member) == labels.nbytes + NPY_HEADER_LIMIT
+        arrays_path.write_bytes(
+            _rewrite(
+                arrays_path.read_bytes(),
+                add=("clustering.labels.npy", member, zipfile.ZIP_STORED),
+            )
+        )
+        _assert_results_equal(small_model.result, load_model(bundle, mmap=mmap).result)
+
+    def test_unknown_compression_method(self, small_model, tmp_path, mmap):
+        bundle = small_model.save(tmp_path / "bundle")
+        arrays_path = bundle / ARRAYS_NAME
+        blob = bytearray(arrays_path.read_bytes())
+        with zipfile.ZipFile(io.BytesIO(bytes(blob))) as archive:
+            start_dir = archive.start_dir
+        # The first central-directory record's compression method: 0 → 1 (shrunk).
+        blob[start_dir + 10] ^= 1
+        arrays_path.write_bytes(bytes(blob))
+        with pytest.raises(PersistError, match="corrupt array archive") as err:
+            load_model(bundle, mmap=mmap)
+        _assert_one_line_error(err, arrays_path)
+
+    def test_garbled_npy_header(self, small_model, tmp_path, mmap):
+        bundle = small_model.save(tmp_path / "bundle")
+        arrays_path = bundle / ARRAYS_NAME
+        blob = bytearray(arrays_path.read_bytes())
+        with zipfile.ZipFile(io.BytesIO(bytes(blob))) as archive:
+            start = _data_start(blob, archive.getinfo("vectorized.vectors.npy"))
+        # The header dict's opening brace becomes a quote: an unterminated string.
+        assert blob[start + 10 : start + 11] == b"{"
+        blob[start + 10] = ord("'")
+        arrays_path.write_bytes(bytes(blob))
+        with pytest.raises(PersistError, match="corrupt array archive") as err:
+            load_model(bundle, mmap=mmap)
+        _assert_one_line_error(err, arrays_path)
+
+
+@st.composite
+def archive_mutations(draw, blob: bytes, regions: dict[str, list[int]]):
+    """Truncate, flip one bit in one of ``regions``, drop a member or add one."""
+    kind = draw(st.sampled_from(["truncate", "flip", "drop", "add"]))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if kind == "flip":
+        offset = draw(st.sampled_from(regions[draw(st.sampled_from(sorted(regions)))]))
+        mutated = bytearray(blob)
+        mutated[offset] ^= 1 << draw(st.integers(0, 7))
+        return bytes(mutated)
+    with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+        names = archive.namelist()
+    if kind == "drop":
+        return _rewrite(blob, drop=draw(st.sampled_from(names)))
+    name = draw(st.sampled_from(["extra.npy", "extra", "../extra.npy"]))
+    data = draw(st.binary(max_size=64))
+    method = draw(st.sampled_from([zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED]))
+    return _rewrite(blob, add=(name, data, method))
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+@pytest.mark.parametrize("layout", ["stored", "deflated"])
+class TestArchiveFuzz:
+    """A damaged archive loads the original arrays or fails with one line."""
+
+    @pytest.fixture(scope="class")
+    def pristine(self, small_model, tmp_path_factory):
+        bundle = small_model.save(tmp_path_factory.mktemp("fuzz") / "bundle")
+        stored = (bundle / ARRAYS_NAME).read_bytes()
+        blobs = {"stored": stored, "deflated": _deflated(stored)}
+        return bundle, {layout: (blob, _regions(blob)) for layout, blob in blobs.items()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_damaged_archive(self, small_model, pristine, layout, mmap, data):
+        source, archives = pristine
+        bundle = source.parent / f"{layout}-{'mmap' if mmap else 'eager'}"
+        if not bundle.exists():
+            shutil.copytree(source, bundle)
+        arrays_path = bundle / ARRAYS_NAME
+        arrays_path.write_bytes(data.draw(archive_mutations(*archives[layout])))
+        try:
+            loaded = load_model(bundle, mmap=mmap)
+        except PersistError as err:
+            message = str(err)
+            assert "\n" not in message
+            assert message.startswith(str(arrays_path))
+        else:
+            _assert_results_equal(small_model.result, loaded.result)
