@@ -22,34 +22,21 @@ The package is organised as the paper's system is:
   in-process :class:`~repro.io.server.ModelServer` query layer.
 """
 
-from repro.core.config import ModelConfig
-from repro.core.model import TrafficPatternModel
-from repro.core.results import ModelResult
-from repro.synth.scenario import Scenario, ScenarioConfig, generate_scenario
+from repro.utils.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
+# Imported on first access, so ``import repro`` loads none of the fit stack:
+# a server imports only what serving needs.
+_EXPORTS = {
+    "core.config": ("ModelConfig",),
+    "core.model": ("TrafficPatternModel",),
+    "core.results": ("ModelResult",),
+    "io.persist": ("PersistError", "load_model", "save_model"),
+    "io.server": ("ModelServer",),
+    "synth.scenario": ("Scenario", "ScenarioConfig", "generate_scenario"),
+}
 
-def __getattr__(name: str):
-    # ModelServer / persistence live in repro.io, which imports repro.core;
-    # exposing them lazily keeps the package import graph acyclic.
-    if name in ("ModelServer", "PersistError", "load_model", "save_model"):
-        from repro import io as _io
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
-        return getattr(_io, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "ModelConfig",
-    "ModelResult",
-    "ModelServer",
-    "PersistError",
-    "Scenario",
-    "ScenarioConfig",
-    "TrafficPatternModel",
-    "generate_scenario",
-    "load_model",
-    "save_model",
-    "__version__",
-]
+__all__ = [*sorted(name for names in _EXPORTS.values() for name in names), "__version__"]

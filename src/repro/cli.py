@@ -59,19 +59,8 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.cluster.backends import BACKEND_CHOICES
-from repro.core.config import ModelConfig
-from repro.core.model import TrafficPatternModel
-from repro.ingest.loader import (
-    TraceFormatError,
-    iter_record_batches_csv,
-    read_record_batch_csv,
-    read_stations_csv,
-    write_records_csv,
-    write_stations_csv,
-)
-from repro.ingest.records import BaseStationInfo
 from repro.io.persist import (
     PersistError,
     read_manifest,
@@ -80,12 +69,16 @@ from repro.io.persist import (
 )
 from repro.io.server import ModelServer
 from repro.obs import MetricsRegistry, Tracer
-from repro.synth.scenario import Scenario, ScenarioConfig, generate_scenario
-from repro.utils.timeutils import TimeWindow
-from repro.vectorize.parallel import clean_chunk
 from repro.viz.ascii import render_trace_tree
 from repro.viz.export import export_json, export_rows_csv
 from repro.viz.tables import decomposition_table, format_table
+
+# The fit stack (model, ingest, synth) is imported inside the handlers that
+# use it, so `serve` and `query` start without loading it.
+if TYPE_CHECKING:
+    from repro.core.config import ModelConfig
+    from repro.core.model import TrafficPatternModel
+    from repro.synth.scenario import Scenario
 
 
 class CLIError(RuntimeError):
@@ -106,6 +99,8 @@ def _cluster_options(args: argparse.Namespace) -> tuple[str, int | None]:
     Returns ``(backend, tile_size)`` with ``tile_size=None`` meaning "use the
     default"; bad values fail with the one-line exit-2 operational style.
     """
+    from repro.cluster.backends import BACKEND_CHOICES
+
     backend = getattr(args, "cluster_backend", "auto")
     if backend not in BACKEND_CHOICES:
         raise CLIError(
@@ -162,6 +157,8 @@ def _streaming_options(args: argparse.Namespace) -> tuple[int, int]:
 
 def _record_chunks(path: str | Path, chunk_size: int):
     """The records CSV as ``chunk_size``-record batches, or one whole batch."""
+    from repro.ingest.loader import iter_record_batches_csv, read_record_batch_csv
+
     if chunk_size:
         return iter_record_batches_csv(path, chunk_size=chunk_size)
     return [read_record_batch_csv(path)]
@@ -257,6 +254,8 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_scenario(args: argparse.Namespace, *, sessions: bool) -> Scenario:
+    from repro.synth.scenario import ScenarioConfig, generate_scenario
+
     return generate_scenario(
         ScenarioConfig(
             num_towers=args.towers,
@@ -270,6 +269,9 @@ def _build_scenario(args: argparse.Namespace, *, sessions: bool) -> Scenario:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.ingest.loader import write_records_csv, write_stations_csv
+    from repro.ingest.records import BaseStationInfo
+
     output = Path(args.output)
     output.mkdir(parents=True, exist_ok=True)
     scenario = _build_scenario(args, sessions=True)
@@ -295,6 +297,12 @@ def _fit_model(
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> tuple[TrafficPatternModel, Scenario | None]:
+    from repro.core.config import ModelConfig
+    from repro.core.model import TrafficPatternModel
+    from repro.ingest.loader import read_stations_csv
+    from repro.utils.timeutils import TimeWindow
+    from repro.vectorize.parallel import clean_chunk
+
     chunk_size, workers = _streaming_options(args)
     backend, tile_size = _cluster_options(args)
     config_kwargs = dict(
@@ -404,14 +412,16 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_decompositions(result, batch) -> None:
-    """Print the coefficient table of a :class:`BatchDecomposition`."""
-    if result.representatives is None:
-        raise SystemExit("not enough clusters to build primary components")
-    component_names = [
-        (result.region_of_cluster(int(label)).value if result.labeling else f"component {label}")
-        for label in sorted(batch.component_labels.tolist())
-    ]
+def _print_decompositions(batch, region_of_cluster) -> None:
+    """Print the coefficient table of a :class:`BatchDecomposition`.
+
+    ``region_of_cluster`` names each component by its cluster's region
+    (``None`` when the model is unlabelled).
+    """
+    component_names = []
+    for label in sorted(batch.component_labels.tolist()):
+        region = region_of_cluster(label)
+        component_names.append(region.value if region else f"component {label}")
     print(decomposition_table(batch, component_names))
 
 
@@ -429,6 +439,8 @@ def _default_decompose_towers(model: TrafficPatternModel, count: int) -> list[in
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from repro.core.model import TrafficPatternModel
+
     if args.model:
         # Serve the decomposition from a persisted bundle — no refit.
         model = TrafficPatternModel.load(args.model)
@@ -445,11 +457,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         return model.decompose_towers([int(t) for t in tower_ids])
 
     batch = _served(args.model, solve_all) if args.model else solve_all()
-    _print_decompositions(model.result, batch)
+    _print_decompositions(batch, model.result.region_of_cluster)
     return 0
 
 
 def _cmd_update(args: argparse.Namespace) -> int:
+    from repro.core.model import TrafficPatternModel
+    from repro.vectorize.parallel import clean_chunk
+
     chunk_size, workers = _streaming_options(args)
     traced, trace_out = _trace_options(args)
     tracer = Tracer() if traced else None
@@ -522,14 +537,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
     tracer = Tracer() if traced else None
     metrics = MetricsRegistry() if traced else None
     server = ModelServer.from_artifact(args.model, tracer=tracer, metrics=metrics)
-    result = server.result
     payload: dict[str, object] = {}
     explicit = bool(args.decompose or args.decompose_all or args.region or args.pattern)
 
     if args.summary or not explicit:
-        rows = result.percentage_table()
-        print(f"{result.num_clusters} traffic patterns "
-              f"({result.vectorized.num_towers} towers, {result.window.num_days} days)")
+        rows = server.percentage_table()
+        print(f"{server.num_clusters} traffic patterns "
+              f"({server.num_towers} towers, {server.num_days} days)")
         print(format_table(
             ["cluster", "region", "%"],
             [[row["cluster"], row["region"], row["percentage"]] for row in rows],
@@ -542,7 +556,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             args.model, lambda: server.decompose_many([int(t) for t in args.decompose])
         )
         print()
-        _served(args.model, lambda: _print_decompositions(result, batch))
+        _served(args.model, lambda: _print_decompositions(batch, server.region_of_cluster))
         if args.json:
             payload["decompositions"] = batch.as_rows()
 
@@ -550,7 +564,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         batch = _served(args.model, server.decompose_all)
         print()
         print(f"convex decomposition of all {len(batch)} towers:")
-        _served(args.model, lambda: _print_decompositions(result, batch))
+        _served(args.model, lambda: _print_decompositions(batch, server.region_of_cluster))
         if args.json:
             payload["decompositions_all"] = batch.as_rows()
 
@@ -599,7 +613,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # Loads (and validates) the bundle before binding the socket, so a bad
     # bundle is the usual one-line exit-2 error instead of a serving 500.
-    service = ModelService(args.model, mmap=not args.no_mmap)
+    service = ModelService(args.model)
 
     def on_ready(host: str, port: int) -> None:
         print(f"serving model bundle {args.model} at http://{host}:{port}")
@@ -863,11 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8350,
         help="TCP port (default 8350; 0 picks an ephemeral port)",
     )
-    serve.add_argument(
-        "--no-mmap", action="store_true",
-        help="load bundle arrays into RAM instead of memory-mapping them "
-        "(mmap keeps hot-swap from doubling peak RSS)",
-    )
     serve.set_defaults(handler=_cmd_serve)
 
     stats = subparsers.add_parser(
@@ -897,9 +906,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return int(args.handler(args))
-    except (CLIError, PersistError, TraceFormatError) as err:
-        print(f"repro-traffic: error: {err}", file=sys.stderr)
-        return 2
+    except (CLIError, PersistError) as err:
+        message = str(err)
+    except ValueError as err:
+        # Only the records reader raises TraceFormatError; importing it here
+        # keeps it off the serve path.
+        from repro.ingest.loader import TraceFormatError
+
+        if not isinstance(err, TraceFormatError):
+            raise
+        message = str(err)
+    print(f"repro-traffic: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

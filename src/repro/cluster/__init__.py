@@ -8,57 +8,36 @@ from scratch on numpy primitives: distance matrices, Lance–Williams
 linkage updates, dendrogram cutting, and three cluster-validity indices.
 """
 
-from repro.cluster.backends import (
-    BACKEND_CHOICES,
-    BACKEND_NAMES,
-    ClusteringBackend,
-    NNChainBackend,
-    get_backend,
-    resolve_backend,
-)
-from repro.cluster.distance import (
-    condensed_from_square,
-    euclidean_distance_matrix,
-    pairwise_distances,
-)
-from repro.cluster.hierarchical import (
-    AgglomerativeClustering,
-    ClusteringResult,
-    Dendrogram,
-    cut_by_distance,
-    cut_by_num_clusters,
-)
-from repro.cluster.linkage import Linkage
-from repro.cluster.tuner import MetricTuner, TuningCurve
-from repro.cluster.validity import (
-    calinski_harabasz_index,
-    cluster_centroids,
-    davies_bouldin_index,
-    silhouette_score,
-    within_cluster_distances,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "AgglomerativeClustering",
-    "BACKEND_CHOICES",
-    "BACKEND_NAMES",
-    "ClusteringBackend",
-    "ClusteringResult",
-    "Dendrogram",
-    "Linkage",
-    "MetricTuner",
-    "NNChainBackend",
-    "TuningCurve",
-    "calinski_harabasz_index",
-    "cluster_centroids",
-    "condensed_from_square",
-    "cut_by_distance",
-    "cut_by_num_clusters",
-    "davies_bouldin_index",
-    "euclidean_distance_matrix",
-    "get_backend",
-    "pairwise_distances",
-    "resolve_backend",
-    "silhouette_score",
-    "within_cluster_distances",
-]
+_EXPORTS = {
+    "backends": (
+        "BACKEND_CHOICES",
+        "BACKEND_NAMES",
+        "ClusteringBackend",
+        "NNChainBackend",
+        "get_backend",
+        "resolve_backend",
+    ),
+    "distance": ("condensed_from_square", "euclidean_distance_matrix", "pairwise_distances"),
+    "hierarchical": (
+        "AgglomerativeClustering",
+        "ClusteringResult",
+        "Dendrogram",
+        "cut_by_distance",
+        "cut_by_num_clusters",
+    ),
+    "linkage": ("Linkage",),
+    "tuner": ("MetricTuner", "TuningCurve"),
+    "validity": (
+        "calinski_harabasz_index",
+        "cluster_centroids",
+        "davies_bouldin_index",
+        "silhouette_score",
+        "within_cluster_distances",
+    ),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

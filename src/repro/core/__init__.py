@@ -16,31 +16,24 @@ pipeline engine of :mod:`repro.core.pipeline` whose six stage classes live
 in :mod:`repro.core.stages`.
 """
 
-from repro.core.config import ModelConfig
-from repro.core.model import TrafficPatternModel
-from repro.core.pipeline import (
-    Pipeline,
-    PipelineContext,
-    PipelineError,
-    PipelineStage,
-    StageCache,
-    StageTiming,
-    timings_as_dict,
-)
-from repro.core.results import ClusterSummary, ModelResult
-from repro.core.stages import default_stages
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ClusterSummary",
-    "ModelConfig",
-    "ModelResult",
-    "Pipeline",
-    "PipelineContext",
-    "PipelineError",
-    "PipelineStage",
-    "StageCache",
-    "StageTiming",
-    "TrafficPatternModel",
-    "default_stages",
-    "timings_as_dict",
-]
+_EXPORTS = {
+    "config": ("ModelConfig",),
+    "model": ("TrafficPatternModel",),
+    "pipeline": (
+        "Pipeline",
+        "PipelineContext",
+        "PipelineError",
+        "PipelineStage",
+        "StageCache",
+        "StageTiming",
+        "timings_as_dict",
+    ),
+    "results": ("ClusterSummary", "ModelResult"),
+    "stages": ("default_stages",),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

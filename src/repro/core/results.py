@@ -3,19 +3,48 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.cluster.hierarchical import ClusteringResult
-from repro.cluster.tuner import TuningCurve
-from repro.decompose.representative import RepresentativeTowers
-from repro.geo.labeling import ClusterLabeling
-from repro.geo.poi_profile import POIProfile
-from repro.spectral.components import PrincipalComponents
-from repro.spectral.features import FrequencyFeatures
-from repro.synth.regions import RegionType
-from repro.utils.timeutils import TimeWindow
-from repro.vectorize.vectorizer import VectorizedTraffic
+# Annotations only: a server imports this module for percentage_table
+# without loading the fit stack.
+if TYPE_CHECKING:
+    from repro.cluster.hierarchical import ClusteringResult
+    from repro.cluster.tuner import TuningCurve
+    from repro.decompose.representative import RepresentativeTowers
+    from repro.geo.labeling import ClusterLabeling
+    from repro.geo.poi_profile import POIProfile
+    from repro.spectral.components import PrincipalComponents
+    from repro.spectral.features import FrequencyFeatures
+    from repro.synth.regions import RegionType
+    from repro.utils.timeutils import TimeWindow
+    from repro.vectorize.vectorizer import VectorizedTraffic
+
+
+def percentage_table(
+    labels: np.ndarray, region_of_cluster: Callable[[int], RegionType | None]
+) -> list[dict[str, object]]:
+    """Return Table 1 of a labelling: cluster index, functional region, percentage.
+
+    ``region_of_cluster`` maps a cluster label to its region (``None`` when
+    the model is unlabelled).  :meth:`ModelResult.percentage_table` and a
+    :class:`~repro.io.server.ModelServer` both build the table here.
+    """
+    num_clusters = int(np.unique(labels).size)
+    sizes = np.bincount(labels, minlength=num_clusters).astype(float)
+    percentages = 100.0 * sizes / sizes.sum()
+    rows = []
+    for cluster_label in range(num_clusters):
+        region = region_of_cluster(cluster_label)
+        rows.append(
+            {
+                "cluster": cluster_label + 1,
+                "region": region.value if region else "unlabelled",
+                "percentage": round(float(percentages[cluster_label]), 2),
+            }
+        )
+    return rows
 
 
 @dataclass
@@ -113,15 +142,4 @@ class ModelResult:
 
     def percentage_table(self) -> list[dict[str, object]]:
         """Return Table 1 (cluster index, functional region, percentage)."""
-        percentages = self.clustering.percentages()
-        rows = []
-        for cluster_label in range(self.num_clusters):
-            region = self.region_of_cluster(cluster_label)
-            rows.append(
-                {
-                    "cluster": cluster_label + 1,
-                    "region": region.value if region else "unlabelled",
-                    "percentage": round(float(percentages[cluster_label]), 2),
-                }
-            )
-        return rows
+        return percentage_table(self.labels, self.region_of_cluster)

@@ -2,11 +2,14 @@
 
 * :mod:`repro.io.persist` — versioned on-disk model bundles (NPZ arrays +
   JSON manifest) with bit-for-bit :func:`~repro.io.persist.save_model` /
-  :func:`~repro.io.persist.load_model` round-trips;
+  :func:`~repro.io.persist.load_model` round-trips, and
+  :func:`~repro.io.persist.read_serving_arrays`, which reads only what a
+  server answers from;
 * :mod:`repro.io.server` — the in-process :class:`~repro.io.server.ModelServer`
-  answering decompose / region / summary / pattern queries against a fitted
-  or loaded model without re-running the fit: it decomposes the whole city
-  once when built, so every query is a row lookup;
+  answering decompose / region / summary / pattern queries from the few
+  per-tower and per-cluster arrays of a fitted or persisted model, without
+  re-running the fit: it decomposes the whole city once when built, so every
+  query is a row lookup;
 * :mod:`repro.io.service` — the networked serving plane: an asyncio
   HTTP/JSON front-end (:class:`~repro.io.service.ModelService`) answering
   each query inline from the active server, with atomic hot-swap of new
@@ -28,7 +31,6 @@ from repro.io.service import (
     ModelService,
     ServiceError,
     ServiceHandle,
-    model_fingerprint,
     run_service,
     start_service,
 )
@@ -45,7 +47,6 @@ __all__ = [
     "ServiceHandle",
     "TowerPattern",
     "load_model",
-    "model_fingerprint",
     "read_manifest",
     "run_service",
     "save_model",

@@ -9,7 +9,10 @@ directory holding exactly two files:
     representative-tower features — stored losslessly (bit-for-bit) and
     uncompressed (``np.savez``): deflating shrank a dense 1,200-tower
     archive by ~6% and made each save ~10× slower.  Deflated archives from
-    older versions still load.
+    older versions still load.  Two per-tower arrays derived from the
+    traffic matrix ride along, ``raw.total_bytes`` and ``raw.peak_slot``
+    (:func:`traffic_totals`), so a server never reads the matrix; bundles
+    written before them get both from their own matrix when served.
 
 ``manifest.json``
     Schema version, the :class:`~repro.core.config.ModelConfig` used for the
@@ -20,8 +23,11 @@ directory holding exactly two files:
 :func:`save_model` / :func:`load_model` round-trip the result exactly:
 ``load_model(save_model(result))`` answers every query — decompositions,
 region predictions, cluster summaries — identically to the in-memory
-original.  All failure modes (missing bundle, corrupt manifest, truncated or
-tampered arrays, a bundle written by a newer schema) raise
+original.  :func:`read_serving_arrays` reads only what a
+:class:`~repro.io.server.ModelServer` answers from: every array but the two
+towers × slots grids, each digest-checked, and none of the fit stack is
+imported to do it.  All failure modes (missing bundle, corrupt manifest,
+truncated or tampered arrays, a bundle written by a newer schema) raise
 :class:`PersistError` with a path-qualified one-line message.
 """
 
@@ -35,28 +41,19 @@ import tempfile
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
 from repro import __version__
-from repro.cluster.backends import DEFAULT_TILE_SIZE
-from repro.cluster.hierarchical import ClusteringResult, Dendrogram
-from repro.cluster.linkage import Linkage
-from repro.cluster.tuner import TuningCurve
-from repro.core.config import ModelConfig
-from repro.core.results import ModelResult
 from repro.decompose.representative import RepresentativeTowers
-from repro.geo.labeling import ClusterLabeling
-from repro.geo.poi_profile import POIProfile
 from repro.spectral.components import PrincipalComponents
 from repro.spectral.features import FrequencyFeatures
-from repro.synth.regions import RegionType
-from repro.synth.traffic import TowerTrafficMatrix
 from repro.utils.fingerprint import fingerprint_array
-from repro.utils.timeutils import TimeWindow
-from repro.vectorize.normalize import NormalizationMethod
-from repro.vectorize.vectorizer import VectorizedTraffic
+
+if TYPE_CHECKING:
+    from repro.core.config import ModelConfig
+    from repro.core.results import ModelResult
 
 #: Name of the bundle format, recorded in every manifest.
 FORMAT_NAME = "repro-traffic-model"
@@ -116,6 +113,11 @@ def config_from_manifest(data: dict) -> ModelConfig:
     Keys it does not read are ignored, e.g. the ``workers`` key of bundles
     written while the worker count was part of the config.
     """
+    from repro.cluster.backends import DEFAULT_TILE_SIZE
+    from repro.cluster.linkage import Linkage
+    from repro.core.config import ModelConfig
+    from repro.vectorize.normalize import NormalizationMethod
+
     return ModelConfig(
         normalization=NormalizationMethod(data["normalization"]),
         linkage=Linkage(data["linkage"]),
@@ -166,21 +168,33 @@ def _restore_extras(extras: dict) -> dict:
 # ----------------------------------------------------------------------
 
 
-def save_model(
-    result: ModelResult,
-    config: ModelConfig,
-    path: str | Path,
-) -> Path:
-    """Write a fitted model to a bundle directory; returns the bundle path.
+def traffic_totals(traffic: np.ndarray) -> dict[str, np.ndarray]:
+    """Return the two per-tower arrays a bundle derives from its traffic grid.
 
-    The directory is created if needed.  An existing bundle at the same path
-    is replaced by writing both files under temporary names first and then
-    atomically renaming each into place, so a crash mid-write never
-    truncates the previous copy; a crash between the two renames leaves a
-    cross-file checksum mismatch that :func:`load_model` rejects loudly
-    instead of serving a silently inconsistent model.
+    ``raw.total_bytes`` (float64) is each row's sum and ``raw.peak_slot``
+    (int64) the slot of its first maximum: the two numbers a tower's
+    ``/pattern`` reply carries.  :func:`save_model` stores both, an
+    in-memory :class:`~repro.io.server.ModelServer` computes them from its
+    fit, and :func:`read_serving_arrays` computes them for a bundle written
+    before they were stored.
     """
-    bundle = Path(path)
+    return {
+        "raw.total_bytes": traffic.sum(axis=1),
+        "raw.peak_slot": traffic.argmax(axis=1).astype(np.int64, copy=False),
+    }
+
+
+def bundle_contents(
+    result: ModelResult, config: ModelConfig
+) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+    """Return the arrays and the manifest (less its digests) of a bundle.
+
+    :func:`save_model` writes them; an in-memory
+    :class:`~repro.io.server.ModelServer` serves from them, so a fit is
+    served exactly as its bundle would be.  The result's arrays are handed
+    over as they are (only the two :func:`traffic_totals` are computed), and
+    nothing is hashed.
+    """
     vectorized = result.vectorized
     raw = vectorized.raw
     clustering = result.clustering
@@ -192,6 +206,7 @@ def save_model(
         "vectorized.vectors": vectorized.vectors,
         "raw.tower_ids": raw.tower_ids,
         "raw.traffic": raw.traffic,
+        **traffic_totals(raw.traffic),
         "clustering.labels": clustering.labels,
         "dendrogram.merges": dendrogram.merges,
         "features.tower_ids": result.frequency_features.tower_ids,
@@ -210,7 +225,7 @@ def save_model(
             "linkage": clustering.linkage.value,
             "threshold": None if clustering.threshold is None else float(clustering.threshold),
             "num_observations": dendrogram.num_observations,
-            "extras": _json_ready(clustering.extras, "clustering extras", bundle),
+            "extras": clustering.extras,
         },
         "components": {
             "week": result.components.week,
@@ -218,7 +233,7 @@ def save_model(
             "half_day": result.components.half_day,
             "num_slots": result.components.num_slots,
         },
-        "extras": _json_ready(result.extras, "result extras", bundle),
+        "extras": result.extras,
     }
 
     if result.tuning_curve is not None:
@@ -260,7 +275,26 @@ def save_model(
         manifest["representatives"] = {}
     else:
         manifest["representatives"] = None
+    return arrays, manifest
 
+
+def save_model(
+    result: ModelResult,
+    config: ModelConfig,
+    path: str | Path,
+) -> Path:
+    """Write a fitted model to a bundle directory; returns the bundle path.
+
+    The directory is created if needed.  An existing bundle at the same path
+    is replaced by writing both files under temporary names first and then
+    atomically renaming each into place, so a crash mid-write never
+    truncates the previous copy; a crash between the two renames leaves a
+    cross-file checksum mismatch that :func:`load_model` rejects loudly
+    instead of serving a silently inconsistent model.
+    """
+    bundle = Path(path)
+    arrays, manifest = bundle_contents(result, config)
+    manifest = _json_ready(manifest, "the model manifest", bundle)
     manifest["arrays"] = {
         key: {
             "sha256": fingerprint_array(array),
@@ -401,8 +435,7 @@ def _read_arrays(
     the pages are backed by the same filesystem, else the system temp dir —
     and mapped from there with ``np.load(copy, mmap_mode="r")``.  On POSIX
     the copies are unlinked at once (the mappings stay valid), so nothing is
-    left on disk; array pages are faulted in lazily and stay evictable,
-    which keeps a hot-swap from holding two full models in RSS.
+    left on disk; array pages are faulted in lazily and stay evictable.
     """
     scratch = None
     arrays: dict[str, np.ndarray] = {}
@@ -451,20 +484,101 @@ def _read_arrays(
     return arrays
 
 
-def _load_arrays(bundle: Path, manifest: dict, *, mmap: bool = False) -> dict[str, np.ndarray]:
-    """Load and integrity-check the arrays the manifest declares."""
+#: The two towers × slots grids of a bundle.  No served reply reads them:
+#: :func:`read_serving_arrays` leaves both on disk.
+GRID_ARRAYS = ("raw.traffic", "vectorized.vectors")
+
+
+def _declared_arrays(bundle: Path, manifest: dict) -> dict:
+    """Return the manifest's ``arrays`` section (shape, dtype and digest per key)."""
+    declared = manifest.get("arrays")
+    if not isinstance(declared, dict):
+        raise PersistError(f"{bundle / MANIFEST_NAME}: corrupt manifest: missing arrays section")
+    return declared
+
+
+def _load_arrays(
+    bundle: Path,
+    manifest: dict,
+    keys: Iterable[str] | None = None,
+    *,
+    mmap: bool = False,
+) -> dict[str, np.ndarray]:
+    """Load and integrity-check the declared arrays named by ``keys`` (all by default)."""
     arrays_path = bundle / ARRAYS_NAME
     manifest_path = bundle / MANIFEST_NAME
     if not arrays_path.is_file():
         raise PersistError(f"{bundle}: not a model bundle (missing {ARRAYS_NAME})")
-    declared = manifest.get("arrays")
-    if not isinstance(declared, dict):
-        raise PersistError(f"{manifest_path}: corrupt manifest: missing arrays section")
+    declared = _declared_arrays(bundle, manifest)
+    if keys is not None:
+        missing = [key for key in keys if key not in declared]
+        if missing:
+            raise PersistError(f"{arrays_path}: missing array {missing[0]!r}")
+        declared = {key: declared[key] for key in keys}
     arrays = _read_arrays(arrays_path, _member_limits(manifest_path, declared), mmap=mmap)
     for key, meta in declared.items():
         if fingerprint_array(arrays[key]) != meta.get("sha256"):
             raise PersistError(f"{arrays_path}: array {key!r} failed its integrity check")
     return arrays
+
+
+def read_serving_arrays(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a bundle's manifest and every declared array but the two grids.
+
+    Returns ``(manifest, arrays)``.  Each array is read eagerly and checked
+    against its manifest digest; ``raw.traffic`` and ``vectorized.vectors``
+    (:data:`GRID_ARRAYS`) are never read, except that a bundle written before
+    ``raw.total_bytes``/``raw.peak_slot`` were stored reads ``raw.traffic``
+    once to compute them (:func:`traffic_totals`) and then drops it.
+
+    Raises
+    ------
+    PersistError
+        With a path-qualified one-line message, as :func:`load_model`.
+    """
+    bundle = Path(path)
+    manifest = read_manifest(bundle)
+    declared = _declared_arrays(bundle, manifest)
+    keys = [key for key in declared if key not in GRID_ARRAYS]
+    if "raw.total_bytes" not in declared:
+        keys.append("raw.traffic")
+    arrays = _load_arrays(bundle, manifest, keys)
+    if "raw.traffic" in arrays:
+        arrays.update(traffic_totals(arrays.pop("raw.traffic")))
+    return manifest, arrays
+
+
+def decomposition_inputs(
+    need: Callable[[str], np.ndarray], manifest: dict
+) -> tuple[FrequencyFeatures, RepresentativeTowers | None]:
+    """Return a bundle's frequency features and primary components.
+
+    ``need`` returns the array stored under a key.  :func:`load_model`
+    rebuilds a result from them; a :class:`~repro.io.server.ModelServer`
+    decomposes the city with them.  The components are ``None`` when the
+    fit produced none.
+    """
+    components = manifest["components"]
+    features = FrequencyFeatures(
+        tower_ids=need("features.tower_ids"),
+        amplitudes=need("features.amplitudes"),
+        phases=need("features.phases"),
+        components=PrincipalComponents(
+            week=None if components["week"] is None else int(components["week"]),
+            day=int(components["day"]),
+            half_day=int(components["half_day"]),
+            num_slots=int(components["num_slots"]),
+        ),
+    )
+    representatives = None
+    if manifest["representatives"] is not None:
+        representatives = RepresentativeTowers(
+            cluster_labels=need("representatives.cluster_labels"),
+            row_indices=need("representatives.row_indices"),
+            tower_ids=need("representatives.tower_ids"),
+            features=need("representatives.features"),
+        )
+    return features, representatives
 
 
 def load_model(path: str | Path, *, mmap: bool = False) -> LoadedModel:
@@ -476,9 +590,9 @@ def load_model(path: str | Path, *, mmap: bool = False) -> LoadedModel:
 
     With ``mmap=True`` every array is opened as a read-only memory map
     instead of being materialised in RAM: pages fault in on first touch and
-    stay evictable, so loading a second large bundle next to a live one —
-    the serving plane's hot-swap — does not double the peak RSS.  The
-    arrays compare equal either way; they are just not writable.
+    stay evictable, so loading a second large bundle next to a live one
+    does not double the peak RSS.  The arrays compare equal either way;
+    they are just not writable.
 
     Raises
     ------
@@ -487,6 +601,18 @@ def load_model(path: str | Path, *, mmap: bool = False) -> LoadedModel:
         (missing bundle, corrupt manifest or arrays, checksum mismatch,
         future schema version).
     """
+    from repro.cluster.hierarchical import ClusteringResult, Dendrogram
+    from repro.cluster.linkage import Linkage
+    from repro.cluster.tuner import TuningCurve
+    from repro.core.results import ModelResult
+    from repro.geo.labeling import ClusterLabeling
+    from repro.geo.poi_profile import POIProfile
+    from repro.synth.regions import RegionType
+    from repro.synth.traffic import TowerTrafficMatrix
+    from repro.utils.timeutils import TimeWindow
+    from repro.vectorize.normalize import NormalizationMethod
+    from repro.vectorize.vectorizer import VectorizedTraffic
+
     bundle = Path(path)
     manifest = read_manifest(bundle)
     arrays = _load_arrays(bundle, manifest, mmap=mmap)
@@ -555,29 +681,7 @@ def load_model(path: str | Path, *, mmap: bool = False) -> LoadedModel:
                 radius_km=float(manifest["poi_profile"]["radius_km"]),
             )
 
-        components_meta = manifest["components"]
-        components = PrincipalComponents(
-            week=None if components_meta["week"] is None else int(components_meta["week"]),
-            day=int(components_meta["day"]),
-            half_day=int(components_meta["half_day"]),
-            num_slots=int(components_meta["num_slots"]),
-        )
-        frequency_features = FrequencyFeatures(
-            tower_ids=need("features.tower_ids"),
-            amplitudes=need("features.amplitudes"),
-            phases=need("features.phases"),
-            components=components,
-        )
-
-        representatives = None
-        if manifest["representatives"] is not None:
-            representatives = RepresentativeTowers(
-                cluster_labels=need("representatives.cluster_labels"),
-                row_indices=need("representatives.row_indices"),
-                tower_ids=need("representatives.tower_ids"),
-                features=need("representatives.features"),
-            )
-
+        frequency_features, representatives = decomposition_inputs(need, manifest)
         config = config_from_manifest(manifest["config"])
         extras = _restore_extras(manifest["extras"])
     except PersistError:
@@ -594,7 +698,7 @@ def load_model(path: str | Path, *, mmap: bool = False) -> LoadedModel:
         tuning_curve=tuning_curve,
         labeling=labeling,
         poi_profile=poi_profile,
-        components=components,
+        components=frequency_features.components,
         frequency_features=frequency_features,
         representatives=representatives,
         extras=extras,

@@ -1,16 +1,19 @@
 """Networked serving plane: an HTTP/JSON front-end over the model.
 
 The paper's workflow is fit-once / query-many; :class:`~repro.io.server.ModelServer`
-answers those queries in-process from arrays it computes once per model.
-This module puts a network front-end on it, stdlib ``asyncio`` only.  Every
-query is a row lookup, so it is answered inline on the event loop, and a
-reply depends only on the model, never on how requests were grouped.
+answers those queries in-process from the few per-tower and per-cluster
+arrays it builds once per model.  This module puts a network front-end on
+it, stdlib ``asyncio`` only.  Every query is a row lookup, so it is answered
+inline on the event loop, and a reply depends only on the model, never on
+how requests were grouped.
 
 **Atomic hot-swap**
-    ``POST /reload`` loads a new bundle off the event loop (on a worker
-    thread, memory-mapped so peak RSS does not double) and then swaps the
-    active generation in one assignment.  Each query reads one generation
-    from start to end; not a single request is dropped.
+    ``POST /reload`` builds a server for the new bundle off the event loop
+    (on a worker thread; it reads the bundle's small arrays, never its
+    towers × slots grids) and then swaps the active generation in one
+    assignment.  During a swap the process holds two such small states, not
+    two models.  Each query reads one generation from start to end; not a
+    single request is dropped.
 
 Endpoints (all JSON)::
 
@@ -38,9 +41,9 @@ embedding) or :func:`run_service` to serve forever (the
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import logging
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -48,7 +51,6 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 from urllib.parse import urlsplit
 
-from repro.core.results import ModelResult
 from repro.io.persist import PersistError
 from repro.io.server import ModelServer
 from repro.obs.metrics import MetricsRegistry
@@ -68,6 +70,12 @@ _HTTP_REASONS = {
     500: "Internal Server Error",
 }
 
+#: A tower id as a string: ASCII digits with an optional leading minus.
+_TOWER_ID = re.compile(r"-?[0-9]+")
+
+#: A ``Content-Length`` value: ASCII digits only.
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
+
 _log = logging.getLogger(__name__)
 
 
@@ -79,23 +87,21 @@ class ServiceError(RuntimeError):
         self.status = int(status)
 
 
-def model_fingerprint(result: ModelResult) -> str:
-    """Return a short, stable fingerprint of a fitted model's content.
+def _parse_tower_id(raw: Any) -> int:
+    """Read one requested tower id, or fail with a 400.
 
-    Derived from the pipeline's per-stage input fingerprints (persisted in
-    every bundle manifest), so two bundles answer queries identically iff
-    their fingerprints match.
+    A tower id is an integer (not a bool) or a string of ASCII digits with
+    an optional leading ``-``, so ``1.7``, ``true``, ``"1_0"``, ``"+1"`` and
+    non-ASCII digits are refused rather than read as some other tower.
     """
-    fingerprints = result.extras.get("stage_fingerprints")
-    if fingerprints:
-        blob = json.dumps(fingerprints, sort_keys=True)
-    else:  # pre-fingerprint results (hand-built pipelines): hash the arrays
-        from repro.utils.fingerprint import fingerprint_array
-
-        blob = fingerprint_array(result.vectorized.vectors) + fingerprint_array(
-            result.clustering.labels
-        )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str) and _TOWER_ID.fullmatch(raw):
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ServiceError(400, f"tower id {raw!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,6 @@ class _ServingModel:
     """One immutable generation of the hot-swappable serving state."""
 
     server: ModelServer
-    fingerprint: str
     generation: int
     path: Path | None
 
@@ -125,9 +130,6 @@ class ModelService:
         A ready :class:`ModelServer` to serve (in-memory fits, tests).
     metrics:
         Shared registry; the service creates a private one when omitted.
-    mmap:
-        Memory-map bundle arrays on load/reload (default on) so a hot-swap
-        does not hold two full models in RSS.
     """
 
     def __init__(
@@ -136,33 +138,20 @@ class ModelService:
         *,
         server: ModelServer | None = None,
         metrics: MetricsRegistry | None = None,
-        mmap: bool = True,
     ) -> None:
         if server is None and model_path is None:
             raise ValueError("either model_path or server is required")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._mmap = bool(mmap)
         path = None if model_path is None else Path(model_path)
         if server is None:
-            server = ModelServer.from_artifact(path, metrics=self.metrics, mmap=self._mmap)
-        self._active = self._make_generation(server, path, generation=1)
+            server = ModelServer.from_artifact(path, metrics=self.metrics)
+        self._active = _ServingModel(server, generation=1, path=path)
         self._requests = self.metrics.counter("service.requests")
         self._errors = self.metrics.counter("service.errors")
         self._reloads = self.metrics.counter("service.reloads")
         self._request_seconds = self.metrics.histogram("service.request_seconds")
 
     # -- serving state --------------------------------------------------
-
-    @staticmethod
-    def _make_generation(
-        server: ModelServer, path: Path | None, generation: int
-    ) -> _ServingModel:
-        return _ServingModel(
-            server=server,
-            fingerprint=model_fingerprint(server.result),
-            generation=generation,
-            path=path,
-        )
 
     @property
     def active(self) -> _ServingModel:
@@ -174,10 +163,7 @@ class ModelService:
         """Validate and coerce the requested tower ids against one generation."""
         ids: list[int] = []
         for raw in tower_ids:
-            try:
-                tower_id = int(raw)
-            except (TypeError, ValueError):
-                raise ServiceError(400, f"tower id {raw!r} is not an integer") from None
+            tower_id = _parse_tower_id(raw)
             if not active.server.has_tower(tower_id):
                 raise ServiceError(404, f"tower {tower_id} not found")
             ids.append(tower_id)
@@ -192,17 +178,17 @@ class ModelService:
         return {
             "status": "ok",
             "generation": active.generation,
-            "model_fingerprint": active.fingerprint,
+            "model_fingerprint": active.server.fingerprint,
             "model_path": None if active.path is None else str(active.path),
         }
 
     def summary(self) -> dict:
-        result = self._active.server.result
+        server = self._active.server
         return {
-            "num_clusters": result.num_clusters,
-            "num_towers": result.vectorized.num_towers,
-            "num_days": result.window.num_days,
-            "clusters": result.percentage_table(),
+            "num_clusters": server.num_clusters,
+            "num_towers": server.num_towers,
+            "num_days": server.num_days,
+            "clusters": server.percentage_table(),
         }
 
     def pattern(self, tower_id: Any) -> dict:
@@ -238,7 +224,7 @@ class ModelService:
         return {
             "service": {
                 "generation": active.generation,
-                "model_fingerprint": active.fingerprint,
+                "model_fingerprint": active.server.fingerprint,
                 "model_path": None if active.path is None else str(active.path),
                 "requests": self._requests.snapshot(),
                 "errors": self._errors.snapshot(),
@@ -252,7 +238,7 @@ class ModelService:
     async def reload(self, path: str | Path | None = None) -> dict:
         """Atomically hot-swap to a (new) bundle; never drops a request.
 
-        The bundle loads on a worker thread — the event loop keeps serving —
+        The bundle is read on a worker thread — the event loop keeps serving —
         and only then does the active reference swap (one assignment on the
         loop).  On a failed load the old model keeps serving and the error
         is reported to the caller only.
@@ -263,17 +249,17 @@ class ModelService:
                                     "from an in-memory model)")
         try:
             server = await asyncio.to_thread(
-                ModelServer.from_artifact, target, metrics=self.metrics, mmap=self._mmap
+                ModelServer.from_artifact, target, metrics=self.metrics
             )
         except PersistError as err:
             raise ServiceError(400, str(err)) from None
-        swapped = self._make_generation(server, target, self._active.generation + 1)
+        swapped = _ServingModel(server, generation=self._active.generation + 1, path=target)
         self._active = swapped
         self._reloads.inc()
         return {
             "status": "ok",
             "generation": swapped.generation,
-            "model_fingerprint": swapped.fingerprint,
+            "model_fingerprint": server.fingerprint,
             "model_path": str(target),
         }
 
@@ -392,9 +378,10 @@ async def _read_request(
         headers[name.strip().lower()] = value.strip()
     else:
         raise ServiceError(400, f"more than {MAX_HEADER_LINES} header lines")
+    length_field = headers.get("content-length", "0")
     try:
-        length = int(headers.get("content-length", "0") or "0")
-    except ValueError:
+        length = int(length_field) if _CONTENT_LENGTH.fullmatch(length_field) else -1
+    except ValueError:  # more digits than int() converts
         length = -1
     if length < 0:
         raise ServiceError(400, "bad Content-Length header")

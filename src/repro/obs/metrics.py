@@ -37,26 +37,11 @@ from bisect import bisect_left
 from typing import Any, Iterable
 
 #: Default histogram bucket upper bounds for latencies in seconds:
-#: 100 µs … 30 s, roughly 3 buckets per decade.
-DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
-    0.0001,
-    0.00025,
-    0.0005,
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-    30.0,
-)
+#: 10^(k/10) for k = -60 … 15, i.e. 1 µs … 31.6 s with ten log-spaced bounds
+#: per decade (each 10^0.1 ≈ 1.26× the one below).  An interpolated
+#: quantile lies in the bucket of the exact one, so inside that range it is
+#: within 26% of it; a served query takes tens of µs, far above the floor.
+DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = tuple(10.0 ** (k / 10) for k in range(-60, 16))
 
 #: Default buckets for small occupancy/size counts (queue depths etc.).
 DEFAULT_COUNT_BUCKETS: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)

@@ -23,52 +23,22 @@ so this package provides a faithful synthetic replacement:
 * a one-call scenario builder (:mod:`repro.synth.scenario`).
 """
 
-from repro.synth.activity import ActivityProfileLibrary, ActivityTemplate
-from repro.synth.city import CityConfig, CityModel, build_city
-from repro.synth.geocoder import GeocodeResult, SyntheticGeocoder
-from repro.synth.noise import LogCorruptionConfig, corrupt_batch, corrupt_records
-from repro.synth.poi import POI, POICategory, generate_pois
-from repro.synth.regions import Region, RegionLayoutConfig, RegionType, generate_regions
-from repro.synth.scenario import Scenario, ScenarioConfig, generate_scenario
-from repro.synth.sessions import (
-    SessionGenerationConfig,
-    generate_session_batch,
-    generate_session_records,
-)
-from repro.synth.towers import Tower, place_towers
-from repro.synth.traffic import TrafficGenerationConfig, TowerTrafficMatrix, generate_tower_traffic
-from repro.synth.users import User, UserPopulationConfig, generate_users
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ActivityProfileLibrary",
-    "ActivityTemplate",
-    "CityConfig",
-    "CityModel",
-    "GeocodeResult",
-    "LogCorruptionConfig",
-    "POI",
-    "POICategory",
-    "Region",
-    "RegionLayoutConfig",
-    "RegionType",
-    "Scenario",
-    "ScenarioConfig",
-    "SessionGenerationConfig",
-    "SyntheticGeocoder",
-    "Tower",
-    "TowerTrafficMatrix",
-    "TrafficGenerationConfig",
-    "User",
-    "UserPopulationConfig",
-    "build_city",
-    "corrupt_batch",
-    "corrupt_records",
-    "generate_pois",
-    "generate_regions",
-    "generate_scenario",
-    "generate_session_batch",
-    "generate_session_records",
-    "generate_tower_traffic",
-    "generate_users",
-    "place_towers",
-]
+_EXPORTS = {
+    "activity": ("ActivityProfileLibrary", "ActivityTemplate"),
+    "city": ("CityConfig", "CityModel", "build_city"),
+    "geocoder": ("GeocodeResult", "SyntheticGeocoder"),
+    "noise": ("LogCorruptionConfig", "corrupt_batch", "corrupt_records"),
+    "poi": ("POI", "POICategory", "generate_pois"),
+    "regions": ("Region", "RegionLayoutConfig", "RegionType", "generate_regions"),
+    "scenario": ("Scenario", "ScenarioConfig", "generate_scenario"),
+    "sessions": ("SessionGenerationConfig", "generate_session_batch", "generate_session_records"),
+    "towers": ("Tower", "place_towers"),
+    "traffic": ("TrafficGenerationConfig", "TowerTrafficMatrix", "generate_tower_traffic"),
+    "users": ("User", "UserPopulationConfig", "generate_users"),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

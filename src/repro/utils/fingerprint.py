@@ -25,9 +25,12 @@ def fingerprint(*parts: Any) -> str:
 
     NumPy arrays are hashed over dtype, shape and raw bytes (C-contiguous
     layout), so two arrays fingerprint equally iff they are bit-for-bit
-    identical with the same shape and dtype.  Everything else is hashed over
-    its ``repr``, which covers the scalar/enum/tuple configuration values
-    stages read; ``None`` parts are hashed too (absence is information).
+    identical with the same shape and dtype.  The bytes are read from the
+    array's own buffer, through a 1-D view, rather than from a ``tobytes()``
+    copy: a contiguous grid is hashed without an array-sized temporary.
+    Everything else is hashed over its ``repr``, which covers the
+    scalar/enum/tuple configuration values stages read; ``None`` parts are
+    hashed too (absence is information).
     """
     digest = hashlib.sha256()
     for part in parts:
@@ -36,7 +39,7 @@ def fingerprint(*parts: Any) -> str:
             digest.update(b"ndarray:")
             digest.update(str(arr.dtype).encode())
             digest.update(str(arr.shape).encode())
-            digest.update(arr.tobytes())
+            digest.update(arr.reshape(-1))
         else:
             digest.update(b"value:")
             digest.update(repr(part).encode())

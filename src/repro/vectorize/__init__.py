@@ -8,33 +8,16 @@ amplitude differences between towers do not interfere with the pattern
 discovery.
 """
 
-from repro.vectorize.aggregate import (
-    TowerRowIndex,
-    accumulate_batches,
-    aggregate_batches,
-)
-from repro.vectorize.normalize import NormalizationMethod, normalize_matrix, normalize_vector
-from repro.vectorize.parallel import ParallelIngestError, clean_chunk, resolve_workers
-from repro.vectorize.slots import (
-    slot_edges,
-    slot_spans_of_intervals,
-    split_bytes_over_slots_batch,
-)
-from repro.vectorize.vectorizer import TrafficVectorizer, VectorizedTraffic
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "NormalizationMethod",
-    "ParallelIngestError",
-    "TowerRowIndex",
-    "TrafficVectorizer",
-    "VectorizedTraffic",
-    "accumulate_batches",
-    "aggregate_batches",
-    "clean_chunk",
-    "normalize_matrix",
-    "normalize_vector",
-    "resolve_workers",
-    "slot_edges",
-    "slot_spans_of_intervals",
-    "split_bytes_over_slots_batch",
-]
+_EXPORTS = {
+    "aggregate": ("TowerRowIndex", "accumulate_batches", "aggregate_batches"),
+    "normalize": ("NormalizationMethod", "normalize_matrix", "normalize_vector"),
+    "parallel": ("ParallelIngestError", "clean_chunk", "resolve_workers"),
+    "slots": ("slot_edges", "slot_spans_of_intervals", "split_bytes_over_slots_batch"),
+    "vectorizer": ("TrafficVectorizer", "VectorizedTraffic"),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

@@ -1189,8 +1189,7 @@ class TestServeCLI:
         args = build_parser().parse_args(["serve", "--model", "bundle"])
         assert args.host == "127.0.0.1"
         assert args.port == 8350
-        assert args.no_mmap is False
-        assert set(vars(args)) == {"command", "handler", "model", "host", "port", "no_mmap"}
+        assert set(vars(args)) == {"command", "handler", "model", "host", "port"}
 
     def test_serve_requires_model(self):
         with pytest.raises(SystemExit):

@@ -6,7 +6,7 @@ import pytest
 from repro.cluster.linkage import Linkage
 from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
-from repro.core.results import ClusterSummary, ModelResult
+from repro.core.results import ClusterSummary
 from repro.geo.labeling import label_accuracy
 from repro.synth.regions import RegionType
 from repro.vectorize.normalize import NormalizationMethod

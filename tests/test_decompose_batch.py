@@ -562,10 +562,16 @@ class TestServerBatchDecomposition:
 
     def test_rows_out_of_tower_order_are_rejected(self, fitted_model, monkeypatch):
         from repro.io.server import ModelServer
+        from repro.spectral.features import FrequencyFeatures
 
-        whole = fitted_model.decompose_all()
-        reversed_rows = whole.take(np.arange(len(whole))[::-1])
-        monkeypatch.setattr(fitted_model, "decompose_all", lambda: reversed_rows)
+        features = fitted_model.result.frequency_features
+        reversed_rows = FrequencyFeatures(
+            tower_ids=features.tower_ids[::-1],
+            amplitudes=features.amplitudes[::-1],
+            phases=features.phases[::-1],
+            components=features.components,
+        )
+        monkeypatch.setattr(fitted_model.result, "frequency_features", reversed_rows)
         with pytest.raises(ValueError, match="tower order"):
             ModelServer(fitted_model)
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     NULL_TRACER,
@@ -17,6 +19,7 @@ from repro.obs import (
     NullTracer,
     Tracer,
 )
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS
 from repro.viz.ascii import render_trace_tree
 
 
@@ -346,6 +349,33 @@ class TestHistogramQuantiles:
     def test_quantile_domain_checked(self):
         with pytest.raises(ValueError):
             Histogram("lat").quantile(1.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        samples=st.lists(
+            st.floats(min_value=1e-6, max_value=30.0), min_size=1, max_size=200
+        ),
+        q=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_default_buckets_bound_the_relative_quantile_error(self, samples, q):
+        # Each reported quantile shares a bucket with the exact nearest-rank
+        # one, so it is off by at most one bucket's relative width.
+        bounds = DEFAULT_LATENCY_BUCKETS
+        width = max(upper / lower for lower, upper in zip(bounds, bounds[1:])) - 1.0
+        assert bounds[0] == pytest.approx(1e-6) and bounds[-1] >= 30.0
+        assert width < 0.26
+        hist = Histogram("lat")
+        for value in samples:
+            hist.observe(value)
+        ordered = sorted(samples)
+
+        def exact(quantile: float) -> float:
+            return ordered[max(math.ceil(quantile * len(ordered)), 1) - 1]
+
+        reported = [(q, hist.quantile(q))]
+        reported += zip((0.50, 0.95, 0.99), hist.percentiles().values())
+        for quantile, value in reported:
+            assert abs(value - exact(quantile)) <= width * exact(quantile) * (1 + 1e-12)
 
     def test_bounds_must_increase(self):
         with pytest.raises(ValueError):

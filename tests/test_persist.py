@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main as cli_main
 from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
 from repro.io.persist import (
@@ -307,13 +308,18 @@ class TestModelServer:
         with pytest.raises(RuntimeError, match="not been fitted"):
             ModelServer(TrafficPatternModel())
 
-    def test_summaries_match_result(self, server, fitted_model):
-        summaries = server.summaries()
-        assert len(summaries) == fitted_model.result.num_clusters
-        one = server.cluster_summary(0)
-        assert one.cluster_label == 0
-        with pytest.raises(KeyError):
-            server.cluster_summary(99)
+    def test_percentage_table_matches_the_cluster_summaries(self, server, fitted_model):
+        rows = server.percentage_table()
+        assert len(rows) == server.num_clusters == fitted_model.result.num_clusters == 5
+        assert sum(row["percentage"] for row in rows) == pytest.approx(100.0, abs=0.1)
+        assert rows == [
+            {
+                "cluster": summary.cluster_label + 1,
+                "region": summary.region.value,
+                "percentage": round(summary.percentage, 2),
+            }
+            for summary in fitted_model.result.summaries()
+        ]
 
     def test_decompose_is_a_row_lookup(self, server):
         tower = server.tower_ids()[0]
@@ -334,10 +340,54 @@ class TestModelServer:
         assert pattern.cluster == int(
             fitted_model.result.labels[fitted_model.result.vectorized.row_of(tower)]
         )
+        traffic = fitted_model.result.vectorized.raw.traffic[
+            fitted_model.result.vectorized.row_of(tower)
+        ]
         row = pattern.as_row()
         assert row["tower_id"] == tower
         assert row["region"] == pattern.region.value
-        assert row["total_bytes"] == pytest.approx(pattern.raw_series.sum())
+        assert row["total_bytes"] == float(traffic.sum())
+        assert row["peak_slot"] == int(np.argmax(traffic))
+
+
+    def test_result_loads_the_whole_bundle_on_first_access(self, fitted_model, tmp_path):
+        server = ModelServer.from_artifact(fitted_model.save(tmp_path / "bundle"))
+        _assert_results_equal(fitted_model.result, server.result)
+        assert server.result is server.result
+
+    def test_result_of_a_rewritten_bundle_is_refused(
+        self, fitted_model, small_model, tmp_path
+    ):
+        bundle = fitted_model.save(tmp_path / "bundle")
+        server = ModelServer.from_artifact(bundle)
+        small_model.save(bundle)
+        with pytest.raises(PersistError, match="changed since") as err:
+            server.result
+        _assert_one_line_error(err, bundle)
+
+
+class TestStoredTotals:
+    """``raw.total_bytes`` / ``raw.peak_slot``: each grid row's own sum and argmax."""
+
+    @pytest.mark.parametrize("towers", [400, 1200])
+    def test_totals_equal_each_rows_sum_bit_for_bit(self, towers, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        argv = ["fit", "--towers", str(towers), "--days", "7", "--seed", "2015",
+                "--save", str(bundle)]
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        manifest = read_manifest(bundle)
+        assert manifest["schema_version"] == 1
+        assert manifest["arrays"]["raw.total_bytes"]["dtype"] == "float64"
+        assert manifest["arrays"]["raw.peak_slot"]["dtype"] == "int64"
+        with np.load(bundle / ARRAYS_NAME) as archive:
+            traffic = archive["raw.traffic"]
+            totals = archive["raw.total_bytes"]
+            peaks = archive["raw.peak_slot"]
+        assert totals.shape == peaks.shape == (towers,)
+        for row in range(towers):
+            assert totals[row].tobytes() == np.float64(traffic[row].sum()).tobytes()
+            assert peaks[row] == int(np.argmax(traffic[row]))
 
 
 class TestMmapLoad:

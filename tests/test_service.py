@@ -1,36 +1,48 @@
 """Tests for repro.io.service — the networked serving plane.
 
 Covers the row-lookup contract (replies never depend on how requests were
-grouped, and a built server never solves), atomic hot-swap under load, the
-HTTP surface itself (routing, error mapping, keep-alive transport), the
-request reader's limits on hostile input, and a shared server under
-concurrent threads.
+grouped, and a built server never solves), the serving state (a server
+reads no towers × slots grid, replies as the in-memory fit does, and its
+import path loads no fit-stack module), atomic hot-swap under load, the
+HTTP surface itself (routing, error mapping, tower-id parsing, keep-alive
+transport), the request reader's limits on hostile input, and a shared
+server under concurrent threads.
 """
 
 import asyncio
 import http.client
+import io
 import itertools
 import json
 import logging
+import os
+import shutil
 import socket
+import struct
+import subprocess
+import sys
 import threading
 import time
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
+from repro.io.persist import ARRAYS_NAME, MANIFEST_NAME, PersistError, load_model
 from repro.io.server import ModelServer
 from repro.io.service import (
     MAX_BODY_BYTES,
     MAX_HEADER_LINES,
     ModelService,
     ServiceError,
-    model_fingerprint,
     start_service,
 )
 from repro.synth.scenario import ScenarioConfig, generate_scenario
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -84,16 +96,128 @@ def exchange(handle, data: bytes) -> tuple[bytes, bytes]:
     return head, body
 
 
+def every_reply(service: ModelService) -> dict:
+    """The status and JSON body of every query route, for every tower."""
+    towers = service.active.server.tower_ids()
+    requests = [("GET", "/summary", None)]
+    for kind in ("pattern", "decompose", "region"):
+        requests += [("GET", f"/{kind}/{tower}", None) for tower in towers]
+    requests += [("POST", f"/{kind}", {"towers": towers}) for kind in ("decompose", "region")]
+    replies = {}
+    for method, path, body in requests:
+        status, payload = dispatch(service, method, path, body)
+        replies[method, path] = (status, json.dumps(payload))
+    return replies
+
+
+def copy_bundle(source, target, *, drop=()):
+    """Copy a bundle, leaving out the arrays named in ``drop`` (as older bundles do)."""
+    shutil.copytree(source, target)
+    if drop:
+        manifest = json.loads((target / MANIFEST_NAME).read_text())
+        with np.load(target / ARRAYS_NAME) as archive:
+            arrays = {key: archive[key] for key in archive.files if key not in drop}
+        for key in drop:
+            del manifest["arrays"][key]
+        with (target / ARRAYS_NAME).open("wb") as handle:
+            np.savez(handle, **arrays)
+        (target / MANIFEST_NAME).write_text(json.dumps(manifest))
+    return target
+
+
+def flip_data_bytes(bundle, member: str, count: int = 64) -> None:
+    """Invert the last ``count`` data bytes of one stored ``.npy`` archive member."""
+    path = bundle / ARRAYS_NAME
+    blob = bytearray(path.read_bytes())
+    with zipfile.ZipFile(io.BytesIO(bytes(blob))) as archive:
+        info = archive.getinfo(member)
+    name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+    end = info.header_offset + 30 + name_len + extra_len + info.compress_size
+    for offset in range(end - count, end):
+        blob[offset] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+class TestServingState:
+    """A server reads only the small arrays, and replies as the full model would."""
+
+    def test_in_memory_and_bundle_servers_reply_identically(self, fitted_model, bundle):
+        in_memory = ModelService(server=ModelServer(fitted_model))
+        assert every_reply(in_memory) == every_reply(ModelService(bundle))
+
+    def test_grids_are_never_read(self, bundle, tmp_path):
+        damaged = copy_bundle(bundle, tmp_path / "damaged")
+        for member in ("raw.traffic.npy", "vectorized.vectors.npy"):
+            flip_data_bytes(damaged, member)
+        assert every_reply(ModelService(damaged)) == every_reply(ModelService(bundle))
+        service = ModelService(bundle)
+        assert dispatch(service, "POST", "/reload", {"model": str(damaged)})[0] == 200
+        assert service.active.path == damaged
+        with pytest.raises(PersistError, match="raw.traffic|vectorized.vectors|corrupt"):
+            load_model(damaged)
+
+    def test_bundle_without_stored_totals_serves_identically(self, bundle, tmp_path):
+        older = copy_bundle(
+            bundle, tmp_path / "older", drop=("raw.total_bytes", "raw.peak_slot")
+        )
+        assert every_reply(ModelService(older)) == every_reply(ModelService(bundle))
+
+
+class TestTowerIdParsing:
+    """A tower id is an integer or a string of ASCII digits; nothing else."""
+
+    @pytest.mark.parametrize(
+        "method, path, body",
+        [
+            ("POST", "/region", {"towers": [1.7]}),
+            ("POST", "/region", {"towers": [True]}),
+            ("GET", "/region/1_0", None),
+            ("GET", "/region/\u0661", None),
+            ("POST", "/decompose", {"towers": ["\u0661"]}),
+            ("POST", "/decompose", {"towers": ["+1"]}),
+            ("POST", "/decompose", {"towers": [2.0]}),
+        ],
+        ids=["float", "bool", "underscore", "arabic-indic-get", "arabic-indic-post",
+             "plus-sign", "integral-float"],
+    )
+    def test_non_integer_ids_get_a_400(self, fitted_model, method, path, body):
+        service = ModelService(server=ModelServer(fitted_model))
+        assert {1, 10} <= set(service.active.server.tower_ids())
+        status, payload = dispatch(service, method, path, body)
+        assert status == 400
+        assert "not an integer" in payload["error"] and "\n" not in payload["error"]
+
+    def test_integer_ids_and_digit_strings_are_accepted(self, fitted_model):
+        service = ModelService(server=ModelServer(fitted_model))
+        expected = dispatch(service, "GET", "/region/10")[1]
+        assert dispatch(service, "POST", "/region", {"towers": [10, "10", "010"]}) == (
+            200, {"regions": [expected] * 3}
+        )
+        assert dispatch(service, "GET", "/region/-1")[0] == 404
+        assert dispatch(service, "GET", "/region/" + "9" * 5000)[0] == 400
+
+
 class TestModelFingerprint:
-    def test_stable_and_short(self, fitted_model):
-        first = model_fingerprint(fitted_model.result)
-        assert first == model_fingerprint(fitted_model.result)
+    def test_stable_and_short(self, fitted_model, bundle):
+        first = ModelServer(fitted_model).fingerprint
+        assert first == ModelServer(fitted_model).fingerprint
+        assert first == ModelServer.from_artifact(bundle).fingerprint
         assert len(first) == 16
 
     def test_distinguishes_models(self, fitted_model, second_model):
-        assert model_fingerprint(fitted_model.result) != model_fingerprint(
-            second_model.result
-        )
+        assert ModelServer(fitted_model).fingerprint != ModelServer(second_model).fingerprint
+
+    def test_without_stage_fingerprints_the_served_arrays_are_hashed(
+        self, fitted_model, second_model, tmp_path, monkeypatch
+    ):
+        for model in (fitted_model, second_model):
+            extras = dict(model.result.extras)
+            del extras["stage_fingerprints"]
+            monkeypatch.setattr(model.result, "extras", extras)
+        first = ModelServer(fitted_model).fingerprint
+        bundle = fitted_model.save(tmp_path / "bundle")
+        assert ModelServer.from_artifact(bundle).fingerprint == first
+        assert ModelServer(second_model).fingerprint != first
 
 
 class TestRowLookups:
@@ -393,6 +517,16 @@ class TestRequestReader:
         self.assert_one_line_400(head, body)
         assert b"Content-Length" in body
 
+    @pytest.mark.parametrize("value", [b"+5", b"5_0", b"0x5", b"9" * 5000])
+    def test_content_length_is_ascii_digits_only(self, handle, value):
+        head, body = exchange(
+            handle,
+            b"POST /decompose HTTP/1.1\r\nConnection: close\r\nContent-Length: "
+            + value + b"\r\n\r\n{\"towers\": [0]}",
+        )
+        self.assert_one_line_400(head, body)
+        assert b"Content-Length" in body
+
     def test_malformed_request_line(self, handle):
         head, body = exchange(handle, b"GARBAGE\r\n\r\n")
         self.assert_one_line_400(head, body)
@@ -464,7 +598,7 @@ class TestHotSwap:
         assert payload == {
             "status": "ok",
             "generation": 2,
-            "model_fingerprint": first.fingerprint,
+            "model_fingerprint": first.server.fingerprint,
             "model_path": str(bundle),
         }
         assert service.active.server is not first.server
@@ -575,3 +709,52 @@ class TestModelServerThreadSafety:
             thread.join(timeout=30)
             assert not thread.is_alive()
         assert errors == []
+
+
+#: Modules that fit a model; serving a bundle must import none of them.
+FIT_STACK = (
+    "repro.core.model",
+    "repro.core.pipeline",
+    "repro.synth.scenario",
+    "repro.cluster.hierarchical",
+    "repro.ingest.loader",
+    "repro.vectorize.aggregate",
+    "repro.geo.poi_profile",
+)
+
+#: Runs `repro-traffic serve` up to its ready line, answers every route and a
+#: reload in place of the socket loop, then prints the imported modules.
+SERVE = """
+import asyncio, json, sys
+import repro.io.service as service
+
+def run_service(svc, *, host, port, on_ready):
+    on_ready(host, port)
+    tower = svc.active.server.tower_ids()[0]
+    requests = [("GET", path) for path in ("/healthz", "/summary", "/stats",
+                f"/pattern/{tower}", f"/decompose/{tower}", f"/region/{tower}")]
+    requests += [("POST", "/decompose"), ("POST", "/region"), ("POST", "/reload")]
+    for method, path in requests:
+        body = json.dumps({"towers": [tower]}).encode()
+        status, payload = asyncio.run(svc.dispatch(method, path, body))
+        assert status == 200, (path, payload)
+
+service.run_service = run_service
+from repro.cli import main
+assert main(["serve", "--model", sys.argv[1], "--port", "0"]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_serving_imports_no_fit_stack_module(fitted_model, tmp_path):
+    bundle = fitted_model.save(tmp_path / "bundle")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    completed = subprocess.run(
+        [sys.executable, "-c", SERVE, str(bundle)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    ready, modules = completed.stdout.splitlines()[0], completed.stdout.splitlines()[-1]
+    assert ready.startswith(f"serving model bundle {bundle} at http://")
+    assert [name for name in FIT_STACK if name in json.loads(modules)] == []
