@@ -1,28 +1,30 @@
-"""Clustering memory benchmark — O(n²) condensed backends vs nn_chain_lowmem.
+"""Clustering memory sweep — the square-matrix nn_chain vs nn_chain_lowmem.
 
-Fits the same tower feature matrices through the condensed ``nn_chain``
-backend (which materialises the dense distance matrix and its condensed
-form) and the memory-bounded ``nn_chain_lowmem`` backend (blocked on-the-fly
+Fits the same tower feature matrices through the ``nn_chain`` backend
+(which builds the square distance matrix and agglomerates on it in place)
+and the memory-bounded ``nn_chain_lowmem`` backend (blocked on-the-fly
 distances, O(n·d + tile²) peak), measuring the *extra* peak memory of each
 fit with :mod:`tracemalloc` (the feature matrix itself is allocated before
 tracing starts) plus process-lifetime peak RSS, and emits a JSON summary.
 
-Two hardware-aware gates protect the memory-bounded claim:
+The same two gates as ``tests/test_cluster_memory.py`` (which runs them at
+1,500 and 6,000 towers on every test run) are checked at whatever sizes the
+sweep covers:
 
 * at the largest size, the lowmem backend's peak extra memory must stay
-  below 10% of the condensed array's footprint ``n(n-1)/2 × 8`` bytes —
-  the array the O(n²) backends cannot avoid (at n = 100k that footprint is
-  ~40 GB; the lowmem peak stays in the tens of MB);
+  below 10% of the condensed footprint ``n(n-1)/2 × 8`` bytes (at
+  n = 100k that footprint is ~40 GB; the lowmem peak stays in the tens of
+  MB);
 * across sizes the lowmem peak must grow like O(n·d), not O(n²): the
   measured growth exponent is capped well below quadratic.
 
-The condensed backend only runs where its O(n²) allocations actually fit
-(``BENCH_CLUSTER_MEMORY_CONDENSED_CAP``, default 8,000 towers ≈ 0.5 GB
-transient); beyond the cap its footprint is reported from the closed form.
-Larger sweeps — e.g. the 50k-tower run showing a ~10 GB condensed footprint
-against a < 100 MB lowmem peak — are one env var away.
+``nn_chain`` only runs where its ``n² × 8``-byte matrix actually fits
+(``BENCH_CLUSTER_MEMORY_CONDENSED_CAP``, default 8,000 towers ≈ 0.5 GB);
+beyond the cap it is skipped.  Larger sweeps — e.g. the 50k-tower run
+showing a ~10 GB condensed footprint against a < 100 MB lowmem peak — are
+one env var away.
 
-Run with::
+Run by hand with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_cluster_memory.py -s
 
@@ -51,8 +53,8 @@ SIZES = tuple(
 VECTOR_DIM = int(os.environ.get("BENCH_CLUSTER_MEMORY_DIM", "48"))
 LINKAGE = Linkage(os.environ.get("BENCH_CLUSTER_MEMORY_LINKAGE", "ward"))
 TILE_SIZE = int(os.environ.get("BENCH_CLUSTER_MEMORY_TILE", "1024"))
-#: Largest n at which the condensed backend is actually run (its dense
-#: square matrix is n² × 8 bytes — 0.5 GB transient at the default cap).
+#: Largest n at which nn_chain is actually run (its square matrix is
+#: n² × 8 bytes — 0.5 GB at the default cap).
 CONDENSED_CAP = int(os.environ.get("BENCH_CLUSTER_MEMORY_CONDENSED_CAP", "8000"))
 #: The lowmem peak must stay below this fraction of the condensed footprint
 #: at the largest benchmarked size.
@@ -67,7 +69,7 @@ MAX_GROWTH_EXPONENT = float(
 
 
 def condensed_bytes(n: int) -> int:
-    """Footprint of the condensed distance array the O(n²) backends need."""
+    """Footprint of the condensed distance array (half the square matrix)."""
     return n * (n - 1) // 2 * 8
 
 
@@ -109,7 +111,7 @@ def test_cluster_memory_scaling():
     results = run_sweep()
 
     print_section(
-        "Memory-bounded clustering — condensed nn_chain vs nn_chain_lowmem"
+        "Memory-bounded clustering — nn_chain vs nn_chain_lowmem"
     )
     mib = 1024.0 * 1024.0
     rows = []

@@ -425,39 +425,37 @@ def _print_decompositions(batch, region_of_cluster) -> None:
     print(decomposition_table(batch, component_names))
 
 
-def _default_decompose_towers(model: TrafficPatternModel, count: int) -> list[int]:
+def _default_decompose_towers(server: ModelServer, count: int) -> list[int]:
     """The first few towers of the comprehensive cluster (or of cluster 0)."""
     from repro.synth.regions import RegionType
 
-    result = model.result
     try:
-        cluster = result.cluster_of_region(RegionType.COMPREHENSIVE)
+        cluster = server.cluster_of_region(RegionType.COMPREHENSIVE)
     except KeyError:
         cluster = 0
-    members = result.cluster_members(cluster)[:count]
-    return [int(result.tower_ids[row]) for row in members]
+    return server.towers_of_cluster(cluster)[:count]
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    from repro.core.model import TrafficPatternModel
-
     if args.model:
-        # Serve the decomposition from a persisted bundle — no refit.
-        model = TrafficPatternModel.load(args.model)
+        # Answer from the bundle's serving arrays: no refit, and neither
+        # towers × slots grid is read.
+        server = ModelServer.from_artifact(args.model)
     else:
         model, _ = _fit_model(args)
-    if model.result.representatives is None:
+        server = ModelServer(model)
+    if not server.has_components:
         raise SystemExit("not enough clusters to build primary components")
 
     tower_ids = args.tower_ids
     if not tower_ids:
-        tower_ids = _default_decompose_towers(model, args.count)
+        tower_ids = _default_decompose_towers(server, args.count)
 
     def solve_all():
-        return model.decompose_towers([int(t) for t in tower_ids])
+        return server.decompose_many([int(t) for t in tower_ids])
 
     batch = _served(args.model, solve_all) if args.model else solve_all()
-    _print_decompositions(batch, model.result.region_of_cluster)
+    _print_decompositions(batch, server.region_of_cluster)
     return 0
 
 

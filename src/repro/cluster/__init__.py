@@ -19,7 +19,7 @@ _EXPORTS = {
         "get_backend",
         "resolve_backend",
     ),
-    "distance": ("condensed_from_square", "euclidean_distance_matrix", "pairwise_distances"),
+    "distance": ("euclidean_distance_matrix", "pairwise_distances"),
     "hierarchical": (
         "AgglomerativeClustering",
         "ClusteringResult",

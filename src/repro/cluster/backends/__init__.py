@@ -3,8 +3,8 @@
 The pattern identifier's agglomeration is a strategy behind a small
 interface (:class:`~repro.cluster.backends.base.ClusteringBackend`):
 
-* ``nn_chain`` — nearest-neighbor chain on a condensed distance array;
-  O(n²) time, restricted to the reducible linkages (single, complete,
+* ``nn_chain`` — nearest-neighbor chain on the square distance matrix,
+  agglomerated in place (one ``(n, n)`` array); O(n²) time, restricted to the reducible linkages (single, complete,
   average, Ward — every :class:`~repro.cluster.linkage.Linkage`).  Its cuts
   equal those of the full-matrix Lance–Williams loop kept as the test
   oracle in ``tests/oracles/generic_backend.py`` on tie-free distances
@@ -13,7 +13,7 @@ interface (:class:`~repro.cluster.backends.base.ClusteringBackend`):
 * ``nn_chain_lowmem`` — the same chain agglomeration computed on the fly
   from the ``(n, d)`` feature matrix in BLAS tiles, never holding any
   pairwise matrix: O(n·d + tile²) peak extra memory instead of O(n²), the
-  backend for 50k–100k+ towers where the condensed array alone is 10–40 GB.
+  backend for 50k–100k+ towers where the square matrix alone is 20–80 GB.
   Restricted to the reducible linkages like ``nn_chain``.
 * ``auto`` — picks ``nn_chain``, upgrading to ``nn_chain_lowmem`` when the
   observation count is known to be at or above
@@ -35,8 +35,8 @@ from repro.cluster.linkage import Linkage
 AUTO_BACKEND = "auto"
 
 #: Observation count from which ``auto`` switches to the memory-bounded
-#: backend: at 20k towers the condensed array is ~1.6 GB and the dense
-#: square ~3.2 GB, so the O(n²) engines start to be RAM-bound.
+#: backend: at 20k towers ``nn_chain``'s square matrix is ~3.2 GB, so the
+#: O(n²) engine starts to be RAM-bound.
 AUTO_LOWMEM_THRESHOLD = 20_000
 
 _REGISTRY: dict[str, type[ClusteringBackend]] = {

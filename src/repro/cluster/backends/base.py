@@ -1,7 +1,11 @@
 """Backend interface of the agglomerative clustering engine.
 
-A backend turns a condensed pairwise-distance array into the full merge
-history (the linkage matrix backing :class:`repro.cluster.hierarchical.Dendrogram`).
+A backend turns the pairwise distances of ``n`` observations into the full
+merge history (the linkage matrix backing
+:class:`repro.cluster.hierarchical.Dendrogram`).  Its entry points take the
+square ``(n, n)`` distance matrix — handed over (:meth:`consume_square`) or
+borrowed (:meth:`compute_merges_from_square`) — or the ``(n, d)`` feature
+matrix (:meth:`compute_merges_from_features`).
 All backends must produce merge matrices whose *cuts* agree — the same
 partition at every number of clusters and every distance threshold — so the
 rest of the system (tuner, labelling, benchmarks) is backend-agnostic and the
@@ -20,7 +24,7 @@ import abc
 
 import numpy as np
 
-from repro.cluster.distance import condensed_from_square, euclidean_distance_matrix
+from repro.cluster.distance import euclidean_distance_matrix
 from repro.cluster.linkage import Linkage
 
 
@@ -28,25 +32,17 @@ class ClusteringBackend(abc.ABC):
     """Strategy computing the merge history of one clustering run.
 
     Subclasses set :attr:`name` (the registry key used by ``ModelConfig`` and
-    the CLI) and implement :meth:`supports` and :meth:`compute_merges`.
+    the CLI) and implement :meth:`supports` and :meth:`consume_square`.
     """
 
     #: Registry key of the backend (e.g. ``"nn_chain"``).
     name: str = "abstract"
 
-    #: ``True`` when the backend can agglomerate straight from the ``(n, d)``
+    #: ``True`` when the backend agglomerates straight from the ``(n, d)``
     #: feature matrix without any pairwise-distance materialisation
-    #: (:meth:`compute_merges_from_features` is then its native entry point,
-    #: and callers holding features should prefer it — no O(n²) allocation).
+    #: (it overrides :meth:`compute_merges_from_features`, and holds no
+    #: O(n²) array).
     accepts_features: bool = False
-
-    #: ``True`` when the backend's working representation is the condensed
-    #: array itself.  Callers that built a dense matrix only as a stepping
-    #: stone can then condense it, free the square form, and hand the
-    #: condensed array over via :meth:`consume_condensed` — peak memory
-    #: drops from 2× the square matrix to 1.5× transiently and 0.5× during
-    #: the agglomeration.
-    prefers_condensed: bool = False
 
     #: Counters of the most recent run (``merges``, plus backend-specific
     #: keys such as ``chain_steps`` or ``tile_blocks``).  Observability
@@ -59,21 +55,16 @@ class ClusteringBackend(abc.ABC):
         """Return whether this backend can run the given linkage criterion."""
 
     @abc.abstractmethod
-    def compute_merges(
-        self,
-        condensed: np.ndarray,
-        num_observations: int,
-        linkage: Linkage,
-    ) -> np.ndarray:
-        """Return the ``(n - 1, 4)`` merge matrix for ``condensed`` distances.
+    def consume_square(self, square: np.ndarray, linkage: Linkage) -> np.ndarray:
+        """Return the ``(n - 1, 4)`` merge matrix of a square distance matrix.
 
         Parameters
         ----------
-        condensed:
-            Upper-triangular pairwise distances in scipy's condensed layout
-            (``n * (n - 1) / 2`` entries); never mutated.
-        num_observations:
-            Number of original observations ``n``.
+        square:
+            Symmetric ``(n, n)`` float64 pairwise distances with finite
+            entries.  Ownership transfers: the backend may overwrite it and
+            the caller must not read it afterwards, so no second ``(n, n)``
+            array is needed.
         linkage:
             Linkage criterion driving the Lance–Williams updates.
 
@@ -88,50 +79,27 @@ class ClusteringBackend(abc.ABC):
     def compute_merges_from_square(
         self, square: np.ndarray, linkage: Linkage
     ) -> np.ndarray:
-        """Return the merge matrix for a square ``(n, n)`` distance matrix.
+        """Like :meth:`consume_square`, but ``square`` is never mutated.
 
-        The default condenses and delegates to :meth:`consume_condensed`
-        (the freshly condensed array is owned, so backends may run on it in
-        place without another copy); backends whose working representation
-        *is* the square matrix override this to skip the round trip.
-        ``square`` is never mutated.
+        The backend runs on a copy.
         """
-        return self.consume_condensed(
-            condensed_from_square(square), square.shape[0], linkage
-        )
-
-    def consume_condensed(
-        self,
-        condensed: np.ndarray,
-        num_observations: int,
-        linkage: Linkage,
-    ) -> np.ndarray:
-        """Like :meth:`compute_merges`, but ``condensed`` ownership transfers.
-
-        The caller promises not to reuse ``condensed`` afterwards, so
-        backends whose working form is the condensed array may mutate it in
-        place instead of taking a defensive copy.  The default delegates to
-        :meth:`compute_merges` (which never mutates its input).
-        """
-        return self.compute_merges(condensed, num_observations, linkage)
+        return self.consume_square(np.array(square, dtype=float), linkage)
 
     def compute_merges_from_features(
         self, features: np.ndarray, linkage: Linkage
     ) -> np.ndarray:
         """Return the merge matrix for an ``(n, d)`` Euclidean feature matrix.
 
-        The default materialises the dense distance matrix and delegates to
-        :meth:`compute_merges_from_square`.  Memory-bounded backends
-        (:attr:`accepts_features` ``True``) override this to compute
-        distances on the fly in blocks, never holding any O(n²) form;
-        ``features`` is never mutated.
+        The default builds the square distance matrix and hands it over to
+        :meth:`consume_square`: one ``(n, n)`` array in all.  Memory-bounded
+        backends (:attr:`accepts_features` ``True``) override this to
+        compute distances on the fly in blocks, never holding any O(n²)
+        form; ``features`` is never mutated.
         """
         arr = np.asarray(features, dtype=float)
         if arr.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {arr.shape}")
-        return self.compute_merges_from_square(
-            euclidean_distance_matrix(arr), linkage
-        )
+        return self.consume_square(euclidean_distance_matrix(arr), linkage)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

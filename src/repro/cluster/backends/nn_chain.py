@@ -1,4 +1,4 @@
-"""Nearest-neighbor-chain backend: O(n²) agglomeration on a condensed array.
+"""Nearest-neighbor-chain backend: O(n²) agglomeration on the square matrix.
 
 The nearest-neighbor chain algorithm exploits the *reducibility* of the
 single, complete, average and Ward linkage criteria: when two clusters are
@@ -6,14 +6,18 @@ mutual nearest neighbours they can be merged immediately, because no later
 merge can ever bring another cluster closer to either of them.  The algorithm
 therefore walks a chain ``a → nn(a) → nn(nn(a)) → …`` until it hits a
 reciprocal pair, merges it, and resumes from the truncated chain.  Every
-chain step is an O(n) scan of one condensed-distance row, and the total
+chain step is an O(n) scan of one row of the distance matrix, and the total
 number of chain steps over a full run is O(n), giving O(n²) time overall —
-no per-merge full-matrix argmin scans.  Rows are gathered through an offset
-table (the pair ``i < j`` sits at ``base[i] + j`` of the condensed array)
-into reused buffers, and a retired slot's pairs are overwritten with +inf,
-so no scan needs a mask.  That sentinel makes finite distances a
-precondition, which :meth:`repro.cluster.hierarchical.AgglomerativeClustering.fit`
-checks before any backend runs.
+no per-merge full-matrix argmin scans.
+
+The backend owns the square ``(n, n)`` matrix it is handed and
+agglomerates on it in place: a slot's distances are its row, read where it
+lies; a merge writes the Lance–Williams distances into the merged slot's row
+and column, and +inf over the retired slot's column.  With +inf on the
+diagonal too, no scan needs a mask, and no second ``(n, n)`` or condensed
+array exists.  That sentinel makes finite distances a precondition, which
+:meth:`repro.cluster.hierarchical.AgglomerativeClustering.fit` checks before
+any backend runs.
 
 Merges are discovered in chain order, which is generally *not* sorted by
 merge distance, so the raw merge list is canonicalised afterwards: rows are
@@ -44,48 +48,24 @@ _REDUCIBLE_LINKAGES = frozenset(
 
 
 class NNChainBackend(ClusteringBackend):
-    """O(n²) nearest-neighbor-chain agglomeration for reducible linkages."""
+    """O(n²) nearest-neighbor-chain agglomeration for reducible linkages.
+
+    Peak memory is the ``(n, n)`` matrix it consumes plus O(n) buffers.
+    """
 
     name = "nn_chain"
-    prefers_condensed = True
 
     def supports(self, linkage: Linkage) -> bool:
         return linkage in _REDUCIBLE_LINKAGES
 
-    def compute_merges(
-        self,
-        condensed: np.ndarray,
-        num_observations: int,
-        linkage: Linkage,
-    ) -> np.ndarray:
-        work = np.asarray(condensed, dtype=float).ravel().copy()
-        return self._agglomerate(work, num_observations, linkage)
-
-    def consume_condensed(
-        self,
-        condensed: np.ndarray,
-        num_observations: int,
-        linkage: Linkage,
-    ) -> np.ndarray:
-        """In-place variant: ``condensed`` is owned by the backend and
-        mutated instead of copied, halving the backend's working memory.
-
-        ``asarray(...).ravel()`` either aliases the transferred buffer
-        (mutating it is exactly the ownership contract) or made a fresh
-        dtype/contiguity conversion that nobody else references.
-        """
-        work = np.asarray(condensed, dtype=float).ravel()
-        return self._agglomerate(work, num_observations, linkage)
-
-    def _agglomerate(
-        self, work: np.ndarray, num_observations: int, linkage: Linkage
-    ) -> np.ndarray:
-        """Run the chain on ``work`` (owned, mutated in place)."""
+    def consume_square(self, square: np.ndarray, linkage: Linkage) -> np.ndarray:
+        """Run the chain on ``square`` (owned, overwritten in place)."""
         if not self.supports(linkage):
             raise ValueError(
                 f"the nn_chain backend requires a reducible linkage, got {linkage!r}"
             )
-        n = num_observations
+        work = square
+        n = work.shape[0]
         if n <= 1:
             self.last_stats = {"merges": 0, "chain_steps": 0}
             return np.empty((0, 4))
@@ -93,21 +73,7 @@ class NNChainBackend(ClusteringBackend):
         use_squared = linkage is Linkage.WARD
         if use_squared:
             work **= 2
-
-        # The pair (i < j) sits at base[i] + j of the condensed array, so
-        # slot x's row is base[:x] + x followed by base[x] + (x … n-1).
-        slots = np.arange(n)
-        base = slots * (2 * n - slots - 1) // 2 - slots - 1
-        index = np.empty(n, dtype=np.int64)
-        row = np.empty(n)
-        index_y = np.empty(n, dtype=np.int64)
-        row_y = np.empty(n)
-
-        def gather(x: int, index: np.ndarray, row: np.ndarray) -> None:
-            np.add(base[:x], x, out=index[:x])
-            np.add(slots[x:], base[x], out=index[x:])
-            work.take(index, out=row)
-            row[x] = np.inf
+        np.fill_diagonal(work, np.inf)
 
         active = np.ones(n, dtype=bool)
         sizes = np.ones(n, dtype=np.int64)
@@ -130,12 +96,12 @@ class NNChainBackend(ClusteringBackend):
             # Grow the chain until the tip and its nearest neighbour are a
             # reciprocal pair.  Preferring the chain's previous element on
             # ties keeps the walk from oscillating between equidistant
-            # clusters and guarantees termination.  Retired slots read
-            # +inf, so the row needs no mask.
+            # clusters and guarantees termination.  The diagonal and the
+            # retired slots' columns read +inf, so the row needs no mask.
             while True:
                 chain_steps += 1
                 x = int(chain[chain_len - 1])
-                gather(x, index, row)
+                row = work[x]
                 if chain_len > 1:
                     y = int(chain[chain_len - 2])
                     d_xy = float(row[y])
@@ -167,20 +133,20 @@ class NNChainBackend(ClusteringBackend):
             others = np.flatnonzero(active)
             active[x] = True
             if others.size:
-                gather(y, index_y, row_y)
-                work[index[others]] = lance_williams_update(
+                updated = lance_williams_update(
                     linkage,
                     row[others],
-                    row_y[others],
+                    work[y, others],
                     d_xy,
                     size_x,
                     size_y,
                     sizes[others],
                 )
-                # Retire slot y: +inf over every pair it is part of.  Its
-                # own diagonal entry is pointed at (x, y), dead as well.
-                index_y[y] = index[y]
-                work[index_y] = np.inf
+                row[others] = updated
+                work[others, x] = updated
+            # Retire slot y: no live row may pick it again.  Its own row is
+            # never read after this merge.
+            work[:, y] = np.inf
             sizes[x] = new_size
 
         self.last_stats = {"merges": n - 1, "chain_steps": chain_steps}

@@ -1,8 +1,8 @@
 """Memory-bounded nearest-neighbor-chain backend: no pairwise matrix, ever.
 
-Both existing backends materialise the full O(n²) pairwise distances — the
-condensed array alone is ~10 GB at n = 50k towers and ~40 GB at n = 100k, so
-the clustering ceiling is RAM, not CPU.  This backend runs the *same*
+The ``nn_chain`` backend holds the full O(n²) pairwise distances — the
+square matrix is ~20 GB at n = 50k towers and ~80 GB at n = 100k, so its
+clustering ceiling is RAM, not CPU.  This backend runs the *same*
 nearest-neighbor-chain agglomeration straight from the ``(n, d)`` feature
 matrix: every chain step recomputes the tip cluster's distance to all other
 clusters on the fly, so peak extra memory is O(n·d + tile²) instead of O(n²).
@@ -21,7 +21,7 @@ Cluster–cluster distances come from per-cluster sufficient statistics:
   Lance–Williams recurrences for these linkages maintain.
 
 The chain walk, tie handling and canonicalisation are shared with the
-condensed ``nn_chain`` backend, so on tie-free distances the cuts are
+square-matrix ``nn_chain`` backend, so on tie-free distances the cuts are
 identical to ``nn_chain``'s (ties remain ambiguous across all
 backends — see :mod:`repro.cluster.backends.base`); only floating-point
 noise at the 1e-15 level differs, because distances are recomputed from the
@@ -75,31 +75,15 @@ class NNChainLowMemBackend(ClusteringBackend):
     def supports(self, linkage: Linkage) -> bool:
         return linkage in _REDUCIBLE_LINKAGES
 
-    # -- condensed/square entry points -------------------------------------
+    # -- square entry point ------------------------------------------------
     # Handed an already-materialised distance matrix there is no memory left
-    # to save and no feature matrix to scan, so these degrade to the
-    # condensed nn_chain engine (identical cuts); the native entry point is
+    # to save and no feature matrix to scan, so it degrades to the nn_chain
+    # engine (identical cuts); the native entry point is
     # compute_merges_from_features.
 
-    def compute_merges(
-        self,
-        condensed: np.ndarray,
-        num_observations: int,
-        linkage: Linkage,
-    ) -> np.ndarray:
+    def consume_square(self, square: np.ndarray, linkage: Linkage) -> np.ndarray:
         inner = NNChainBackend()
-        merges = inner.compute_merges(condensed, num_observations, linkage)
-        self.last_stats = inner.last_stats
-        return merges
-
-    def consume_condensed(
-        self,
-        condensed: np.ndarray,
-        num_observations: int,
-        linkage: Linkage,
-    ) -> np.ndarray:
-        inner = NNChainBackend()
-        merges = inner.consume_condensed(condensed, num_observations, linkage)
+        merges = inner.consume_square(square, linkage)
         self.last_stats = inner.last_stats
         return merges
 
@@ -133,7 +117,7 @@ class NNChainLowMemBackend(ClusteringBackend):
 
         # Raw merge log in execution (chain) order; slots are observation
         # indices standing for the cluster currently stored in that slot —
-        # the same convention as the condensed nn_chain backend.
+        # the same convention as the square-matrix nn_chain backend.
         slot_a = np.empty(n - 1, dtype=np.int64)
         slot_b = np.empty(n - 1, dtype=np.int64)
         heights = np.empty(n - 1)

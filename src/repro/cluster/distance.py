@@ -10,9 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Elements per row block of the in-place passes over an ``(n, n)`` matrix:
+#: the ``x² + y²`` temporary of a block is 256 KiB, whatever ``n``.
+BLOCK_ELEMENTS = 1 << 15
+
 
 def euclidean_distance_matrix(vectors: np.ndarray) -> np.ndarray:
     """Return the dense ``(n, n)`` Euclidean distance matrix of ``vectors``.
+
+    The gram matrix ``X Xᵀ`` is the only ``(n, n)`` array: row block by
+    row block it becomes ``sqrt(max(x² + y² - 2xy, 0))`` in place, with a
+    zero diagonal, so the peak is the result plus one block's ``x² + y²``.
+    Each entry sees the same operations in the same order as the
+    whole-matrix expansion, so the bits do not depend on the block size.
 
     Parameters
     ----------
@@ -22,16 +32,19 @@ def euclidean_distance_matrix(vectors: np.ndarray) -> np.ndarray:
     arr = np.asarray(vectors, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"vectors must be 2-D, got shape {arr.shape}")
+    n = arr.shape[0]
     squared_norms = np.einsum("ij,ij->i", arr, arr)
-    # (x² + y²) - 2xy, evaluated in place so only two (n, n) arrays live.
-    gram = arr @ arr.T
-    gram *= 2.0
-    squared = np.add.outer(squared_norms, squared_norms)
-    squared -= gram
-    del gram
-    np.maximum(squared, 0.0, out=squared)
-    np.fill_diagonal(squared, 0.0)
-    return np.sqrt(squared, out=squared)
+    result = arr @ arr.T
+    step = max(1, BLOCK_ELEMENTS // max(n, 1))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        rows = result[start:stop]
+        rows *= 2.0
+        np.subtract(np.add.outer(squared_norms[start:stop], squared_norms), rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
+        rows[np.arange(stop - start), np.arange(start, stop)] = 0.0
+        np.sqrt(rows, out=rows)
+    return result
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -49,17 +62,3 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     squared = a_norms[:, None] + b_norms[None, :] - 2.0 * (a_arr @ b_arr.T)
     np.maximum(squared, 0.0, out=squared)
     return np.sqrt(squared)
-
-
-def condensed_from_square(matrix: np.ndarray) -> np.ndarray:
-    """Return the condensed (upper-triangular, row-major) form of ``matrix``.
-
-    Matches the layout used by :func:`scipy.spatial.distance.squareform`.
-    """
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {arr.shape}")
-    n = arr.shape[0]
-    if n < 2:
-        return np.empty(0)
-    return np.concatenate([arr[i, i + 1 :] for i in range(n - 1)])

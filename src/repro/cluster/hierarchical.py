@@ -23,7 +23,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.cluster.backends import AUTO_BACKEND, ClusteringBackend, resolve_backend
-from repro.cluster.distance import condensed_from_square, euclidean_distance_matrix
 from repro.cluster.linkage import Linkage
 
 
@@ -260,24 +259,37 @@ class AgglomerativeClustering:
     ) -> Dendrogram:
         """Compute the full dendrogram of ``vectors``.
 
+        From vectors, the backend gets the feature matrix: ``nn_chain``
+        builds the square distance matrix and agglomerates on it in place
+        (one ``(n, n)`` float64 array, 737 MB at 9,600 towers), while
+        ``nn_chain_lowmem`` never builds one.
+
         Parameters
         ----------
         vectors:
             Array of shape ``(n, d)`` — ignored when
-            ``precomputed_distances`` is given (pass an ``(n, n)`` distance
-            matrix instead, e.g. to cluster with a non-Euclidean metric).
+            ``precomputed_distances`` is given (pass a symmetric ``(n, n)``
+            distance matrix instead, e.g. to cluster with a non-Euclidean
+            metric; the backend runs on a copy).
 
         Raises
         ------
         ValueError
-            If the input is malformed or holds a NaN or infinite value (the
-            message names the first such row).
+            If the input is malformed, holds a NaN or infinite value (the
+            message names the first such row), or the precomputed matrix is
+            not symmetric.
         """
         if precomputed_distances is not None:
             distances = np.asarray(precomputed_distances, dtype=float)
             if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
                 raise ValueError("precomputed_distances must be a square matrix")
             _require_finite_rows(distances, "precomputed_distances")
+            symmetric_rows = (distances == distances.T).all(axis=1)
+            if not symmetric_rows.all():
+                raise ValueError(
+                    f"precomputed_distances row {int(np.argmin(symmetric_rows))} "
+                    "differs from its column; the matrix must be symmetric"
+                )
             n = distances.shape[0]
             if n == 1:
                 self.last_fit_stats = {"backend": self.backend.name, "merges": 0}
@@ -308,22 +320,7 @@ class AgglomerativeClustering:
             num_observations=n,
             tile_size=self.tile_size,
         )
-        if backend.accepts_features:
-            # Memory-bounded path: no pairwise matrix is ever materialised.
-            merges = backend.compute_merges_from_features(arr, self.linkage)
-        elif backend.prefers_condensed:
-            # Build the dense matrix only as a stepping stone: condense,
-            # free the square form, and transfer ownership of the condensed
-            # array so the backend runs on it in place (peak 1.5× the square
-            # instead of 2×, and 0.5× during the agglomeration itself).
-            square = euclidean_distance_matrix(arr)
-            condensed = condensed_from_square(square)
-            del square
-            merges = backend.consume_condensed(condensed, n, self.linkage)
-        else:
-            merges = backend.compute_merges_from_square(
-                euclidean_distance_matrix(arr), self.linkage
-            )
+        merges = backend.compute_merges_from_features(arr, self.linkage)
         self.last_fit_stats = {"backend": backend.name, **backend.last_stats}
         return Dendrogram(merges=merges, num_observations=n)
 

@@ -181,6 +181,9 @@ class TrafficPatternModel:
                     tracer=tracer,
                     metrics=metrics,
                 )
+            # The grid is the model's own and complete: read-only, it is
+            # hashed once for the fit and its save (TowerTrafficMatrix.digest).
+            matrix.traffic.flags.writeable = False
             span.set("towers", int(matrix.tower_ids.shape[0]))
             context = PipelineContext(
                 config=self.config, traffic=matrix, city=city, tracer=tracer
@@ -280,6 +283,7 @@ class TrafficPatternModel:
                     tracer=tracer,
                     metrics=metrics,
                 )
+            merged.traffic.flags.writeable = False
             root.set("towers", int(merged.tower_ids.shape[0]))
 
             context = PipelineContext(

@@ -8,17 +8,24 @@ deliberately small:
 * the **context** is a typed artifact store — stages publish results under
   well-known keys and later stages ``require`` them, with provenance tracked
   so a missing artifact names the stage that should have produced it;
-* the **runner** records per-stage wall-clock timings, honours a stage's
+* the **runner** records per-stage wall-clock timings and honours a stage's
   optional ``should_run`` predicate (e.g. labelling is skipped without a
-  city), and supports skip/override hooks so callers can swap a single stage
-  without re-implementing the whole fit;
+  city); a caller that wants other stages passes another stage list;
 * runs are **resumable**: a stage may define
   ``fingerprint(context) -> str | None`` digesting its inputs.  The runner
-  records every digest in ``context.fingerprints``, and when the context is
-  seeded with :class:`StageCache` entries (digest + outputs of a previous
-  run, e.g. from a persisted model bundle) a stage whose current digest
-  matches the cached one republishes the cached outputs instead of
-  recomputing — the machinery behind cheap day-over-day model updates.
+  computes it inside the stage's span and records it in
+  ``context.fingerprints``, and when the context is seeded with
+  :class:`StageCache` entries (digest + outputs of a previous run, e.g.
+  from a persisted model bundle) a stage whose current digest matches the
+  cached one republishes the cached outputs instead of recomputing — the
+  machinery behind cheap day-over-day model updates.
+
+Fingerprints chain instead of re-hashing large arrays.  The towers × slots
+grid is hashed once per run (:meth:`PipelineContext.traffic_digest`, inside
+the vectorize span): vectorize and spectral fingerprint that digest, and
+cluster and tune fingerprint the vectorize fingerprint, since the vectors
+they read are a function of its inputs.  No stage hashes the normalised
+vectors; label and decompose hash their own small inputs.
 
 Everything is synchronous and in-process; the value is the seam it creates —
 caching, batching or distributing a stage later means wrapping one object,
@@ -66,6 +73,19 @@ class PipelineContext:
         self.fingerprints: dict[str, str] = {}
         self._artifacts: dict[str, Any] = {}
         self._producers: dict[str, str] = {}
+        self._traffic_digest: str | None = None
+
+    def traffic_digest(self) -> str:
+        """Return the content digest of ``traffic.traffic``, hashed once per context.
+
+        It is :meth:`~repro.synth.traffic.TowerTrafficMatrix.digest`, the
+        digest a bundle's manifest records for ``raw.traffic``.  The stages
+        read the grid and never write it, so one pass serves every stage
+        fingerprint of a run.
+        """
+        if self._traffic_digest is None:
+            self._traffic_digest = self.traffic.digest()
+        return self._traffic_digest
 
     def set(self, key: str, value: Any, *, producer: str | None = None) -> None:
         """Publish an artifact under ``key`` (recording the producing stage)."""
@@ -135,10 +155,11 @@ class PipelineStage(Protocol):
 class StageTiming:
     """Wall-clock record of one stage execution.
 
-    ``skipped`` marks stages the runner never executed (skip set or a false
+    ``skipped`` marks stages the runner never executed (a false
     ``should_run``); ``reused`` marks stages whose input fingerprint matched
     a seeded :class:`StageCache`, so their cached outputs were republished
-    without recomputation.
+    without recomputation (``seconds`` is then the time the fingerprint
+    took).
 
     .. deprecated::
         Stage timings are now a projection of the span tracer
@@ -177,97 +198,65 @@ class Pipeline:
     ----------
     stages:
         The stages, executed in order; names must be unique.
-    skip:
-        Names of stages to record as skipped instead of running.
-    overrides:
-        Mapping from an existing stage name to a replacement stage run in
-        its place (timed under the replacement's own name).
     """
 
-    def __init__(
-        self,
-        stages: Iterable[PipelineStage],
-        *,
-        skip: Iterable[str] = (),
-        overrides: Mapping[str, PipelineStage] | None = None,
-    ) -> None:
+    def __init__(self, stages: Iterable[PipelineStage]) -> None:
         self.stages = list(stages)
         names = [stage.name for stage in self.stages]
         duplicates = {name for name in names if names.count(name) > 1}
         if duplicates:
             raise PipelineError(f"duplicate stage names: {sorted(duplicates)}")
-        self.skip = frozenset(skip)
-        self.overrides = dict(overrides or {})
-        known = set(names)
-        for collection, what in ((self.skip, "skip"), (self.overrides, "override")):
-            unknown = set(collection) - known
-            if unknown:
-                raise PipelineError(
-                    f"cannot {what} unknown stage(s) {sorted(unknown)}; "
-                    f"pipeline has {names}"
-                )
 
     @property
     def stage_names(self) -> list[str]:
         """Names of the assembled stages, in execution order."""
         return [stage.name for stage in self.stages]
 
-    def with_override(self, name: str, stage: PipelineStage) -> Pipeline:
-        """Return a new pipeline running ``stage`` in place of ``name``."""
-        return Pipeline(
-            self.stages, skip=self.skip, overrides={**self.overrides, name: stage}
-        )
-
-    def without(self, *names: str) -> Pipeline:
-        """Return a new pipeline with ``names`` added to the skip set."""
-        return Pipeline(
-            self.stages, skip=self.skip | set(names), overrides=self.overrides
-        )
-
     def run(self, context: PipelineContext) -> PipelineContext:
         """Execute every stage in order, recording per-stage timings.
 
-        Stages defining ``fingerprint(context)`` have their input digest
-        recorded in ``context.fingerprints``; when the digest matches a
-        seeded ``context.reuse`` entry the cached outputs are republished
-        and the stage is recorded as reused instead of being executed.
+        Each stage that runs gets a span; inside it, a stage defining
+        ``fingerprint(context)`` has its input digest recorded in
+        ``context.fingerprints``, and when the digest matches a seeded
+        ``context.reuse`` entry the cached outputs are republished and the
+        stage is recorded as reused instead of being executed.
         """
         context.timings = []
         context.fingerprints = {}
         tracer = context.tracer
-        for declared in self.stages:
-            stage = self.overrides.get(declared.name, declared)
+        for stage in self.stages:
             should_run = getattr(stage, "should_run", None)
-            if declared.name in self.skip or (
-                should_run is not None and not should_run(context)
-            ):
+            if should_run is not None and not should_run(context):
                 with tracer.span(stage.name) as span:
                     span.set("skipped", True)
                 context.timings.append(StageTiming(stage.name, 0.0, skipped=True))
                 continue
-            fingerprint_fn = getattr(stage, "fingerprint", None)
-            digest = fingerprint_fn(context) if fingerprint_fn is not None else None
-            if digest is not None:
-                context.fingerprints[declared.name] = digest
-            cache = context.reuse.get(declared.name)
-            if cache is not None and digest is not None and cache.fingerprint == digest:
-                for key, value in cache.outputs.items():
-                    context.set(key, value, producer=stage.name)
-                with tracer.span(stage.name) as span:
-                    span.set("reused", True)
-                context.timings.append(StageTiming(stage.name, 0.0, reused=True))
-                continue
-            if tracer.enabled:
-                with tracer.span(stage.name) as span:
-                    stage.run(context)
-                context.timings.append(StageTiming(stage.name, span.wall_seconds))
-            else:
+            with tracer.span(stage.name) as span:
                 start = time.perf_counter()
-                stage.run(context)
-                context.timings.append(
-                    StageTiming(stage.name, time.perf_counter() - start)
-                )
+                reused = _resume_or_run(stage, context, span)
+                elapsed = time.perf_counter() - start
+            seconds = span.wall_seconds if tracer.enabled else elapsed
+            context.timings.append(StageTiming(stage.name, seconds, reused=reused))
         return context
+
+
+def _resume_or_run(stage: PipelineStage, context: PipelineContext, span) -> bool:
+    """Fingerprint ``stage``, then republish its cached outputs or run it.
+
+    Returns whether the cached outputs were republished.
+    """
+    fingerprint_fn = getattr(stage, "fingerprint", None)
+    digest = fingerprint_fn(context) if fingerprint_fn is not None else None
+    if digest is not None:
+        context.fingerprints[stage.name] = digest
+    cache = context.reuse.get(stage.name)
+    if cache is not None and digest is not None and cache.fingerprint == digest:
+        for key, value in cache.outputs.items():
+            context.set(key, value, producer=stage.name)
+        span.set("reused", True)
+        return True
+    stage.run(context)
+    return False
 
 
 def timings_as_dict(timings: Iterable[StageTiming]) -> dict[str, float]:

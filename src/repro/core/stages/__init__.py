@@ -2,8 +2,8 @@
 
 Each stage class wraps one step of the paper's fit (Sections 3–5) behind the
 :class:`~repro.core.pipeline.PipelineStage` protocol; assemble them with
-:func:`default_stages` or cherry-pick/replace individual stages through the
-:class:`~repro.core.pipeline.Pipeline` skip/override hooks.
+:func:`default_stages`, or pass a :class:`~repro.core.pipeline.Pipeline`
+another list to drop or replace individual stages.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.cluster.hierarchical import AgglomerativeClustering
 from repro.core.pipeline import PipelineContext
+from repro.core.stages.vectorize import VectorizeStage
 from repro.utils.fingerprint import fingerprint
 
 
@@ -21,14 +22,17 @@ class ClusterStage:
     name = "cluster"
 
     def fingerprint(self, context: PipelineContext) -> str | None:
-        """Digest of the normalised vectors + linkage/backend choice."""
-        vectorized = context.get("vectorized")
-        if vectorized is None:
+        """Digest of the vectorize fingerprint + linkage/backend choice.
+
+        The normalised vectors are a function of the vectorize stage's
+        inputs, so its fingerprint stands for them: the vectors are never
+        hashed.
+        """
+        upstream = context.fingerprints.get(VectorizeStage.name)
+        if upstream is None or context.get("vectorized") is None:
             return None
         cfg = context.config
-        return fingerprint(
-            vectorized.vectors, cfg.linkage.value, cfg.cluster_backend
-        )
+        return fingerprint(upstream, cfg.linkage.value, cfg.cluster_backend)
 
     def run(self, context: PipelineContext) -> None:
         cfg = context.config

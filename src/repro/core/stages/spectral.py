@@ -14,12 +14,12 @@ class SpectralStage:
     name = "spectral"
 
     def fingerprint(self, context: PipelineContext) -> str | None:
-        """Digest of the raw traffic + window + feature normalisation."""
+        """Digest of the raw traffic (its grid digest) + window + feature normalisation."""
         traffic = context.traffic
         if traffic is None:
             return None
         return fingerprint(
-            traffic.traffic,
+            context.traffic_digest(),
             traffic.tower_ids,
             traffic.window.num_days,
             traffic.window.start_weekday,

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.cluster.hierarchical import ClusteringResult
 from repro.cluster.tuner import MetricTuner, TuningCurve
 from repro.core.pipeline import PipelineContext
+from repro.core.stages.vectorize import VectorizeStage
 from repro.utils.fingerprint import fingerprint
 
 
@@ -15,16 +16,17 @@ class TuneStage:
     name = "tune"
 
     def fingerprint(self, context: PipelineContext) -> str | None:
-        """Digest of the dendrogram + cut-selection configuration."""
+        """Digest of the dendrogram, the vectorize fingerprint (standing for
+        the vectors the validity index reads) + cut-selection configuration."""
         dendrogram = context.get("dendrogram")
-        vectorized = context.get("vectorized")
-        if dendrogram is None or vectorized is None:
+        upstream = context.fingerprints.get(VectorizeStage.name)
+        if dendrogram is None or upstream is None or context.get("vectorized") is None:
             return None
         cfg = context.config
         return fingerprint(
             dendrogram.merges,
             dendrogram.num_observations,
-            vectorized.vectors,
+            upstream,
             cfg.num_clusters,
             cfg.validity_index,
             cfg.min_clusters,

@@ -19,12 +19,12 @@ class VectorizeStage:
     name = "vectorize"
 
     def fingerprint(self, context: PipelineContext) -> str:
-        """Digest of the input matrix + normalisation."""
+        """Digest of the input matrix (its grid digest) + normalisation."""
         traffic = context.traffic
         if traffic is None:
             raise ValueError("the vectorize stage needs context.traffic")
         return fingerprint(
-            traffic.traffic,
+            context.traffic_digest(),
             traffic.tower_ids,
             traffic.window.num_days,
             traffic.window.start_weekday,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.distance import euclidean_distance_matrix
+from repro.cluster.distance import BLOCK_ELEMENTS, euclidean_distance_matrix
 
 
 @dataclass
@@ -111,20 +111,20 @@ def select_representative_towers(
 
     distances = euclidean_distance_matrix(feature_matrix)
     if density_radius is None:
-        upper = distances[np.triu_indices_from(distances, k=1)]
-        density_radius = 0.2 * float(np.median(upper)) if upper.size else 1.0
+        density_radius = 0.2 * _median_pairwise(distances) if len(distances) > 1 else 1.0
 
     target_clusters = np.unique(label_array) if clusters is None else np.asarray(clusters)
+    block = max(1, BLOCK_ELEMENTS // max(len(distances), 1))
 
     chosen_rows: list[int] = []
     chosen_labels: list[int] = []
     for cluster_label in target_clusters:
-        members = np.nonzero(label_array == cluster_label)[0]
+        in_cluster = label_array == cluster_label
+        members = np.flatnonzero(in_cluster)
         if members.size == 0:
             raise ValueError(f"cluster {cluster_label} has no members")
-        others = np.nonzero(label_array != cluster_label)[0]
 
-        if others.size == 0:
+        if members.size == label_array.size:
             # Degenerate single-cluster case: fall back to the centroid-nearest point.
             centroid = feature_matrix[members].mean(axis=0)
             offsets = np.linalg.norm(feature_matrix[members] - centroid, axis=1)
@@ -132,9 +132,17 @@ def select_representative_towers(
             chosen_labels.append(int(cluster_label))
             continue
 
-        separation = distances[np.ix_(members, others)].min(axis=1)
-        same_cluster = distances[np.ix_(members, members)]
-        neighbor_counts = (same_cluster <= density_radius).sum(axis=1) - 1
+        # Per member: same-cluster towers within the radius (itself
+        # excluded), and the distance to the nearest tower of another
+        # cluster, read from the members' rows a block at a time.
+        separation = np.empty(members.size)
+        neighbor_counts = np.empty(members.size, dtype=np.int64)
+        for start in range(0, members.size, block):
+            rows = distances[members[start : start + block]]
+            within = (rows <= density_radius) & in_cluster
+            neighbor_counts[start : start + block] = within.sum(axis=1) - 1
+            rows[:, in_cluster] = np.inf
+            separation[start : start + block] = rows.min(axis=1)
 
         candidates = members[neighbor_counts >= min_neighbors]
         candidate_separation = separation[neighbor_counts >= min_neighbors]
@@ -151,3 +159,14 @@ def select_representative_towers(
         tower_ids=ids[rows],
         features=feature_matrix[rows],
     )
+
+
+def _median_pairwise(distances: np.ndarray) -> float:
+    """Return the median of the upper triangle of a symmetric distance matrix.
+
+    The ``n(n-1)/2`` pairwise distances are gathered row by row into one
+    buffer, which the median then partitions in place: no index arrays and
+    no second copy.
+    """
+    upper = np.concatenate([distances[row, row + 1 :] for row in range(len(distances) - 1)])
+    return float(np.median(upper, overwrite_input=True))

@@ -9,8 +9,9 @@ of lines with a single :func:`numpy.loadtxt` call and replays the file
 through :mod:`csv` from the first chunk that call cannot take exactly as
 :mod:`csv` would.
 
-Malformed lines raise :class:`TraceFormatError` naming the file path and
-the offending line.
+Both files are UTF-8 text.  Malformed lines, including a line holding a
+byte that is not UTF-8, raise :class:`TraceFormatError` naming the file
+path and the offending line.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 import csv
 import itertools
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -46,11 +48,38 @@ class TraceFormatError(ValueError):
     """Raised when a trace file does not match the expected schema."""
 
 
+@contextmanager
+def _read_utf8(path: Path) -> Iterator[TextIO]:
+    """Open ``path`` for reading as UTF-8 CSV text.
+
+    A byte that is not UTF-8 raises :class:`TraceFormatError` naming the
+    line that holds it.  The text reader decodes ahead of the line it hands
+    out, so that line is found by reading the file again with each
+    undecodable byte escaped.
+    """
+    try:
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            yield handle
+    except UnicodeDecodeError as error:
+        with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                if line.isascii():
+                    continue
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as bad:
+                    byte = ord(line[bad.start]) - 0xDC00
+                    raise TraceFormatError(
+                        f"{path}:{line_number}: byte 0x{byte:02x} is not valid UTF-8"
+                    ) from None
+        raise TraceFormatError(f"{path}: not valid UTF-8: {error.reason}") from None
+
+
 def write_records_csv(records: RecordBatch, path: str | Path) -> int:
     """Write a columnar batch to a CSV file; returns the number of rows."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
+    with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_RECORD_FIELDS)
         writer.writerows(
@@ -200,7 +229,7 @@ def iter_record_batches_csv(
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     path = Path(path)
-    with path.open("r", newline="") as handle:
+    with _read_utf8(path) as handle:
         header = next(csv.reader(handle), None)
         if header is None or tuple(header) != _RECORD_FIELDS:
             raise TraceFormatError(
@@ -228,7 +257,7 @@ def write_stations_csv(stations: Iterable[BaseStationInfo], path: str | Path) ->
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
-    with path.open("w", newline="") as handle:
+    with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_STATION_FIELDS)
         for station in stations:
@@ -253,7 +282,7 @@ def read_stations_csv(path: str | Path) -> list[BaseStationInfo]:
     path = Path(path)
     stations: list[BaseStationInfo] = []
     line_of_tower: dict[int, int] = {}
-    with path.open("r", newline="") as handle:
+    with _read_utf8(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or tuple(header) != _STATION_FIELDS:

@@ -18,7 +18,9 @@ directory holding exactly two files:
     Schema version, the :class:`~repro.core.config.ModelConfig` used for the
     fit, the observation window, scalar/enum metadata of every component,
     the fit's per-stage input fingerprints (the resume/update machinery) and
-    a SHA-256 content digest of every array for integrity checking.
+    a SHA-256 content digest of every array for integrity checking (for
+    ``raw.traffic``, the digest the fit computed, when the grid cannot have
+    changed since).
 
 :func:`save_model` / :func:`load_model` round-trip the result exactly:
 ``load_model(save_model(result))`` answers every query — decompositions,
@@ -295,9 +297,12 @@ def save_model(
     bundle = Path(path)
     arrays, manifest = bundle_contents(result, config)
     manifest = _json_ready(manifest, "the model manifest", bundle)
+    # TowerTrafficMatrix.digest returns the fit's digest of a read-only grid
+    # and hashes any other grid.
+    digests = {"raw.traffic": result.vectorized.raw.digest()}
     manifest["arrays"] = {
         key: {
-            "sha256": fingerprint_array(array),
+            "sha256": digests[key] if key in digests else fingerprint_array(array),
             "shape": list(array.shape),
             "dtype": str(array.dtype),
         }

@@ -274,6 +274,28 @@ class ModelServer:
             raise KeyError(f"cluster {cluster_label} has no label")
         return region
 
+    def cluster_of_region(self, region: RegionType) -> int:
+        """Return the cluster labelled ``region`` (the first, in labelling order).
+
+        Raises
+        ------
+        KeyError
+            If the model is unlabelled or no cluster is labelled ``region``.
+        """
+        for label, labelled in (self._regions or {}).items():
+            if labelled is region:
+                return label
+        raise KeyError(f"no cluster labelled {region}")
+
+    def towers_of_cluster(self, cluster_label: int) -> list[int]:
+        """Return the ids of a cluster's towers, in model order."""
+        return self._tower_ids[self._labels == int(cluster_label)].tolist()
+
+    @property
+    def has_components(self) -> bool:
+        """Whether the model has primary components to decompose towers onto."""
+        return self._decomposition is not None
+
     def percentage_table(self) -> list[dict[str, object]]:
         """Return Table 1: one ``{cluster, region, percentage}`` row per pattern."""
         return [dict(row) for row in self._table]

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.synth.activity import ActivityProfileLibrary
 from repro.synth.towers import Tower
+from repro.utils.fingerprint import fingerprint_array
 from repro.utils.rng import ensure_rng
 from repro.utils.timeutils import SLOTS_PER_DAY, TimeWindow
 from repro.utils.validation import check_fraction, check_positive
@@ -66,6 +67,9 @@ class TowerTrafficMatrix:
     traffic: np.ndarray
     window: TimeWindow
 
+    #: ``(grid, digest)`` of the read-only grid :meth:`digest` last hashed.
+    _digest = None
+
     def __post_init__(self) -> None:
         self.tower_ids = np.asarray(self.tower_ids, dtype=int)
         self.traffic = np.asarray(self.traffic, dtype=float)
@@ -103,6 +107,24 @@ class TowerTrafficMatrix:
     def num_slots(self) -> int:
         """Number of 10-minute slots (columns)."""
         return int(self.traffic.shape[1])
+
+    def digest(self) -> str:
+        """Return the content digest of ``traffic`` (:func:`fingerprint_array`).
+
+        A grid that cannot change is hashed once: when ``traffic`` owns its
+        buffer and is read-only (the model makes the grids it aggregates
+        read-only), the digest is kept and returned while ``traffic`` is
+        still that read-only array.  Any other grid, including a read-only
+        view of a writable one, is hashed on every call.
+        """
+        grid = self.traffic
+        sealed = grid.base is None and not grid.flags.writeable
+        if sealed and self._digest is not None and self._digest[0] is grid:
+            return self._digest[1]
+        digest = fingerprint_array(grid)
+        if sealed:
+            self._digest = (grid, digest)
+        return digest
 
     def row_of(self, tower_id: int) -> int:
         """Return the row index of ``tower_id``."""

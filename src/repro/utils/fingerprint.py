@@ -7,9 +7,21 @@ digests are persisted in a model bundle's manifest, so a later resumable run
 example — can compare the digest of a stage's *current* inputs against the
 recorded one and republish the cached outputs instead of recomputing them.
 
+Large arrays are hashed as rarely as their use needs.  A fit hashes its
+towers × slots grid once, inside the vectorize stage's span
+(:meth:`~repro.core.pipeline.PipelineContext.traffic_digest`); the vectorize
+and spectral fingerprints digest that grid digest, and the cluster and tune
+fingerprints digest the vectorize fingerprint, so the normalised vectors
+are never hashed for a fingerprint.  The label and decompose stages hash
+their own inputs, which are per-tower or per-cluster arrays.
+
 The same helper fingerprints the arrays written into a bundle, giving the
 loader a cheap integrity check (a truncated or bit-flipped ``arrays.npz``
-fails loudly instead of silently feeding garbage to queries).
+fails loudly instead of silently feeding garbage to queries).  A save hashes
+the normalised vectors and every small array; it hashes the grid again only
+if the grid could have changed since the fit hashed it
+(:meth:`~repro.synth.traffic.TowerTrafficMatrix.digest`).  A load checks
+every array it reads against its digest.
 """
 
 from __future__ import annotations

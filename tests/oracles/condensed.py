@@ -1,16 +1,26 @@
-"""The condensed pair layout, one pair at a time: the oracle for its users.
+"""The condensed pair layout: scipy's ``squareform`` order, kept for the tests.
 
-``repro.cluster.distance.condensed_from_square`` writes the upper triangle
-of a distance matrix row by row (scipy's ``squareform`` layout) and the
-``nn_chain`` backend reads it back through an offset table.  These helpers,
-moved here from ``src`` once nothing there called them, spell the same
-layout out directly; the full-matrix oracle expands its input with
-:func:`square_from_condensed`.
+:func:`condensed_from_square` writes the upper triangle of a distance
+matrix row by row, :func:`condensed_index` names one pair's slot, and
+:func:`square_from_condensed` expands the layout again.  They moved here
+from ``src`` once nothing there called them: the ``nn_chain`` backend
+agglomerates on the square matrix itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def condensed_from_square(matrix: np.ndarray) -> np.ndarray:
+    """Return the condensed (upper-triangular, row-major) form of ``matrix``."""
+    arr = np.asarray(matrix, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {arr.shape}")
+    n = arr.shape[0]
+    if n < 2:
+        return np.empty(0)
+    return np.concatenate([arr[i, i + 1 :] for i in range(n - 1)])
 
 
 def condensed_index(i: int, j: int, n: int) -> int:

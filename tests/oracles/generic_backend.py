@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from oracles.condensed import square_from_condensed
 from repro.cluster.backends.base import ClusteringBackend
 from repro.cluster.linkage import Linkage, lance_williams_update
 
@@ -26,24 +25,7 @@ class GenericBackend(ClusteringBackend):
     def supports(self, linkage: Linkage) -> bool:
         return True
 
-    def compute_merges(
-        self,
-        condensed: np.ndarray,
-        num_observations: int,
-        linkage: Linkage,
-    ) -> np.ndarray:
-        # square_from_condensed returns a freshly allocated matrix, so the
-        # agglomeration can run on it directly — no defensive copy on top.
-        return self._agglomerate(
-            square_from_condensed(condensed, num_observations), linkage
-        )
-
-    def compute_merges_from_square(
-        self, square: np.ndarray, linkage: Linkage
-    ) -> np.ndarray:
-        return self._agglomerate(np.array(square, dtype=float, copy=True), linkage)
-
-    def _agglomerate(self, work: np.ndarray, linkage: Linkage) -> np.ndarray:
+    def consume_square(self, work: np.ndarray, linkage: Linkage) -> np.ndarray:
         """Run the full-matrix loop on ``work`` (owned, mutated in place)."""
         n = work.shape[0]
         self.last_stats = {"merges": max(n - 1, 0)}

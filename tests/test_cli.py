@@ -256,6 +256,43 @@ class TestFit:
 
 
     @STREAMING_VARIANTS
+    def test_undecodable_trace_byte_exits_2_with_one_liner(self, streaming, tmp_path, capsys):
+        trace, stations = _generated_trace(tmp_path)
+        lines = trace.read_bytes().split(b"\n")
+        lines[5] = lines[5].rsplit(b",", 1)[0] + b",LT\xffE"
+        trace.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        segments = _shm_segments()
+        exit_code = main(
+            [
+                "fit",
+                "--input", str(trace),
+                "--stations", str(stations),
+                "--days", "3",
+                "--clusters", "3",
+                *streaming,
+            ]
+        )
+        assert exit_code == 2
+        err = _assert_one_line_error(capsys, f"{trace}:6: ")
+        assert "0xff" in err and "UTF-8" in err
+        assert _shm_segments() - segments == set()
+
+    def test_undecodable_station_byte_exits_2_with_one_liner(self, tmp_path, capsys):
+        trace, stations = _generated_trace(tmp_path)
+        lines = stations.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"Block", b"Stra\xdfe")
+        stations.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        exit_code = main(
+            ["fit", "--input", str(trace), "--stations", str(stations), "--days", "3",
+             "--clusters", "3"]
+        )
+        assert exit_code == 2
+        err = _assert_one_line_error(capsys, f"{stations}:3: ")
+        assert "0xdf" in err
+
+    @STREAMING_VARIANTS
     @pytest.mark.parametrize("field", [2, 3, 4], ids=["start_s", "end_s", "bytes_used"])
     def test_non_finite_trace_value_exits_2_with_one_liner(
         self, streaming, field, tmp_path, capsys

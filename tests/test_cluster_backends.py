@@ -10,10 +10,12 @@ duplicate-point tests below assert only cut validity, not cross-backend
 equality.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles.condensed import square_from_condensed
+from oracles.condensed import condensed_from_square, square_from_condensed
 from oracles.generic_backend import GenericBackend
 from repro.cluster.backends import (
     AUTO_BACKEND,
@@ -23,7 +25,7 @@ from repro.cluster.backends import (
     get_backend,
     resolve_backend,
 )
-from repro.cluster.distance import condensed_from_square, euclidean_distance_matrix
+from repro.cluster.distance import euclidean_distance_matrix
 from repro.cluster.hierarchical import AgglomerativeClustering, Dendrogram
 from repro.cluster.linkage import Linkage
 
@@ -81,7 +83,7 @@ class TestRegistry:
         unsupported = object()
         assert not backend.supports(unsupported)
         with pytest.raises(ValueError):
-            backend.compute_merges(np.zeros(3), 3, unsupported)
+            backend.consume_square(np.zeros((3, 3)), unsupported)
 
 
 class TestCondensedHelpers:
@@ -94,6 +96,36 @@ class TestCondensedHelpers:
     def test_square_from_condensed_validates_size(self):
         with pytest.raises(ValueError):
             square_from_condensed(np.zeros(4), 4)
+
+
+class TestSquareEntryPoint:
+    """nn_chain agglomerates on the square matrix it is handed, in place."""
+
+    @pytest.mark.parametrize("linkage", ALL_LINKAGES)
+    def test_holds_no_second_square(self, linkage):
+        square = euclidean_distance_matrix(np.random.default_rng(8).normal(size=(800, 6)))
+        tracemalloc.start()
+        try:
+            merges = NNChainBackend().consume_square(square, linkage)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert merges.shape == (799, 4)
+        assert peak < 0.05 * square.nbytes
+
+    @pytest.mark.parametrize("linkage", ALL_LINKAGES)
+    def test_borrowed_square_is_left_untouched(self, linkage, rng):
+        square = euclidean_distance_matrix(rng.normal(size=(30, 4)))
+        before = square.copy()
+        merges = NNChainBackend().compute_merges_from_square(square, linkage)
+        assert np.array_equal(square, before)
+        assert np.array_equal(merges, NNChainBackend().consume_square(before, linkage))
+
+    def test_asymmetric_precomputed_distances_rejected(self, rng):
+        distances = euclidean_distance_matrix(rng.normal(size=(6, 3)))
+        distances[4, 1] += 1e-9
+        with pytest.raises(ValueError, match="^precomputed_distances row 1 differs"):
+            AgglomerativeClustering().fit(np.empty((0, 0)), precomputed_distances=distances)
 
 
 class TestCutEquivalence:

@@ -1,15 +1,14 @@
 """Tests for repro.cluster.distance and repro.cluster.linkage."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from oracles.condensed import condensed_index
-from repro.cluster.distance import (
-    condensed_from_square,
-    euclidean_distance_matrix,
-    pairwise_distances,
-)
+from oracles.condensed import condensed_from_square, condensed_index
+from oracles.distance import euclidean_distance_matrix as whole_matrix_expansion
+from repro.cluster.distance import euclidean_distance_matrix, pairwise_distances
 from repro.cluster.linkage import Linkage, lance_williams_coefficients
 
 
@@ -29,6 +28,25 @@ class TestDistanceMatrix:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             euclidean_distance_matrix(np.ones(5))
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 4), (2, 3), (37, 5), (130, 7), (1200, 3), (400, 1008), (3000, 48)]
+    )
+    def test_row_blocks_give_the_whole_matrix_bits(self, shape):
+        vectors = np.random.default_rng(sum(shape)).normal(size=shape)
+        matrix = euclidean_distance_matrix(vectors)
+        assert np.array_equal(matrix, whole_matrix_expansion(vectors))
+        assert np.array_equal(matrix, matrix.T)
+
+    def test_peak_memory_is_the_output(self):
+        vectors = np.random.default_rng(5).normal(size=(1500, 48))
+        tracemalloc.start()
+        try:
+            matrix = euclidean_distance_matrix(vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * matrix.nbytes
 
     def test_pairwise_matches_scipy(self, rng):
         a = rng.normal(size=(10, 6))

@@ -132,14 +132,10 @@ class TestFeatureEntryPoint:
     def test_lowmem_never_builds_a_pairwise_matrix(self, rng, monkeypatch):
         # The whole point of the backend: the O(n²) kernels must not run.
         import repro.cluster.backends.base as base_module
-        import repro.cluster.hierarchical as hier_module
 
         def forbidden(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("dense distance matrix was materialised")
 
-        monkeypatch.setattr(
-            hier_module, "euclidean_distance_matrix", forbidden
-        )
         monkeypatch.setattr(
             base_module, "euclidean_distance_matrix", forbidden
         )
@@ -149,7 +145,7 @@ class TestFeatureEntryPoint:
         ).fit(vectors)
         assert dendrogram.merges.shape == (39, 4)
 
-    def test_precomputed_distances_degrade_to_condensed_chain(self, rng):
+    def test_precomputed_distances_degrade_to_nn_chain(self, rng):
         # Handed a ready-made matrix there is nothing left to save; the
         # lowmem backend must still produce the family's cuts.
         vectors = rng.normal(size=(25, 4))
@@ -216,7 +212,7 @@ class TestCutEquivalence:
             ), f"partition mismatch at threshold={threshold} ({linkage}, n={n})"
 
     @pytest.mark.parametrize("linkage", REDUCIBLE_LINKAGES)
-    def test_matches_condensed_nn_chain(self, linkage, rng):
+    def test_matches_nn_chain(self, linkage, rng):
         vectors = rng.normal(size=(60, 5))
         chain = AgglomerativeClustering(linkage=linkage, backend="nn_chain").fit(
             vectors

@@ -87,22 +87,18 @@ class TestPipelineRunner:
         assert all(isinstance(t, StageTiming) and t.seconds >= 0.0 for t in context.timings)
         assert not any(t.skipped for t in context.timings)
 
-    def test_skip_hook(self):
-        pipeline = Pipeline([RecordingStage("a"), RecordingStage("b")], skip={"a"})
-        context = pipeline.run(self.make_context())
-        assert context.get("log") == ["b"]
-        skipped = {t.name for t in context.timings if t.skipped}
-        assert skipped == {"a"}
-
-    def test_without_returns_new_pipeline(self):
+    def test_a_shorter_stage_list_is_a_new_pipeline(self):
         pipeline = Pipeline([RecordingStage("a"), RecordingStage("b")])
-        reduced = pipeline.without("b")
+        reduced = Pipeline(stage for stage in pipeline.stages if stage.name != "b")
         assert pipeline.run(self.make_context()).get("log") == ["a", "b"]
         assert reduced.run(self.make_context()).get("log") == ["a"]
 
-    def test_override_hook(self):
+    def test_a_replaced_stage_runs_in_its_place(self):
         pipeline = Pipeline([RecordingStage("a"), RecordingStage("b", fails=True)])
-        patched = pipeline.with_override("b", RecordingStage("b-fixed"))
+        patched = Pipeline(
+            RecordingStage("b-fixed") if stage.name == "b" else stage
+            for stage in pipeline.stages
+        )
         context = patched.run(self.make_context())
         assert context.get("log") == ["a", "b-fixed"]
         assert [t.name for t in context.timings] == ["a", "b-fixed"]
@@ -118,12 +114,6 @@ class TestPipelineRunner:
     def test_duplicate_stage_names_rejected(self):
         with pytest.raises(PipelineError):
             Pipeline([RecordingStage("a"), RecordingStage("a")])
-
-    def test_unknown_skip_and_override_rejected(self):
-        with pytest.raises(PipelineError):
-            Pipeline([RecordingStage("a")], skip={"zzz"})
-        with pytest.raises(PipelineError):
-            Pipeline([RecordingStage("a")], overrides={"zzz": RecordingStage("b")})
 
     def test_timings_as_dict(self):
         timings = [StageTiming("a", 0.25), StageTiming("b", 0.0, skipped=True)]
@@ -172,7 +162,9 @@ class TestModelAsPipelineFacade:
     def test_custom_pipeline_subclass_can_skip_stages(self, scenario):
         class NoLabelModel(TrafficPatternModel):
             def build_pipeline(self):
-                return super().build_pipeline().without("label")
+                return Pipeline(
+                    stage for stage in default_stages() if stage.name != "label"
+                )
 
         model = NoLabelModel(ModelConfig(num_clusters=5))
         result = model.fit(scenario.traffic, city=scenario.city)
@@ -245,6 +237,22 @@ class TestResumableRuns:
         assert context.fingerprints == {"s": "digest-1"}
         assert stage.run_count == 1
 
+    def test_fingerprint_is_computed_inside_the_stage_span(self):
+        from repro.obs import Tracer
+
+        spans = []
+
+        class SpanRecordingStage(FingerprintedStage):
+            def fingerprint(self, context):
+                spans.append(context.tracer.current.name)
+                return super().fingerprint(context)
+
+        context = PipelineContext(config=ModelConfig(), tracer=Tracer())
+        context.set("knob", 1)
+        Pipeline([RecordingStage("a"), SpanRecordingStage("s")]).run(context)
+        assert spans == ["s"]
+        assert context.fingerprints == {"s": "digest-1"}
+
     def test_matching_cache_republishes_outputs_without_running(self):
         from repro.core.pipeline import StageCache
 
@@ -280,13 +288,18 @@ class TestResumableRuns:
         assert stage.run_count == 1
         assert "s" not in context.fingerprints
 
-    def test_skip_wins_over_reuse(self):
+    def test_should_run_wins_over_reuse(self):
         from repro.core.pipeline import StageCache
 
-        stage = FingerprintedStage("s")
+        class OptedOutStage(FingerprintedStage):
+            def should_run(self, context):
+                return False
+
+        stage = OptedOutStage("s")
         context = self.make_context(knob=1)
         context.reuse = {"s": StageCache("digest-1", {"product": "cached-product"})}
-        Pipeline([stage], skip={"s"}).run(context)
+        Pipeline([stage]).run(context)
         assert stage.run_count == 0
         assert context.get("product") is None
         assert context.timings[0].skipped and not context.timings[0].reused
+        assert context.fingerprints == {}

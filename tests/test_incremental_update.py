@@ -1,5 +1,7 @@
 """Tests for incremental day-over-day updates (model.update + stage reuse)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.ingest.batch import RecordBatch
 from repro.obs import Tracer
 from repro.synth.scenario import ScenarioConfig, generate_scenario
 from repro.synth.traffic import TowerTrafficMatrix
+from repro.utils.fingerprint import fingerprint
 from repro.utils.timeutils import SECONDS_PER_DAY, SLOT_SECONDS, TimeWindow
 from repro.vectorize.aggregate import aggregate_batches, scatter_batch_into
 
@@ -158,6 +161,53 @@ class TestStageReuse:
         after = model.update(daily_batches[-1])
         assert "vectorize" not in after.extras["stages_reused"]
         assert "cluster" not in after.extras["stages_reused"]
+
+    def test_first_update_of_an_older_bundle_reruns_the_changed_stages_once(
+        self, daily_batches, tmp_path
+    ):
+        """Bundles written before the grid was hashed once per fit carry the
+        older stage fingerprints: vectorize and spectral hashed the grid,
+        cluster and tune the vectors.  The first update re-runs those four
+        stages once; the update after it reuses every stage as before."""
+        model = TrafficPatternModel(ModelConfig(num_clusters=4))
+        model.fit_batches(daily_batches, WINDOW, TOWER_IDS)
+        bundle = model.save(tmp_path / "bundle")
+        result, config = model.result, model.config
+        raw, window = result.vectorized.raw, result.window
+        vectors, dendrogram = result.vectorized.vectors, result.clustering.dendrogram
+        older = {
+            "vectorize": fingerprint(
+                raw.traffic, raw.tower_ids, window.num_days, window.start_weekday,
+                config.normalization.value,
+            ),
+            "cluster": fingerprint(vectors, config.linkage.value, config.cluster_backend),
+            "tune": fingerprint(
+                dendrogram.merges, dendrogram.num_observations, vectors,
+                config.num_clusters, config.validity_index, config.min_clusters,
+                config.max_clusters,
+            ),
+            "spectral": fingerprint(
+                raw.traffic, raw.tower_ids, window.num_days, window.start_weekday,
+                config.feature_normalization.value,
+            ),
+        }
+        manifest_path = bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert set(older) < set(manifest["extras"]["stage_fingerprints"])
+        manifest["extras"]["stage_fingerprints"].update(older)
+        manifest_path.write_text(json.dumps(manifest))
+
+        reloaded = TrafficPatternModel.load(bundle)
+        first = reloaded.update(empty_batch())
+        assert first.extras["stages_reused"] == ["decompose"]
+        second = reloaded.update(empty_batch())
+        assert set(second.extras["stages_reused"]) == {
+            "vectorize", "cluster", "tune", "spectral", "decompose",
+        }
+        for updated in (first, second):
+            assert np.array_equal(updated.vectorized.vectors, vectors)
+            assert np.array_equal(updated.clustering.dendrogram.merges, dendrogram.merges)
+            assert np.array_equal(updated.labels, result.labels)
 
     def test_fingerprints_recorded_on_plain_fit(self, daily_batches):
         model = TrafficPatternModel(ModelConfig(num_clusters=4))

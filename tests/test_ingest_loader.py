@@ -1,10 +1,12 @@
 """Tests for repro.ingest.loader (CSV round trips and error handling)."""
 
+import numpy as np
 import pytest
 
 from repro.ingest.batch import RecordBatch
 from repro.ingest.loader import (
     TraceFormatError,
+    iter_record_batches_csv,
     read_record_batch_csv,
     read_stations_csv,
     write_records_csv,
@@ -85,6 +87,29 @@ class TestRecordsCsv:
         with pytest.raises(TraceFormatError, match=r"trace\.csv:3: "):
             read_record_batch_csv(path)
 
+    @pytest.mark.parametrize("chunk_size", [1, 7, 100_000])
+    @pytest.mark.parametrize("line", [2, 1500, 3001])
+    def test_undecodable_byte_names_the_line(self, tmp_path, chunk_size, line):
+        # The text reader decodes ahead of the line it hands out; the error
+        # must still name the line holding the byte, after earlier batches.
+        n = 3000
+        records = RecordBatch(
+            user_id=np.arange(n),
+            tower_id=np.full(n, 10),
+            start_s=np.arange(n, dtype=float),
+            end_s=np.arange(n, dtype=float) + 1.0,
+            bytes_used=np.full(n, 100.0),
+            network=np.zeros(n, dtype=np.uint8),
+        )
+        path = tmp_path / "trace.csv"
+        write_records_csv(records, path)
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1].rsplit(b",", 1)[0] + b",LT\xffE"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(TraceFormatError) as caught:
+            list(iter_record_batches_csv(path, chunk_size=chunk_size))
+        assert str(caught.value) == f"{path}:{line}: byte 0xff is not valid UTF-8"
+
 
 class TestStationsCsv:
     def test_round_trip(self, tmp_path, sample_stations):
@@ -118,3 +143,11 @@ class TestStationsCsv:
         write_stations_csv([], path)
         with pytest.raises(TraceFormatError, match=r"stations\.csv: no stations"):
             read_stations_csv(path)
+
+    def test_undecodable_byte_names_the_line(self, tmp_path, sample_stations):
+        path = tmp_path / "stations.csv"
+        write_stations_csv(sample_stations, path)
+        path.write_bytes(path.read_bytes().replace(b"Block 4", b"Stra\xdfe 4"))
+        with pytest.raises(TraceFormatError) as caught:
+            read_stations_csv(path)
+        assert str(caught.value) == f"{path}:3: byte 0xdf is not valid UTF-8"

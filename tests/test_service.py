@@ -156,6 +156,38 @@ class TestServingState:
         with pytest.raises(PersistError, match="raw.traffic|vectorized.vectors|corrupt"):
             load_model(damaged)
 
+    def test_cluster_lookups_match_the_fit_result(self, fitted_model, bundle):
+        from repro.synth.regions import RegionType
+
+        result = fitted_model.result
+        server = ModelServer.from_artifact(bundle)
+        for region in RegionType:
+            try:
+                expected = result.cluster_of_region(region)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    server.cluster_of_region(region)
+            else:
+                assert server.cluster_of_region(region) == expected
+        for cluster in range(result.num_clusters):
+            members = result.tower_ids[result.cluster_members(cluster)]
+            assert server.towers_of_cluster(cluster) == members.tolist()
+        assert server.has_components
+
+    def test_cli_decompose_never_reads_the_grids(self, bundle, tmp_path, capsys):
+        from repro.cli import main
+
+        damaged = copy_bundle(bundle, tmp_path / "damaged")
+        for member in ("raw.traffic.npy", "vectorized.vectors.npy"):
+            flip_data_bytes(damaged, member)
+        outputs = []
+        for path in (bundle, damaged):
+            for towers in ([], ["--tower-ids", "3", "0", "17"]):
+                assert main(["decompose", "--model", str(path), *towers]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[2:]
+        assert outputs[0] != outputs[1]
+
     def test_bundle_without_stored_totals_serves_identically(self, bundle, tmp_path):
         older = copy_bundle(
             bundle, tmp_path / "older", drop=("raw.total_bytes", "raw.peak_slot")
