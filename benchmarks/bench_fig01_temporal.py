@@ -6,8 +6,6 @@ two intra-day peaks (midday and evening), a clear night valley, and weekly
 periodicity with weekend traffic lower than weekday traffic.
 """
 
-import numpy as np
-
 from benchmarks.conftest import print_section
 from repro.analysis.temporal import daily_series, hourly_series, weekly_series
 from repro.viz.ascii import ascii_line_plot

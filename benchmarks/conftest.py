@@ -6,9 +6,14 @@ for all qualitative shapes to be stable, small enough for the whole harness to
 run in a couple of minutes.  The fitted model is shared so individual
 benchmarks time only their own analysis step.
 
-Run with::
+The files are named ``bench_*.py``, which pytest does not collect by
+default.  Run them (``bench_cluster_memory.py`` is a sweep by hand) with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest -o python_files="bench_*.py" benchmarks \
+        --ignore=benchmarks/bench_cluster_memory.py --benchmark-only
+
+or, to run each once untimed (as CI does), ``--benchmark-disable`` in
+place of ``--benchmark-only``.
 """
 
 from __future__ import annotations

@@ -14,8 +14,6 @@ Run with::
     python examples/capacity_planning.py
 """
 
-import numpy as np
-
 from repro import ModelConfig, ScenarioConfig, TrafficPatternModel, generate_scenario
 from repro.analysis.interrelations import average_daily_profile
 from repro.analysis.peaks import find_daily_peak_valley_times

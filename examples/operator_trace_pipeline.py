@@ -41,7 +41,6 @@ def main() -> None:
             num_days=7,
             seed=7,
             generate_sessions=True,
-            sessions_as_batch=True,
         )
     )
     raw_batch = scenario.session_batch()
@@ -107,7 +106,6 @@ def main() -> None:
                 num_days=7,
                 seed=8,
                 generate_sessions=True,
-                sessions_as_batch=True,
             )
         )
         fresh, _ = clean_batch(overnight.session_batch())

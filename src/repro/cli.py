@@ -263,7 +263,6 @@ def _build_scenario(args: argparse.Namespace, *, sessions: bool) -> Scenario:
             num_days=args.days,
             seed=args.seed,
             generate_sessions=sessions,
-            sessions_as_batch=sessions,
         )
     )
 

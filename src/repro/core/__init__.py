@@ -27,8 +27,6 @@ _EXPORTS = {
         "PipelineError",
         "PipelineStage",
         "StageCache",
-        "StageTiming",
-        "timings_as_dict",
     ),
     "results": ("ClusterSummary", "ModelResult"),
     "stages": ("default_stages",),

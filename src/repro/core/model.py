@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.config import ModelConfig
-from repro.core.pipeline import Pipeline, PipelineContext, StageCache, timings_as_dict
+from repro.core.pipeline import Pipeline, PipelineContext, StageCache
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.core.results import ModelResult
@@ -111,6 +111,12 @@ class TrafficPatternModel:
     ) -> ModelResult:
         """Fit the model on a per-tower traffic matrix.
 
+        The fit makes the grid ``traffic.traffic`` read-only, in place, so
+        the result keeps the grid it was fitted on and a save (or a later
+        fit of the same matrix) reuses the fit's digest of it.  A grid that
+        is a view of another array is first replaced in ``traffic`` by a
+        copy, which leaves the viewed array writable.
+
         Parameters
         ----------
         traffic:
@@ -126,6 +132,9 @@ class TrafficPatternModel:
             stage.  Defaults to the no-op tracer (no overhead, identical
             outputs).
         """
+        if traffic.traffic.base is not None:
+            traffic.traffic = traffic.traffic.copy()
+        traffic.traffic.flags.writeable = False
         tracer = tracer if tracer is not None else NULL_TRACER
         with tracer.span("fit") as span:
             span.set("towers", int(traffic.tower_ids.shape[0]))
@@ -335,6 +344,8 @@ class TrafficPatternModel:
         """Run the assembled pipeline and collect the :class:`ModelResult`."""
         self.build_pipeline().run(context)
         vectorized = context.require("vectorized")
+        spans = context.stage_spans
+        skipped = [span.name for span in spans if span.attributes.get("skipped")]
         self._result = ModelResult(
             window=vectorized.window,
             vectorized=vectorized,
@@ -347,9 +358,12 @@ class TrafficPatternModel:
             representatives=context.get("representatives"),
             extras={
                 "decomposition_feature": self.config.decomposition_feature,
-                "stage_timings": timings_as_dict(context.timings),
-                "stages_skipped": [t.name for t in context.timings if t.skipped],
-                "stages_reused": [t.name for t in context.timings if t.reused],
+                "stage_timings": {
+                    span.name: 0.0 if span.name in skipped else span.wall_seconds
+                    for span in spans
+                },
+                "stages_skipped": skipped,
+                "stages_reused": [span.name for span in spans if span.attributes.get("reused")],
                 "stage_fingerprints": dict(context.fingerprints),
             },
         )

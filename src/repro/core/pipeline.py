@@ -8,9 +8,11 @@ deliberately small:
 * the **context** is a typed artifact store — stages publish results under
   well-known keys and later stages ``require`` them, with provenance tracked
   so a missing artifact names the stage that should have produced it;
-* the **runner** records per-stage wall-clock timings and honours a stage's
-  optional ``should_run`` predicate (e.g. labelling is skipped without a
-  city); a caller that wants other stages passes another stage list;
+* the **runner** opens one span per stage (on the context's tracer, or on
+  a tracer local to the run when the context is untraced), keeps the spans
+  in ``context.stage_spans`` and honours a stage's optional ``should_run``
+  predicate (e.g. labelling is skipped without a city); a caller that
+  wants other stages passes another stage list;
 * runs are **resumable**: a stage may define
   ``fingerprint(context) -> str | None`` digesting its inputs.  The runner
   computes it inside the stage's span and records it in
@@ -34,12 +36,11 @@ not editing a monolithic ``fit``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Protocol, runtime_checkable
 
 from repro.core.config import ModelConfig
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 from repro.synth.city import CityModel
 from repro.synth.traffic import TowerTrafficMatrix
 
@@ -68,7 +69,7 @@ class PipelineContext:
         self.traffic = traffic
         self.city = city
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.timings: list[StageTiming] = []
+        self.stage_spans: list[Span] = []
         self.reuse: dict[str, StageCache] = {}
         self.fingerprints: dict[str, str] = {}
         self._artifacts: dict[str, Any] = {}
@@ -152,32 +153,6 @@ class PipelineStage(Protocol):
 
 
 @dataclass(frozen=True)
-class StageTiming:
-    """Wall-clock record of one stage execution.
-
-    ``skipped`` marks stages the runner never executed (a false
-    ``should_run``); ``reused`` marks stages whose input fingerprint matched
-    a seeded :class:`StageCache`, so their cached outputs were republished
-    without recomputation (``seconds`` is then the time the fingerprint
-    took).
-
-    .. deprecated::
-        Stage timings are now a projection of the span tracer
-        (:mod:`repro.obs.trace`): when a run is traced, each stage's
-        ``StageTiming.seconds`` equals the wall time of its span, and the
-        span additionally carries CPU time, counters and attributes.  The
-        ``context.timings`` list and ``extras["stage_timings"]`` stay
-        populated for backward compatibility; new code should prefer the
-        trace (``tracer.to_dict()``).
-    """
-
-    name: str
-    seconds: float
-    skipped: bool = False
-    reused: bool = False
-
-
-@dataclass(frozen=True)
 class StageCache:
     """Outputs of one previous stage run, keyed by its input fingerprint.
 
@@ -213,38 +188,35 @@ class Pipeline:
         return [stage.name for stage in self.stages]
 
     def run(self, context: PipelineContext) -> PipelineContext:
-        """Execute every stage in order, recording per-stage timings.
+        """Execute every stage in order, each inside its own span.
 
-        Each stage that runs gets a span; inside it, a stage defining
-        ``fingerprint(context)`` has its input digest recorded in
-        ``context.fingerprints``, and when the digest matches a seeded
-        ``context.reuse`` entry the cached outputs are republished and the
-        stage is recorded as reused instead of being executed.
+        The spans open on ``context.tracer``, or on a :class:`Tracer` local
+        to the run when the context is untraced, and are kept in order in
+        ``context.stage_spans``.  A stage whose ``should_run`` is false gets
+        an empty span with the ``skipped`` attribute.  Inside the span of a
+        stage defining ``fingerprint(context)``, its input digest is
+        recorded in ``context.fingerprints``; when the digest matches a
+        seeded ``context.reuse`` entry the cached outputs are republished
+        and the span gets the ``reused`` attribute instead of the stage
+        being executed.
         """
-        context.timings = []
+        context.stage_spans = []
         context.fingerprints = {}
-        tracer = context.tracer
+        tracer = context.tracer if context.tracer.enabled else Tracer()
         for stage in self.stages:
             should_run = getattr(stage, "should_run", None)
             if should_run is not None and not should_run(context):
                 with tracer.span(stage.name) as span:
                     span.set("skipped", True)
-                context.timings.append(StageTiming(stage.name, 0.0, skipped=True))
-                continue
-            with tracer.span(stage.name) as span:
-                start = time.perf_counter()
-                reused = _resume_or_run(stage, context, span)
-                elapsed = time.perf_counter() - start
-            seconds = span.wall_seconds if tracer.enabled else elapsed
-            context.timings.append(StageTiming(stage.name, seconds, reused=reused))
+            else:
+                with tracer.span(stage.name) as span:
+                    _resume_or_run(stage, context, span)
+            context.stage_spans.append(span)
         return context
 
 
-def _resume_or_run(stage: PipelineStage, context: PipelineContext, span) -> bool:
-    """Fingerprint ``stage``, then republish its cached outputs or run it.
-
-    Returns whether the cached outputs were republished.
-    """
+def _resume_or_run(stage: PipelineStage, context: PipelineContext, span: Span) -> None:
+    """Fingerprint ``stage``, then republish its cached outputs or run it."""
     fingerprint_fn = getattr(stage, "fingerprint", None)
     digest = fingerprint_fn(context) if fingerprint_fn is not None else None
     if digest is not None:
@@ -254,16 +226,5 @@ def _resume_or_run(stage: PipelineStage, context: PipelineContext, span) -> bool
         for key, value in cache.outputs.items():
             context.set(key, value, producer=stage.name)
         span.set("reused", True)
-        return True
+        return
     stage.run(context)
-    return False
-
-
-def timings_as_dict(timings: Iterable[StageTiming]) -> dict[str, float]:
-    """Return ``{stage name: seconds}`` (skipped stages report 0.0).
-
-    The flat dict loses the skipped flag; callers that need to distinguish
-    "skipped" from "ran in 0 ms" should inspect :attr:`StageTiming.skipped`
-    (the model surfaces this as ``extras["stages_skipped"]``).
-    """
-    return {timing.name: timing.seconds for timing in timings}

@@ -3,10 +3,11 @@
 Mirrors Section 2.2 of the paper: raw operator logs are cleaned (redundant
 and conflicting records removed), base-station addresses are geocoded to
 latitude/longitude, and the per-km² traffic density is computed.  The
-package also defines the record dataclasses shared with the synthetic trace
-generator, the columnar :class:`RecordBatch` data plane every step runs on,
-and CSV readers and writers (records are read as a stream of chunked
-batches), so traces can be stored on disk and re-ingested out-of-core.
+package also defines the columnar :class:`RecordBatch`, the one record type
+every step (and the synthetic trace generator) runs on, the station
+metadata, and CSV readers and writers (records are read as a stream of
+chunked batches), so traces can be stored on disk and re-ingested
+out-of-core.
 """
 
 from repro.ingest.batch import (
@@ -29,7 +30,7 @@ from repro.ingest.loader import (
     write_stations_csv,
 )
 from repro.ingest.preprocess import PreprocessingReport, PreprocessingResult, preprocess_trace
-from repro.ingest.records import BaseStationInfo, TrafficRecord
+from repro.ingest.records import BaseStationInfo
 
 __all__ = [
     "BaseStationInfo",
@@ -43,7 +44,6 @@ __all__ = [
     "RecordBatch",
     "TraceFormatError",
     "TrafficDensityMap",
-    "TrafficRecord",
     "clean_batch",
     "compute_density_map",
     "decode_networks",

@@ -2,18 +2,14 @@
 
 The paper's measurement pipeline processed petabytes of operator logs on
 Hadoop before any tower-level analysis.  The single-machine analogue of that
-data plane is :class:`RecordBatch`: the six fields of a
-:class:`~repro.ingest.records.TrafficRecord` stored as parallel NumPy arrays
-(``user_id``, ``tower_id``, ``start_s``, ``end_s``, ``bytes_used`` and
-``network`` as small-integer codes).  Every layer that touches records —
-loading, deduplication, conflict resolution, slot-split aggregation, the
-synthetic session generator — operates on batches, which is one to two
-orders of magnitude faster than walking dataclass instances one at a time.
-
-:meth:`RecordBatch.from_records` builds a batch from record objects (the
-scalar session generator emits those).  Batches are immutable by
-convention: operations return new batches (``take``, ``concat``,
-``iter_chunks``) rather than mutating columns in place.
+data plane is :class:`RecordBatch`: the six fields of a trace row stored as
+parallel NumPy arrays (``user_id``, ``tower_id``, ``start_s``, ``end_s``,
+``bytes_used`` and ``network`` as small-integer codes).  It is the one
+record type: every layer that touches records — loading, deduplication,
+conflict resolution, slot-split aggregation, the synthetic session
+generator — operates on batches.  Batches are immutable by convention:
+operations return new batches (``take``, ``concat``, ``iter_chunks``)
+rather than mutating columns in place.
 """
 
 from __future__ import annotations
@@ -22,8 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-from repro.ingest.records import TrafficRecord
 
 #: Mapping from radio-technology label to the compact column code.
 NETWORK_CODES: dict[str, int] = {"3G": 0, "LTE": 1}
@@ -56,7 +50,7 @@ def encode_networks(networks: Sequence[str] | np.ndarray) -> np.ndarray:
         bad_index = int(np.flatnonzero(codes == 255)[0])
         raise ValueError(
             f"record {bad_index}: network must be one of {sorted(NETWORK_CODES)}, "
-            f"got {labels[bad_index]!r}"
+            f"got {labels[bad_index].item()!r}"
         )
     return codes
 
@@ -70,17 +64,28 @@ def decode_networks(codes: np.ndarray) -> np.ndarray:
 class RecordBatch:
     """A batch of traffic records in columnar (struct-of-arrays) layout.
 
+    Row ``i`` of the six columns is one data-connection log entry of the
+    paper's trace (Section 2).
+
     Attributes
     ----------
-    user_id, tower_id:
-        ``int64`` identifier columns.
+    user_id:
+        ``int64`` anonymised device identifiers.
+    tower_id:
+        ``int64`` identifiers of the base station that served each
+        connection.
     start_s, end_s:
-        ``float64`` connection interval columns (seconds from window start).
+        ``float64`` start and end of each connection, in seconds since the
+        start of the observation window.
     bytes_used:
-        ``float64`` traffic volume column.
+        ``float64`` 3G/LTE bytes transferred during each connection.
     network:
         ``uint8`` radio-technology codes (see :data:`NETWORK_CODES`); string
         arrays are accepted and encoded on construction.
+
+    Every row must have ``0 <= start_s <= end_s``, ``bytes_used >= 0``, all
+    three finite, and a known network; the first row that breaks one raises
+    ``ValueError("record <row>: <reason>")``.
     """
 
     user_id: np.ndarray
@@ -108,7 +113,7 @@ class RecordBatch:
         self._validate_values()
 
     def _validate_values(self) -> None:
-        """Apply the same per-record invariants as :class:`TrafficRecord`.
+        """Check the per-row invariants of the class docstring.
 
         The comparisons are written negated so NaN values are rejected too
         (NaNs would silently corrupt the sort-based cleaning primitives);
@@ -204,31 +209,6 @@ class RecordBatch:
             end_s=np.empty(0, dtype=np.float64),
             bytes_used=np.empty(0, dtype=np.float64),
             network=np.empty(0, dtype=np.uint8),
-        )
-
-    @classmethod
-    def from_records(cls, records: Iterable[TrafficRecord]) -> "RecordBatch":
-        """Build a batch from record objects."""
-        user_ids: list[int] = []
-        tower_ids: list[int] = []
-        starts: list[float] = []
-        ends: list[float] = []
-        volumes: list[float] = []
-        networks: list[int] = []
-        for record in records:
-            user_ids.append(record.user_id)
-            tower_ids.append(record.tower_id)
-            starts.append(record.start_s)
-            ends.append(record.end_s)
-            volumes.append(record.bytes_used)
-            networks.append(NETWORK_CODES[record.network])
-        return cls(
-            user_id=np.asarray(user_ids, dtype=np.int64),
-            tower_id=np.asarray(tower_ids, dtype=np.int64),
-            start_s=np.asarray(starts, dtype=np.float64),
-            end_s=np.asarray(ends, dtype=np.float64),
-            bytes_used=np.asarray(volumes, dtype=np.float64),
-            network=np.asarray(networks, dtype=np.uint8),
         )
 
     @classmethod

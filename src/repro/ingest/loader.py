@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from repro.ingest.batch import RecordBatch
-from repro.ingest.records import BaseStationInfo, TrafficRecord
+from repro.ingest.records import BaseStationInfo
 
 _RECORD_FIELDS = ("user_id", "tower_id", "start_s", "end_s", "bytes_used", "network")
 #: One CSV record as the block parser reads it.  The label field holds four
@@ -107,35 +107,33 @@ def _batch_from_csv_rows(
     """Convert accumulated CSV rows into one columnar batch.
 
     The vectorized conversion only reports that *some* row is bad; on
-    failure the rows are replayed through the :class:`TrafficRecord`
-    constructor to name the exact line.
+    failure each row is replayed as a one-row batch, with the same casts, to
+    name the exact line.
     """
-    rows = [row for _, row in numbered_rows]
     try:
-        return RecordBatch(
-            user_id=np.array([row[0] for row in rows]).astype(np.int64),
-            tower_id=np.array([row[1] for row in rows]).astype(np.int64),
-            start_s=np.array([row[2] for row in rows], dtype=np.float64),
-            end_s=np.array([row[3] for row in rows], dtype=np.float64),
-            bytes_used=np.array([row[4] for row in rows], dtype=np.float64),
-            network=np.array([row[5] for row in rows]),
-        )
+        return _batch_of_rows([row for _, row in numbered_rows])
     except (ValueError, TypeError, OverflowError) as error:
         for line_number, row in numbered_rows:
             try:
-                TrafficRecord(
-                    user_id=int(row[0]),
-                    tower_id=int(row[1]),
-                    start_s=float(row[2]),
-                    end_s=float(row[3]),
-                    bytes_used=float(row[4]),
-                    network=row[5],
-                )
-            except (ValueError, TypeError) as row_error:
-                raise TraceFormatError(f"{path}:{line_number}: {row_error}") from row_error
+                _batch_of_rows([row])
+            except (ValueError, TypeError, OverflowError) as row_error:
+                reason = str(row_error).removeprefix("record 0: ")
+                raise TraceFormatError(f"{path}:{line_number}: {reason}") from row_error
         first = numbered_rows[0][0]
         last = numbered_rows[-1][0]
         raise TraceFormatError(f"{path}:{first}-{last}: {error}") from error
+
+
+def _batch_of_rows(rows: list[list[str]]) -> RecordBatch:
+    """Cast CSV rows (six texts each) to a validated batch."""
+    return RecordBatch(
+        user_id=np.array([row[0] for row in rows]).astype(np.int64),
+        tower_id=np.array([row[1] for row in rows]).astype(np.int64),
+        start_s=np.array([row[2] for row in rows], dtype=np.float64),
+        end_s=np.array([row[3] for row in rows], dtype=np.float64),
+        bytes_used=np.array([row[4] for row in rows], dtype=np.float64),
+        network=np.array([row[5] for row in rows]),
+    )
 
 
 def _parse_block(lines: list[str]) -> RecordBatch | None:

@@ -29,11 +29,11 @@ _EXPORTS = {
     "activity": ("ActivityProfileLibrary", "ActivityTemplate"),
     "city": ("CityConfig", "CityModel", "build_city"),
     "geocoder": ("GeocodeResult", "SyntheticGeocoder"),
-    "noise": ("LogCorruptionConfig", "corrupt_batch", "corrupt_records"),
+    "noise": ("LogCorruptionConfig", "corrupt_batch"),
     "poi": ("POI", "POICategory", "generate_pois"),
     "regions": ("Region", "RegionLayoutConfig", "RegionType", "generate_regions"),
     "scenario": ("Scenario", "ScenarioConfig", "generate_scenario"),
-    "sessions": ("SessionGenerationConfig", "generate_session_batch", "generate_session_records"),
+    "sessions": ("SessionGenerationConfig", "generate_session_batch"),
     "towers": ("Tower", "place_towers"),
     "traffic": ("TrafficGenerationConfig", "TowerTrafficMatrix", "generate_tower_traffic"),
     "users": ("User", "UserPopulationConfig", "generate_users"),

@@ -3,7 +3,7 @@
 The paper's preprocessing first "eliminates the redundant and conflict logs,
 such as the identical traffic logs, introduced by technical issues".  To make
 the cleaning stage meaningful on synthetic data, this module deliberately
-corrupts a clean record stream by
+corrupts a clean record batch by
 
 * duplicating a fraction of records exactly (redundant logs), and
 * emitting additional copies of a fraction of records with a perturbed byte
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ingest.batch import RecordBatch
-from repro.ingest.records import TrafficRecord
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_fraction, check_positive
 
@@ -61,71 +60,20 @@ class CorruptionReport:
         return self.num_input_records + self.num_duplicates_added + self.num_conflicts_added
 
 
-def corrupt_records(
-    records: list[TrafficRecord],
-    config: LogCorruptionConfig | None = None,
-    *,
-    rng: int | np.random.Generator | None = None,
-    shuffle: bool = True,
-) -> tuple[list[TrafficRecord], CorruptionReport]:
-    """Return a corrupted copy of ``records`` plus a corruption report.
-
-    Parameters
-    ----------
-    records:
-        Clean record stream.
-    config:
-        Corruption configuration.
-    rng:
-        Seed or generator.
-    shuffle:
-        When true (default) the corrupted stream is shuffled so duplicates do
-        not trivially sit next to their originals.
-    """
-    cfg = config or LogCorruptionConfig()
-    generator = ensure_rng(rng)
-
-    corrupted: list[TrafficRecord] = list(records)
-    duplicates_added = 0
-    conflicts_added = 0
-
-    for record in records:
-        roll = generator.random()
-        if roll < cfg.duplicate_fraction:
-            copies = int(generator.integers(1, cfg.max_duplicates_per_record + 1))
-            corrupted.extend([record] * copies)
-            duplicates_added += copies
-        elif roll < cfg.duplicate_fraction + cfg.conflict_fraction:
-            jitter = 1.0 + generator.uniform(-cfg.conflict_byte_jitter, cfg.conflict_byte_jitter)
-            jittered = max(record.bytes_used * jitter, 0.0)
-            corrupted.append(record.with_bytes(jittered))
-            conflicts_added += 1
-
-    if shuffle:
-        order = generator.permutation(len(corrupted))
-        corrupted = [corrupted[i] for i in order]
-
-    report = CorruptionReport(
-        num_input_records=len(records),
-        num_duplicates_added=duplicates_added,
-        num_conflicts_added=conflicts_added,
-    )
-    return corrupted, report
-
-
 def corrupt_batch(
     batch: RecordBatch,
     config: LogCorruptionConfig | None = None,
     *,
     rng: int | np.random.Generator | None = None,
-    shuffle: bool = True,
 ) -> tuple[RecordBatch, CorruptionReport]:
-    """Vectorized :func:`corrupt_records` over a columnar batch.
+    """Return a corrupted copy of ``batch`` plus a corruption report.
 
-    Applies the same corruption model (a fraction of records duplicated
-    exactly, a disjoint fraction re-emitted with a jittered byte count) with
-    array-sized draws; a given seed therefore produces a different — equally
-    distributed — corruption than the scalar path.
+    Each record draws one roll: below ``duplicate_fraction`` it gains 1 to
+    ``max_duplicates_per_record`` exact copies; below ``duplicate_fraction +
+    conflict_fraction`` it gains one copy whose byte count is multiplied by
+    a factor drawn uniformly from ``1 ± conflict_byte_jitter`` (floored at
+    zero bytes).  The corrupted batch is shuffled so duplicates do not sit
+    next to their originals.
     """
     cfg = config or LogCorruptionConfig()
     generator = ensure_rng(rng)
@@ -152,11 +100,8 @@ def corrupt_batch(
         np.maximum(conflict_part.bytes_used * jitter, 0.0)
     )
 
-    corrupted = RecordBatch.concat(
-        [batch, batch.take(duplicate_rows), conflict_part]
-    )
-    if shuffle:
-        corrupted = corrupted.take(generator.permutation(len(corrupted)))
+    corrupted = RecordBatch.concat([batch, batch.take(duplicate_rows), conflict_part])
+    corrupted = corrupted.take(generator.permutation(len(corrupted)))
 
     report = CorruptionReport(
         num_input_records=n,

@@ -2,9 +2,9 @@
 
 A *scenario* bundles everything an experiment needs: the synthetic city, the
 subscriber population, the per-tower traffic matrix, and (optionally) the raw
-session-level records with injected corruption.  All experiments in
-``benchmarks/`` and ``examples/`` start from a scenario so that scale and
-seeds are controlled in exactly one place.
+session-level records with injected corruption, as one record batch.  All
+experiments in ``benchmarks/`` and ``examples/`` start from a scenario so
+that scale and seeds are controlled in exactly one place.
 """
 
 from __future__ import annotations
@@ -14,20 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ingest.batch import RecordBatch
-from repro.ingest.records import TrafficRecord
 from repro.synth.activity import ActivityProfileLibrary
 from repro.synth.city import CityConfig, CityModel, build_city
-from repro.synth.noise import (
-    CorruptionReport,
-    LogCorruptionConfig,
-    corrupt_batch,
-    corrupt_records,
-)
-from repro.synth.sessions import (
-    SessionGenerationConfig,
-    generate_session_batch,
-    generate_session_records,
-)
+from repro.synth.noise import CorruptionReport, LogCorruptionConfig, corrupt_batch
+from repro.synth.sessions import SessionGenerationConfig, generate_session_batch
 from repro.synth.towers import TowerPlacementConfig
 from repro.synth.traffic import (
     TowerTrafficMatrix,
@@ -52,13 +42,11 @@ class ScenarioConfig:
         Root seed controlling every random choice in the scenario.
     generate_sessions:
         When true the raw session-level records (with corruption) are also
-        generated, which is slower but exercises the ingestion pipeline.
+        generated (:meth:`Scenario.session_batch`), which is slower but
+        exercises the ingestion pipeline.
     sessions_as_batch:
-        When true the session generator emits a columnar
-        :class:`~repro.ingest.batch.RecordBatch` directly (vectorized fast
-        path, populating :attr:`Scenario.record_batch`) instead of a list of
-        record objects.  The trace is statistically identical but not
-        draw-for-draw identical to the scalar path.
+        Accepted only as ``True``, its default: sessions are always one
+        :class:`~repro.ingest.batch.RecordBatch`.
     """
 
     num_towers: int = 600
@@ -66,10 +54,17 @@ class ScenarioConfig:
     num_days: int = 28
     seed: int = 0
     generate_sessions: bool = False
-    sessions_as_batch: bool = False
+    sessions_as_batch: bool = True
     traffic: TrafficGenerationConfig | None = None
     sessions: SessionGenerationConfig | None = None
     corruption: LogCorruptionConfig = field(default_factory=LogCorruptionConfig)
+
+    def __post_init__(self) -> None:
+        if not self.sessions_as_batch:
+            raise ValueError(
+                "sessions_as_batch=False selected the scalar session generator, which "
+                "was removed; sessions are always generated as one RecordBatch"
+            )
 
     def window(self) -> TimeWindow:
         """Return the observation window of the scenario."""
@@ -84,7 +79,6 @@ class Scenario:
     city: CityModel
     users: list[User]
     traffic: TowerTrafficMatrix
-    records: list[TrafficRecord] = field(default_factory=list)
     record_batch: RecordBatch | None = None
     corruption_report: CorruptionReport | None = None
 
@@ -94,14 +88,8 @@ class Scenario:
         return self.traffic.window
 
     def session_batch(self) -> RecordBatch:
-        """Return the session records as a columnar batch.
-
-        Uses :attr:`record_batch` when the scenario was generated with
-        ``sessions_as_batch=True``, otherwise converts :attr:`records`.
-        """
-        if self.record_batch is not None:
-            return self.record_batch
-        return RecordBatch.from_records(self.records)
+        """Return the session records (an empty batch when none were generated)."""
+        return self.record_batch if self.record_batch is not None else RecordBatch.empty()
 
     def ground_truth_labels(self) -> np.ndarray:
         """Return ground-truth cluster labels aligned with the traffic rows."""
@@ -138,40 +126,25 @@ def generate_scenario(config: ScenarioConfig | None = None) -> Scenario:
         rng=factory.generator("traffic"),
     )
 
-    records: list[TrafficRecord] = []
     record_batch: RecordBatch | None = None
     corruption_report: CorruptionReport | None = None
     if cfg.generate_sessions:
-        session_config = cfg.sessions or SessionGenerationConfig(window=window)
-        if cfg.sessions_as_batch:
-            session_batch = generate_session_batch(
-                city.towers,
-                users,
-                session_config,
-                library=library,
-                rng=factory.generator("sessions"),
-            )
-            record_batch, corruption_report = corrupt_batch(
-                session_batch, cfg.corruption, rng=factory.generator("corruption")
-            )
-        else:
-            session_records = generate_session_records(
-                city.towers,
-                users,
-                session_config,
-                library=library,
-                rng=factory.generator("sessions"),
-            )
-            records, corruption_report = corrupt_records(
-                session_records, cfg.corruption, rng=factory.generator("corruption")
-            )
+        session_batch = generate_session_batch(
+            city.towers,
+            users,
+            cfg.sessions or SessionGenerationConfig(window=window),
+            library=library,
+            rng=factory.generator("sessions"),
+        )
+        record_batch, corruption_report = corrupt_batch(
+            session_batch, cfg.corruption, rng=factory.generator("corruption")
+        )
 
     return Scenario(
         config=cfg,
         city=city,
         users=users,
         traffic=traffic,
-        records=records,
         record_batch=record_batch,
         corruption_report=corruption_report,
     )

@@ -1,11 +1,12 @@
 """Session-level traffic log generation.
 
 Produces raw per-connection records with the schema of the paper's operator
-trace (anonymised device id, start/end time, tower id, bytes, technology).
-Aggregating the generated records into 10-minute slots recovers, in
-expectation, the same per-tower series as the profile-level generator, which
-is verified by integration tests.  The session path exists so that the full
-ingestion pipeline — deduplication, conflict resolution, geocoding, density
+trace (anonymised device id, start/end time, tower id, bytes, technology) as
+one columnar :class:`~repro.ingest.batch.RecordBatch`.  Aggregating the
+generated records into 10-minute slots recovers, in expectation, the same
+per-tower series as the profile-level generator, which is verified by
+integration tests.  The session path exists so that the full ingestion
+pipeline — deduplication, conflict resolution, geocoding, density
 computation, vectorization — is exercised end to end on realistic input.
 """
 
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ingest.batch import NETWORK_CODES, RecordBatch
-from repro.ingest.records import TrafficRecord
 from repro.synth.activity import ActivityProfileLibrary
 from repro.synth.towers import Tower
 from repro.synth.users import User, users_by_anchor
@@ -49,131 +49,15 @@ class SessionGenerationConfig:
         check_fraction(self.lte_fraction, "lte_fraction")
 
 
-def _role_for_slot(slot_of_day: int, weekend: bool) -> str:
-    """Return which user anchor dominates a tower at a given time of day.
-
-    Used only to pick plausible user ids for sessions; the traffic *volume*
-    is entirely driven by the activity template.
-    """
-    hour = slot_of_day * 24.0 / SLOTS_PER_DAY
-    if weekend:
-        if 10.0 <= hour < 20.0:
-            return "leisure"
-        return "home"
-    if 7.0 <= hour < 9.5 or 17.0 <= hour < 19.5:
-        return "commute"
-    if 9.5 <= hour < 17.0:
-        return "work"
-    return "home"
-
-
-def generate_session_records(
-    towers: list[Tower],
-    users: list[User],
-    config: SessionGenerationConfig | None = None,
-    *,
-    library: ActivityProfileLibrary | None = None,
-    rng: int | np.random.Generator | None = None,
-    max_records: int | None = None,
-) -> list[TrafficRecord]:
-    """Generate raw per-connection records for the whole observation window.
-
-    Parameters
-    ----------
-    towers, users:
-        The synthetic city population.
-    config:
-        Generation configuration.
-    library:
-        Shared activity template library.
-    rng:
-        Seed or generator.
-    max_records:
-        Optional hard cap on the number of generated records (useful for
-        tests); generation stops once the cap is reached.
-
-    Returns
-    -------
-    list[TrafficRecord]
-        Records sorted by start time.
-    """
-    if not towers:
-        raise ValueError("cannot generate sessions without towers")
-    if not users:
-        raise ValueError("cannot generate sessions without users")
-    cfg = config or SessionGenerationConfig()
-    lib = library or ActivityProfileLibrary()
-    generator = ensure_rng(rng)
-    window = cfg.window
-
-    anchor_groups = {
-        role: users_by_anchor(users, role) for role in ("home", "work", "commute", "leisure")
-    }
-    all_user_ids = np.array([user.user_id for user in users], dtype=int)
-
-    records: list[TrafficRecord] = []
-    for tower in towers:
-        template = lib.for_region_type(tower.region_type, mixture=tower.mixture)
-        base = template.tile(window.num_days, start_weekday=window.start_weekday)
-        # Scale the per-slot session rate so the tower's expected volume per
-        # slot matches its mean amplitude.
-        rate = cfg.sessions_per_slot_scale * base
-        session_counts = generator.poisson(rate)
-        byte_scale = tower.mean_amplitude / (
-            cfg.sessions_per_slot_scale * cfg.mean_bytes_per_session
-        )
-
-        for slot in np.nonzero(session_counts)[0]:
-            count = int(session_counts[slot])
-            day = int(slot // SLOTS_PER_DAY)
-            weekend = window.is_weekend(day)
-            role = _role_for_slot(int(slot % SLOTS_PER_DAY), weekend)
-            candidates = anchor_groups[role].get(tower.tower_id)
-            slot_start = float(slot) * SLOT_SECONDS
-
-            starts = slot_start + generator.random(count) * SLOT_SECONDS
-            durations = generator.exponential(cfg.mean_session_duration_s, size=count)
-            volumes = (
-                byte_scale
-                * cfg.mean_bytes_per_session
-                * generator.lognormal(
-                    mean=-0.5 * cfg.bytes_lognormal_sigma**2,
-                    sigma=cfg.bytes_lognormal_sigma,
-                    size=count,
-                )
-            )
-            networks = np.where(generator.random(count) < cfg.lte_fraction, "LTE", "3G")
-
-            for i in range(count):
-                if candidates:
-                    user = candidates[int(generator.integers(0, len(candidates)))]
-                    user_id = user.user_id
-                else:
-                    user_id = int(all_user_ids[int(generator.integers(0, all_user_ids.size))])
-                start = float(starts[i])
-                end = min(start + float(durations[i]), float(window.num_seconds))
-                records.append(
-                    TrafficRecord(
-                        user_id=user_id,
-                        tower_id=tower.tower_id,
-                        start_s=start,
-                        end_s=end,
-                        bytes_used=float(volumes[i]),
-                        network=str(networks[i]),
-                    )
-                )
-                if max_records is not None and len(records) >= max_records:
-                    records.sort(key=lambda record: record.start_s)
-                    return records
-
-    records.sort(key=lambda record: record.start_s)
-    return records
-
-
 def _role_codes_for_window(window: TimeWindow) -> np.ndarray:
-    """Vectorized :func:`_role_for_slot` over every slot of the window.
+    """Return which user anchor dominates a tower in each slot of the window.
 
-    Returns one role index per slot (indices into ``_ROLES``).
+    One role index per slot (indices into ``_ROLES``): on weekends
+    ``leisure`` from 10:00 to 20:00 and ``home`` otherwise; on weekdays
+    ``commute`` from 7:00 to 9:30 and 17:00 to 19:30, ``work`` from 9:30 to
+    17:00 and ``home`` otherwise.  Roles only pick plausible user ids for
+    sessions; the traffic *volume* is entirely driven by the activity
+    template.
     """
     num_slots = window.num_slots
     slots = np.arange(num_slots)
@@ -202,19 +86,32 @@ def generate_session_batch(
     *,
     library: ActivityProfileLibrary | None = None,
     rng: int | np.random.Generator | None = None,
-    max_records: int | None = None,
 ) -> RecordBatch:
-    """Vectorized session generator emitting a columnar :class:`RecordBatch`.
+    """Generate raw per-connection records for the whole observation window.
 
-    The statistical model is identical to :func:`generate_session_records`
-    (Poisson session counts per slot driven by the tower's activity template,
-    exponential durations, lognormal volumes, anchor-based user selection),
-    but every per-session quantity is drawn as an array, so generating
-    millions of sessions takes seconds instead of minutes.  Because random
-    draws happen in a different order, a given seed produces a *different*
-    (equally distributed) trace than the scalar generator.
+    Each tower draws a Poisson session count per slot, with a rate that
+    follows its activity template scaled so its expected volume per slot
+    matches its mean amplitude.  Each session gets a uniform start inside
+    its slot, an exponential duration (cut at the window's end), a lognormal
+    volume, a network and a user anchored to the tower in the slot's role
+    (any user when the tower has none).  Every per-session quantity is
+    drawn as an array, tower by tower.
 
-    Returns a batch sorted by ``start_s``, like the scalar path.
+    Parameters
+    ----------
+    towers, users:
+        The synthetic city population.
+    config:
+        Generation configuration.
+    library:
+        Shared activity template library.
+    rng:
+        Seed or generator.
+
+    Returns
+    -------
+    RecordBatch
+        The records, sorted by ``start_s``.
     """
     if not towers:
         raise ValueError("cannot generate sessions without towers")
@@ -241,7 +138,6 @@ def generate_session_batch(
     other_code = NETWORK_CODES["3G"]
 
     parts: list[RecordBatch] = []
-    generated = 0
     for tower in towers:
         template = lib.for_region_type(tower.region_type, mixture=tower.mixture)
         base = template.tile(window.num_days, start_weekday=window.start_weekday)
@@ -295,11 +191,5 @@ def generate_session_batch(
             network=networks,
         )
         parts.append(part)
-        generated += total
-        if max_records is not None and generated >= max_records:
-            break
 
-    batch = RecordBatch.concat(parts)
-    if max_records is not None and len(batch) > max_records:
-        batch = batch.take(np.arange(max_records))
-    return batch.sort_by_start()
+    return RecordBatch.concat(parts).sort_by_start()

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.ingest.records import TrafficRecord
+from oracles.records import TrafficRecord
 from repro.synth.traffic import TowerTrafficMatrix
 from repro.utils.timeutils import SLOT_SECONDS, TimeWindow
 

@@ -11,31 +11,8 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.ingest.batch import NETWORK_NAMES, RecordBatch
+from oracles.records import TrafficRecord
 from repro.ingest.dedup import DedupReport
-from repro.ingest.records import TrafficRecord
-
-
-def records_of(batch: RecordBatch) -> list[TrafficRecord]:
-    """Materialise a batch as record objects, row by row."""
-    return [
-        TrafficRecord(
-            user_id=user,
-            tower_id=tower,
-            start_s=start,
-            end_s=end,
-            bytes_used=volume,
-            network=NETWORK_NAMES[code],
-        )
-        for user, tower, start, end, volume, code in zip(
-            batch.user_id.tolist(),
-            batch.tower_id.tolist(),
-            batch.start_s.tolist(),
-            batch.end_s.tolist(),
-            batch.bytes_used.tolist(),
-            batch.network.tolist(),
-        )
-    ]
 
 
 def deduplicate_records(

@@ -13,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.aggregate import aggregate_records, slot_span_of_record, split_bytes_over_slots
-from oracles.dedup import clean_records, deduplicate_records, records_of, resolve_conflicts
+from oracles.dedup import clean_records, deduplicate_records, resolve_conflicts
+from oracles.records import TrafficRecord, batch_of, records_of
 from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
 from repro.ingest.batch import RecordBatch
 from repro.ingest.dedup import clean_batch
 from repro.ingest.density import compute_density_map
 from repro.ingest.preprocess import preprocess_trace
-from repro.ingest.records import BaseStationInfo, TrafficRecord
+from repro.ingest.records import BaseStationInfo
 from repro.synth.noise import LogCorruptionConfig, corrupt_batch
 from repro.synth.scenario import ScenarioConfig, generate_scenario
 from repro.utils.timeutils import SLOT_SECONDS, TimeWindow
@@ -140,7 +141,7 @@ class TestDedupEquivalence:
             random_records(seed, n=300), seed, conflicts=False
         )
         scalar_kept, scalar_removed = deduplicate_records(records)
-        batch_kept, report = clean_batch(RecordBatch.from_records(records))
+        batch_kept, report = clean_batch(batch_of(records))
         assert report.num_exact_duplicates_removed == scalar_removed
         assert report.num_conflict_groups == 0
         assert records_of(batch_kept) == scalar_kept
@@ -150,7 +151,7 @@ class TestDedupEquivalence:
         records = with_duplicates_and_conflicts(random_records(seed, n=300), seed + 1)
         deduplicated, _ = deduplicate_records(records)
         scalar_out, scalar_groups, scalar_removed = resolve_conflicts(deduplicated)
-        batch_out, report = clean_batch(RecordBatch.from_records(deduplicated))
+        batch_out, report = clean_batch(batch_of(deduplicated))
         assert report.num_exact_duplicates_removed == 0
         assert (report.num_conflict_groups, report.num_conflict_records_removed) == (
             scalar_groups,
@@ -161,7 +162,7 @@ class TestDedupEquivalence:
     @pytest.mark.parametrize("seed", [30, 31])
     def test_clean_matches_scalar_including_report(self, seed):
         records = with_duplicates_and_conflicts(random_records(seed, n=250), seed)
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         scalar_clean, scalar_report = clean_records(records)
         batch_clean, batch_report = clean_batch(batch)
         assert batch_report == scalar_report
@@ -173,7 +174,7 @@ class TestDedupEquivalence:
             TrafficRecord(1, 1, 0.0, 100.0, 500.0, "3G"),
         ]
         scalar_out, scalar_report = clean_records(records)
-        batch_out, batch_report = clean_batch(RecordBatch.from_records(records))
+        batch_out, batch_report = clean_batch(batch_of(records))
         assert batch_report == scalar_report
         assert batch_report.num_conflict_groups == 0
         assert records_of(batch_out) == scalar_out
@@ -216,7 +217,7 @@ class TestAggregateEquivalence:
     @pytest.mark.parametrize("seed", [40, 41, 42])
     def test_matrix_matches_scalar_bit_for_bit(self, seed):
         records = random_records(seed)
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         scalar = aggregate_records(records, WINDOW)
         columnar = aggregate_one(batch, WINDOW)
         assert np.array_equal(scalar.tower_ids, columnar.tower_ids)
@@ -224,7 +225,7 @@ class TestAggregateEquivalence:
 
     def test_explicit_tower_ids_with_unknown_and_missing(self):
         records = random_records(50, num_towers=6)
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         tower_ids = [4, 2, 99, 0]  # 99 has no records; towers 1,3,5 are dropped
         scalar = aggregate_records(records, WINDOW, tower_ids=tower_ids)
         columnar = aggregate_one(batch, WINDOW, tower_ids)
@@ -247,14 +248,14 @@ class TestAggregateEquivalence:
                 )
             )
         records = [r for r in records if r.end_s <= WINDOW.num_seconds]
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         matrix = aggregate_one(batch, WINDOW)
         total = sum(r.bytes_used for r in records)
         assert matrix.traffic.sum() == pytest.approx(total, rel=1e-12)
 
     def test_streaming_chunks_match_whole_batch(self):
         records = random_records(70)
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         tower_ids = sorted({r.tower_id for r in records})
         whole = aggregate_one(batch, WINDOW, tower_ids)
         chunked = aggregate_batches(batch.iter_chunks(37), WINDOW, tower_ids)
@@ -262,7 +263,7 @@ class TestAggregateEquivalence:
 
     def test_duplicate_explicit_tower_ids_raise(self):
         records = random_records(80, n=20)
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         with pytest.raises(ValueError, match=r"duplicate .*\[2, 7\]"):
             aggregate_batches([batch], WINDOW, [2, 7, 2, 7, 1])
         with pytest.raises(ValueError, match=r"duplicate .*\[3\]"):
@@ -287,7 +288,7 @@ class TestAggregateEquivalence:
             TrafficRecord(0, tower, start, start + duration, volume)
             for tower, start, duration, volume in rows
         ]
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         scalar = aggregate_records(records, window)
         columnar = aggregate_one(batch, window)
         assert np.array_equal(scalar.traffic, columnar.traffic)
@@ -296,7 +297,7 @@ class TestAggregateEquivalence:
 class TestVectorizerAndPreprocessEquivalence:
     def test_vectorizer_matches_scalar_aggregate(self):
         records = random_records(90)
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         vectorizer = TrafficVectorizer()
         via_records = vectorizer.from_matrix(aggregate_records(records, WINDOW))
         via_batch = vectorizer.from_matrix(aggregate_one(batch, WINDOW))
@@ -310,7 +311,7 @@ class TestVectorizerAndPreprocessEquivalence:
             for t in sorted({r.tower_id for r in records})
         ]
         scalar_clean, scalar_report = clean_records(records)
-        result = preprocess_trace(RecordBatch.from_records(records), stations, None)
+        result = preprocess_trace(batch_of(records), stations, None)
         assert result.report.dedup == scalar_report
         assert records_of(result.records) == scalar_clean
         volumes = dict.fromkeys((station.tower_id for station in stations), 0.0)
@@ -327,7 +328,7 @@ class TestVectorizerAndPreprocessEquivalence:
 
     def test_model_fit_batches_matches_fit_on_aggregate(self):
         records = random_records(92, n=600, num_towers=12, include_edge_cases=False)
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         tower_ids = np.unique(batch.tower_id)
         config = ModelConfig(num_clusters=3)
         direct = TrafficPatternModel(config).fit(aggregate_one(batch, WINDOW))
@@ -339,7 +340,7 @@ class TestVectorizerAndPreprocessEquivalence:
 
     def test_model_fit_batches_streams_chunks(self):
         records = random_records(93, n=600, num_towers=12, include_edge_cases=False)
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         tower_ids = sorted(set(batch.tower_id.tolist()))
         config = ModelConfig(num_clusters=3)
         whole = TrafficPatternModel(config).fit_batches([batch], WINDOW, tower_ids)
@@ -355,7 +356,7 @@ class TestVectorizerAndPreprocessEquivalence:
 class TestSynthBatchPath:
     def test_corrupt_batch_adds_duplicates_and_conflicts(self):
         records = random_records(94, n=300, include_edge_cases=False)
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         corrupted, report = corrupt_batch(
             batch,
             LogCorruptionConfig(duplicate_fraction=0.2, conflict_fraction=0.1),
@@ -378,13 +379,11 @@ class TestSynthBatchPath:
                 num_days=2,
                 seed=4,
                 generate_sessions=True,
-                sessions_as_batch=True,
             )
         )
         batch = scenario.record_batch
         assert batch is not None
         assert scenario.session_batch() is batch
-        assert scenario.records == []
         assert len(batch) == scenario.corruption_report.num_output_records
         assert np.all(np.diff(batch.start_s[: len(batch) // 2]) >= -1e9)  # sanity
         assert set(batch.tower_id.tolist()) <= {

@@ -9,6 +9,8 @@ from repro.core.model import TrafficPatternModel
 from repro.core.results import ClusterSummary
 from repro.geo.labeling import label_accuracy
 from repro.synth.regions import RegionType
+from repro.synth.traffic import TowerTrafficMatrix
+from repro.utils.timeutils import TimeWindow
 from repro.vectorize.normalize import NormalizationMethod
 
 
@@ -169,3 +171,35 @@ class TestModelVariants:
             result.labeling, result.labels, scenario.ground_truth_labels()
         )
         assert accuracy > 0.8
+
+
+class TestFittedGrid:
+    """``fit`` keeps the grid it fitted: the caller cannot change it afterwards."""
+
+    @staticmethod
+    def _matrix(grid):
+        return TowerTrafficMatrix(np.arange(grid.shape[0]), grid, TimeWindow(num_days=2))
+
+    def test_writing_into_the_fitted_grid_raises(self, tmp_path):
+        grid = np.random.default_rng(5).random((20, TimeWindow(num_days=2).num_slots))
+        model = TrafficPatternModel(ModelConfig(num_clusters=3))
+        result = model.fit(self._matrix(grid))
+        assert result.vectorized.raw.traffic is grid
+        with pytest.raises(ValueError, match="read-only"):
+            grid[:] = 0.0
+        loaded = TrafficPatternModel.load(model.save(tmp_path / "bundle")).result
+        assert np.array_equal(loaded.vectorized.raw.traffic, result.vectorized.raw.traffic)
+
+    def test_a_view_is_replaced_by_a_copy_and_its_base_stays_writable(self, tmp_path):
+        base = np.random.default_rng(6).random((20, 2 * TimeWindow(num_days=2).num_slots))
+        view = base[:, : TimeWindow(num_days=2).num_slots]
+        matrix = self._matrix(view)
+        model = TrafficPatternModel(ModelConfig(num_clusters=3))
+        fitted = model.fit(matrix).vectorized.raw.traffic
+        assert fitted is matrix.traffic
+        assert fitted.base is None and not fitted.flags.writeable
+        assert np.array_equal(fitted, view)
+        base[:] = 0.0  # the viewed array stays the caller's
+        loaded = TrafficPatternModel.load(model.save(tmp_path / "bundle")).result
+        assert np.array_equal(loaded.vectorized.raw.traffic, fitted)
+        assert fitted.sum() > 0.0

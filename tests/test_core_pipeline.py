@@ -5,13 +5,7 @@ import pytest
 
 from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
-from repro.core.pipeline import (
-    Pipeline,
-    PipelineContext,
-    PipelineError,
-    StageTiming,
-    timings_as_dict,
-)
+from repro.core.pipeline import Pipeline, PipelineContext, PipelineError
 from repro.core.stages import (
     ClusterStage,
     DecomposeStage,
@@ -21,6 +15,7 @@ from repro.core.stages import (
     VectorizeStage,
     default_stages,
 )
+from repro.obs.trace import Span, Tracer
 
 STAGE_NAMES = ["vectorize", "cluster", "tune", "label", "spectral", "decompose"]
 
@@ -83,9 +78,20 @@ class TestPipelineRunner:
         pipeline = Pipeline([RecordingStage("a"), RecordingStage("b")])
         context = pipeline.run(self.make_context())
         assert context.get("log") == ["a", "b"]
-        assert [t.name for t in context.timings] == ["a", "b"]
-        assert all(isinstance(t, StageTiming) and t.seconds >= 0.0 for t in context.timings)
-        assert not any(t.skipped for t in context.timings)
+        # Untraced, the stage spans come from a tracer local to the run.
+        assert [span.name for span in context.stage_spans] == ["a", "b"]
+        assert all(isinstance(span, Span) for span in context.stage_spans)
+        assert all(span.wall_seconds > 0.0 for span in context.stage_spans)
+        assert not any(span.attributes for span in context.stage_spans)
+
+    def test_a_traced_run_keeps_the_tracers_own_spans(self):
+        tracer = Tracer()
+        context = PipelineContext(config=ModelConfig(), tracer=tracer)
+        with tracer.span("fit"):
+            Pipeline([RecordingStage("a"), ConditionalStage("c")]).run(context)
+        (root,) = tracer.roots
+        assert context.stage_spans == root.children
+        assert context.stage_spans[1].attributes == {"skipped": True}
 
     def test_a_shorter_stage_list_is_a_new_pipeline(self):
         pipeline = Pipeline([RecordingStage("a"), RecordingStage("b")])
@@ -101,23 +107,19 @@ class TestPipelineRunner:
         )
         context = patched.run(self.make_context())
         assert context.get("log") == ["a", "b-fixed"]
-        assert [t.name for t in context.timings] == ["a", "b-fixed"]
+        assert [span.name for span in context.stage_spans] == ["a", "b-fixed"]
 
     def test_should_run_predicate(self):
         pipeline = Pipeline([ConditionalStage("c")])
         off = pipeline.run(self.make_context())
         assert off.get("log") is None
-        assert off.timings[0].skipped
+        assert off.stage_spans[0].attributes == {"skipped": True}
         on = pipeline.run(self.make_context(enable_conditional=True))
         assert on.get("log") == ["c"]
 
     def test_duplicate_stage_names_rejected(self):
         with pytest.raises(PipelineError):
             Pipeline([RecordingStage("a"), RecordingStage("a")])
-
-    def test_timings_as_dict(self):
-        timings = [StageTiming("a", 0.25), StageTiming("b", 0.0, skipped=True)]
-        assert timings_as_dict(timings) == {"a": 0.25, "b": 0.0}
 
 
 class TestDefaultStages:
@@ -263,8 +265,7 @@ class TestResumableRuns:
         assert stage.run_count == 0
         assert context.get("product") == "cached-product"
         assert context.producer_of("product") == "s"
-        timing = context.timings[0]
-        assert timing.reused and not timing.skipped
+        assert context.stage_spans[0].attributes == {"reused": True}
         assert context.fingerprints == {"s": "digest-1"}
 
     def test_stale_cache_reruns_the_stage(self):
@@ -276,7 +277,7 @@ class TestResumableRuns:
         Pipeline([stage]).run(context)
         assert stage.run_count == 1
         assert context.get("product") == "s-of-2"
-        assert not context.timings[0].reused
+        assert "reused" not in context.stage_spans[0].attributes
 
     def test_no_fingerprint_means_no_reuse(self):
         from repro.core.pipeline import StageCache
@@ -301,5 +302,5 @@ class TestResumableRuns:
         Pipeline([stage]).run(context)
         assert stage.run_count == 0
         assert context.get("product") is None
-        assert context.timings[0].skipped and not context.timings[0].reused
+        assert context.stage_spans[0].attributes == {"skipped": True}
         assert context.fingerprints == {}

@@ -226,6 +226,8 @@ class TestEquivalenceWithRowLoop:
             ("1,2,inf,inf,5.0,LTE\n", 2),
             ("1,2,3.0,1e999,5.0,LTE\n", 2),
             ("9223372036854775808,2,3.0,4.0,5.0,LTE\n", 2),
+            ("1,2,3.0,4.0,5.0,LTE\n9223372036854775808,2,3.0,4.0,5.0,LTE\n", 3),
+            ("1,2,3.0,4.0,5.0,LTE\n1,-9223372036854775809,3.0,4.0,5.0,LTE\n", 3),
             ("1,2,3.0,4.0,5.0,LTE\n1.5,2,3.0,4.0,5.0,LTE\n", 3),
             ("1,1e3,3.0,4.0,5.0,LTE\n", 2),
             ("7.0,2,3.0,4.0,5.0,3G\n", 2),
@@ -238,6 +240,22 @@ class TestEquivalenceWithRowLoop:
         for chunk_size in CHUNK_SIZES:
             with pytest.raises(TraceFormatError, match=rf"^{re.escape(str(path))}:{line}\b"):
                 list(iter_record_batches_csv(path, chunk_size=chunk_size))
+
+    @pytest.mark.parametrize(
+        "record, reason",
+        [
+            ("1,2,-1.0,4.0,5.0,LTE", "start_s must be non-negative, got -1.0"),
+            ("1,2,3.0,4.0,5.0,4G", "network must be one of ['3G', 'LTE'], got '4G'"),
+        ],
+    )
+    def test_a_bad_row_is_named_by_its_line_alone(self, tmp_path, record, reason):
+        # The row is replayed as a one-row batch: no "record 0" in the reason.
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(COLUMNS) + "\n1,2,3.0,4.0,5.0,LTE\n" + record + "\n")
+        for chunk_size in CHUNK_SIZES:
+            with pytest.raises(TraceFormatError) as caught:
+                list(iter_record_batches_csv(path, chunk_size=chunk_size))
+            assert str(caught.value) == f"{path}:3: {reason}"
 
     @pytest.mark.parametrize("value", FLOAT_IDS + [str(2**63)])
     def test_float_read_into_an_id_with_a_warning_falls_back(self, tmp_path, monkeypatch, value):

@@ -4,7 +4,7 @@ the chunked batch readers/writers in repro.ingest.loader."""
 import numpy as np
 import pytest
 
-from oracles.dedup import records_of
+from oracles.records import TrafficRecord, batch_of, records_of
 from repro.ingest.batch import (
     NETWORK_CODES,
     RecordBatch,
@@ -17,7 +17,6 @@ from repro.ingest.loader import (
     read_record_batch_csv,
     write_records_csv,
 )
-from repro.ingest.records import TrafficRecord
 
 
 def make_records(n=20, seed=0):
@@ -66,13 +65,13 @@ class TestNetworkCodes:
 class TestRecordBatch:
     def test_roundtrip_preserves_records(self):
         records = make_records(50)
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         assert len(batch) == 50
         assert batch.num_records == 50
         assert records_of(batch) == records
 
     def test_column_dtypes(self):
-        batch = RecordBatch.from_records(make_records(5))
+        batch = batch_of(make_records(5))
         assert batch.user_id.dtype == np.int64
         assert batch.tower_id.dtype == np.int64
         assert batch.start_s.dtype == np.float64
@@ -156,7 +155,7 @@ class TestRecordBatch:
 
     def test_concat_and_take_and_filter(self):
         records = make_records(30)
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         left, right = batch.take(np.arange(10)), batch.take(np.arange(10, 30))
         rejoined = RecordBatch.concat([left, right])
         assert records_of(rejoined) == records
@@ -166,18 +165,18 @@ class TestRecordBatch:
         assert all(record.network == "LTE" for record in records_of(lte))
 
     def test_take_delegates_boolean_masks_to_filter(self):
-        batch = RecordBatch.from_records(make_records(6))
+        batch = batch_of(make_records(6))
         mask = batch.network == NETWORK_CODES["LTE"]
         assert records_of(batch.take(mask)) == records_of(batch.filter(mask))
 
     def test_filter_rejects_bad_mask_shape(self):
-        batch = RecordBatch.from_records(make_records(4))
+        batch = batch_of(make_records(4))
         with pytest.raises(ValueError, match="mask"):
             batch.filter(np.ones(3, dtype=bool))
 
     def test_iter_chunks_covers_batch_in_order(self):
         records = make_records(25)
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         chunks = list(batch.iter_chunks(10))
         assert [len(chunk) for chunk in chunks] == [10, 10, 5]
         assert records_of(RecordBatch.concat(chunks)) == records
@@ -185,11 +184,11 @@ class TestRecordBatch:
             list(batch.iter_chunks(0))
 
     def test_sort_by_start(self):
-        batch = RecordBatch.from_records(make_records(20)).sort_by_start()
+        batch = batch_of(make_records(20)).sort_by_start()
         assert np.all(np.diff(batch.start_s) >= 0)
 
     def test_with_bytes_replaces_column(self):
-        batch = RecordBatch.from_records(make_records(3))
+        batch = batch_of(make_records(3))
         replaced = batch.with_bytes(np.array([1.0, 2.0, 3.0]))
         assert replaced.bytes_used.tolist() == [1.0, 2.0, 3.0]
         assert replaced.user_id.tolist() == batch.user_id.tolist()
@@ -198,7 +197,7 @@ class TestRecordBatch:
 class TestBatchReadersCsv:
     def test_roundtrip_via_batch_writer_and_reader(self, tmp_path):
         records = make_records(40)
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         path = tmp_path / "trace.csv"
         assert write_records_csv(batch, path) == 40
         assert records_of(read_record_batch_csv(path)) == records
@@ -206,7 +205,7 @@ class TestBatchReadersCsv:
     def test_chunked_read_equals_whole_read(self, tmp_path):
         records = make_records(33)
         path = tmp_path / "trace.csv"
-        write_records_csv(RecordBatch.from_records(records), path)
+        write_records_csv(batch_of(records), path)
         chunks = list(iter_record_batches_csv(path, chunk_size=10))
         assert [len(chunk) for chunk in chunks] == [10, 10, 10, 3]
         assert records_of(RecordBatch.concat(chunks)) == records
@@ -219,7 +218,7 @@ class TestBatchReadersCsv:
 
     def test_error_names_path_and_line_for_bad_value(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_records_csv(RecordBatch.from_records(make_records(5)), path)
+        write_records_csv(batch_of(make_records(5)), path)
         lines = path.read_text().splitlines()
         lines[3] = lines[3].replace(lines[3].split(",")[4], "not-a-number")
         path.write_text("\n".join(lines) + "\n")

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles.records import TrafficRecord, batch_of
 from repro.ingest.batch import RecordBatch
 from repro.ingest.dedup import clean_batch
-from repro.ingest.records import TrafficRecord
 
 
 def make_record(user=1, tower=2, start=0.0, end=60.0, volume=100.0, network="LTE"):
@@ -15,7 +15,7 @@ def make_record(user=1, tower=2, start=0.0, end=60.0, volume=100.0, network="LTE
 
 
 def clean(*records):
-    return clean_batch(RecordBatch.from_records(records))
+    return clean_batch(batch_of(records))
 
 
 class TestDeduplicate:

@@ -115,7 +115,7 @@ class TestPreprocess:
         geocoder = SyntheticGeocoder.from_towers(towers)
         result = preprocess_trace(session_scenario.session_batch(), stations, geocoder)
         cleaned_volume = result.records.total_bytes
-        corrupted_volume = sum(r.bytes_used for r in session_scenario.records)
+        corrupted_volume = session_scenario.session_batch().total_bytes
         # Cleaning must remove the duplicated volume: cleaned < corrupted.
         assert cleaned_volume < corrupted_volume
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.records import TrafficRecord, batch_of
 from repro.ingest.batch import RecordBatch
 from repro.ingest.loader import (
     TraceFormatError,
@@ -12,12 +13,12 @@ from repro.ingest.loader import (
     write_records_csv,
     write_stations_csv,
 )
-from repro.ingest.records import BaseStationInfo, TrafficRecord
+from repro.ingest.records import BaseStationInfo
 
 
 @pytest.fixture
 def sample_records():
-    return RecordBatch.from_records(
+    return batch_of(
         [
             TrafficRecord(user_id=1, tower_id=10, start_s=0.0, end_s=30.5, bytes_used=1234.5),
             TrafficRecord(

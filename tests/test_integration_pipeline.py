@@ -4,7 +4,7 @@ and consistency between the session-level and profile-level generators."""
 import numpy as np
 import pytest
 
-from oracles.dedup import records_of
+from oracles.records import records_of
 from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
 from repro.ingest.loader import read_record_batch_csv, write_records_csv
@@ -51,7 +51,7 @@ class TestSessionToModelPipeline:
         assert np.median(correlations) > 0.5
 
     def test_cleaning_reduces_volume_towards_truth(self, session_scenario, preprocessed):
-        corrupted_volume = sum(r.bytes_used for r in session_scenario.records)
+        corrupted_volume = session_scenario.session_batch().total_bytes
         cleaned_volume = preprocessed.records.total_bytes
         assert cleaned_volume < corrupted_volume
 
@@ -70,9 +70,9 @@ class TestSessionToModelPipeline:
 class TestTraceFileRoundTrip:
     def test_csv_round_trip_preserves_model_input(self, tmp_path, session_scenario):
         path = tmp_path / "trace.csv"
-        sample = session_scenario.records[:5000]
-        write_records_csv(session_scenario.session_batch().take(np.arange(len(sample))), path)
-        assert records_of(read_record_batch_csv(path)) == sample
+        sample = session_scenario.session_batch().take(np.arange(5000))
+        write_records_csv(sample, path)
+        assert records_of(read_record_batch_csv(path)) == records_of(sample)
 
     def test_model_deterministic_given_same_traffic(self, scenario):
         model_a = TrafficPatternModel(ModelConfig(num_clusters=5))

@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles.records import TrafficRecord, batch_of
 from repro.cluster.distance import euclidean_distance_matrix
 from repro.cluster.hierarchical import AgglomerativeClustering
 from repro.decompose.simplex import (
     project_to_simplex_batch,
     simplex_constrained_least_squares_batch,
 )
-from repro.ingest.batch import RecordBatch
 from repro.ingest.dedup import clean_batch
-from repro.ingest.records import TrafficRecord
 from repro.spectral.components import PrincipalComponents, reconstruct_from_components
 from repro.spectral.dft import dft, inverse_dft
 from repro.utils.stats import min_max_normalize, zscore_normalize
@@ -189,7 +188,7 @@ class TestCleaningProperties:
         )
     )
     def test_cleaning_is_idempotent(self, raw):
-        records = RecordBatch.from_records(
+        records = batch_of(
             TrafficRecord(
                 user_id=u, tower_id=t, start_s=s, end_s=s + d, bytes_used=v
             )

@@ -22,7 +22,7 @@ from repro.spectral.variance import (
     amplitude_variance_across_groups,
     most_discriminative_frequencies,
 )
-from repro.utils.timeutils import SLOTS_PER_DAY, TimeWindow
+from repro.utils.timeutils import TimeWindow
 from repro.vectorize.normalize import NormalizationMethod
 
 

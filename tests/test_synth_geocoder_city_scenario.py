@@ -126,15 +126,20 @@ class TestScenario:
             assert labels[row] == scenario.city.tower(tower_id).region_type.index
 
     def test_profile_only_scenario_has_no_records(self, scenario):
-        assert scenario.records == []
+        assert len(scenario.session_batch()) == 0
         assert scenario.corruption_report is None
 
     def test_session_scenario_has_records_and_report(self, session_scenario):
-        assert len(session_scenario.records) > 0
+        assert len(session_scenario.session_batch()) > 0
         assert session_scenario.corruption_report is not None
         assert session_scenario.corruption_report.num_output_records == len(
-            session_scenario.records
+            session_scenario.session_batch()
         )
+
+    def test_the_removed_scalar_session_generator_is_rejected(self):
+        with pytest.raises(ValueError, match="scalar session generator"):
+            ScenarioConfig(sessions_as_batch=False)
+        assert ScenarioConfig(sessions_as_batch=True).sessions_as_batch
 
     def test_scenario_reproducible(self):
         a = generate_scenario(ScenarioConfig(num_towers=20, num_users=50, num_days=7, seed=4))

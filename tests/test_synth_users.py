@@ -1,6 +1,5 @@
 """Tests for repro.synth.users."""
 
-import numpy as np
 import pytest
 
 from repro.synth.regions import RegionType, generate_regions

@@ -114,8 +114,18 @@ class TestGridHashPasses:
         assert {"vectorize", "cluster", "tune", "spectral"} <= set(
             result.extras["stage_fingerprints"]
         )
-        # The caller's grid stays writable, so a save hashes it again.
-        assert grid.flags.writeable
+        # The fit made the caller's grid read-only in place, without a copy.
+        assert result.vectorized.raw.traffic is grid
+        assert not grid.flags.writeable
+
+    def test_a_matrix_fit_and_its_save_hash_the_grid_once(self, grid_passes, tmp_path):
+        grid = np.random.default_rng(4).random((NUM_TOWERS, WINDOW.num_slots))
+        model = TrafficPatternModel(ModelConfig(num_clusters=3))
+        model.fit(TowerTrafficMatrix(np.arange(NUM_TOWERS), grid, WINDOW))
+        model.save(tmp_path / "bundle")
+        assert len(grid_passes) == 2  # the grid in the fit, the vectors in the save
+        manifest = read_manifest(tmp_path / "bundle")
+        assert manifest["arrays"]["raw.traffic"]["sha256"] == fingerprint_array(grid)
 
     def test_a_streamed_fit_hashes_its_grid_once_and_its_save_reuses_the_digest(
         self, grid_passes, tmp_path
@@ -129,10 +139,24 @@ class TestGridHashPasses:
             model.result.vectorized.raw.traffic
         )
 
+    def test_refits_of_one_matrix_hash_its_grid_once(self, grid_passes):
+        # A reshaped grid is a view, as np.load returns one: the first fit
+        # puts a read-only copy in the matrix, and later fits reuse its digest.
+        grid = np.random.default_rng(4).random(NUM_TOWERS * WINDOW.num_slots)
+        matrix = TowerTrafficMatrix(
+            np.arange(NUM_TOWERS), grid.reshape(NUM_TOWERS, -1), WINDOW
+        )
+        assert matrix.traffic.base is grid
+        for _ in range(3):
+            TrafficPatternModel(ModelConfig(num_clusters=3)).fit(matrix)
+        assert len(grid_passes) == 1
+        assert matrix.traffic.base is None and not matrix.traffic.flags.writeable
+
     def test_a_save_hashes_a_writable_grid_and_the_vectors(self, grid_passes, tmp_path):
         grid = np.random.default_rng(4).random((NUM_TOWERS, WINDOW.num_slots))
         model = TrafficPatternModel(ModelConfig(num_clusters=3))
         model.fit(TowerTrafficMatrix(np.arange(NUM_TOWERS), grid, WINDOW))
+        grid.flags.writeable = True  # the caller unlocks the fitted grid
         grid_passes.clear()
         model.save(tmp_path / "bundle")
         assert len(grid_passes) == 2

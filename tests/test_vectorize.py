@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles.records import TrafficRecord, batch_of
 from repro.ingest.batch import RecordBatch
-from repro.ingest.records import TrafficRecord
 from repro.utils.timeutils import TimeWindow
 from repro.vectorize.aggregate import aggregate_batches
 from repro.vectorize.normalize import NormalizationMethod, normalize_matrix, normalize_vector
@@ -20,10 +20,6 @@ def make_record(start, end, volume=100.0, user=1, tower=0):
     return TrafficRecord(
         user_id=user, tower_id=tower, start_s=start, end_s=end, bytes_used=volume
     )
-
-
-def batch_of(records):
-    return RecordBatch.from_records(records)
 
 
 def aggregate_one(batch, window, tower_ids=None):
