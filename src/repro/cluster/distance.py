@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Elements per row block of the in-place passes over an ``(n, n)`` matrix:
-#: the ``x² + y²`` temporary of a block is 256 KiB, whatever ``n``.
-BLOCK_ELEMENTS = 1 << 15
+from repro.utils.stats import row_blocks
 
 
 def euclidean_distance_matrix(vectors: np.ndarray) -> np.ndarray:
@@ -20,7 +18,8 @@ def euclidean_distance_matrix(vectors: np.ndarray) -> np.ndarray:
 
     The gram matrix ``X Xᵀ`` is the only ``(n, n)`` array: row block by
     row block it becomes ``sqrt(max(x² + y² - 2xy, 0))`` in place, with a
-    zero diagonal, so the peak is the result plus one block's ``x² + y²``.
+    zero diagonal, so the peak is the result plus one block's ``x² + y²``
+    (:func:`~repro.utils.stats.row_blocks`, 256 KiB).
     Each entry sees the same operations in the same order as the
     whole-matrix expansion, so the bits do not depend on the block size.
 
@@ -35,14 +34,12 @@ def euclidean_distance_matrix(vectors: np.ndarray) -> np.ndarray:
     n = arr.shape[0]
     squared_norms = np.einsum("ij,ij->i", arr, arr)
     result = arr @ arr.T
-    step = max(1, BLOCK_ELEMENTS // max(n, 1))
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        rows = result[start:stop]
+    for block in row_blocks(n, n):
+        rows = result[block]
         rows *= 2.0
-        np.subtract(np.add.outer(squared_norms[start:stop], squared_norms), rows, out=rows)
+        np.subtract(np.add.outer(squared_norms[block], squared_norms), rows, out=rows)
         np.maximum(rows, 0.0, out=rows)
-        rows[np.arange(stop - start), np.arange(start, stop)] = 0.0
+        rows[np.arange(block.stop - block.start), np.arange(block.start, block.stop)] = 0.0
         np.sqrt(rows, out=rows)
     return result
 

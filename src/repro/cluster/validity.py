@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.distance import euclidean_distance_matrix, pairwise_distances
+from repro.utils.stats import row_blocks
 
 
 def _check_inputs(vectors: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -32,9 +33,17 @@ def cluster_stats(members: np.ndarray) -> tuple[np.ndarray, float]:
     the one per-cluster computation behind :func:`within_cluster_distances`,
     :func:`davies_bouldin_index` and the metric tuner's sweep, so they agree
     bit for bit (its centroid is :func:`cluster_centroids`' arithmetic).
+    The distances are ``np.linalg.norm``'s arithmetic taken a block of rows
+    at a time, so ``members`` is the only array of the cluster's size.
     """
     centroid = members.mean(axis=0)
-    return centroid, float(np.mean(np.linalg.norm(members - centroid, axis=1)))
+    distances = np.empty(members.shape[0])
+    for block in row_blocks(*members.shape):
+        offsets = members[block] - centroid
+        offsets *= offsets
+        np.sqrt(np.add.reduce(offsets, axis=1), out=distances[block])
+        del offsets  # freed before the next block is taken
+    return centroid, float(np.mean(distances))
 
 
 def _all_cluster_stats(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.core.pipeline import PipelineContext
 from repro.spectral.components import principal_components_for_window
-from repro.spectral.features import extract_frequency_features
+from repro.spectral.features import FEATURE_ALGORITHM, extract_frequency_features
 from repro.utils.fingerprint import fingerprint
 
 
@@ -14,7 +14,8 @@ class SpectralStage:
     name = "spectral"
 
     def fingerprint(self, context: PipelineContext) -> str | None:
-        """Digest of the raw traffic (its grid digest) + window + feature normalisation."""
+        """Digest of the raw traffic (its grid digest) + window + feature
+        normalisation + the feature algorithm."""
         traffic = context.traffic
         if traffic is None:
             return None
@@ -24,6 +25,7 @@ class SpectralStage:
             traffic.window.num_days,
             traffic.window.start_weekday,
             context.config.feature_normalization.value,
+            FEATURE_ALGORITHM,
         )
 
     def run(self, context: PipelineContext) -> None:

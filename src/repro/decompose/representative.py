@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.distance import BLOCK_ELEMENTS, euclidean_distance_matrix
+from repro.cluster.distance import euclidean_distance_matrix
+from repro.utils.stats import row_blocks
 
 
 @dataclass
@@ -114,7 +115,6 @@ def select_representative_towers(
         density_radius = 0.2 * _median_pairwise(distances) if len(distances) > 1 else 1.0
 
     target_clusters = np.unique(label_array) if clusters is None else np.asarray(clusters)
-    block = max(1, BLOCK_ELEMENTS // max(len(distances), 1))
 
     chosen_rows: list[int] = []
     chosen_labels: list[int] = []
@@ -137,12 +137,12 @@ def select_representative_towers(
         # cluster, read from the members' rows a block at a time.
         separation = np.empty(members.size)
         neighbor_counts = np.empty(members.size, dtype=np.int64)
-        for start in range(0, members.size, block):
-            rows = distances[members[start : start + block]]
+        for block in row_blocks(members.size, len(distances)):
+            rows = distances[members[block]]
             within = (rows <= density_radius) & in_cluster
-            neighbor_counts[start : start + block] = within.sum(axis=1) - 1
+            neighbor_counts[block] = within.sum(axis=1) - 1
             rows[:, in_cluster] = np.inf
-            separation[start : start + block] = rows.min(axis=1)
+            separation[block] = rows.min(axis=1)
 
         candidates = members[neighbor_counts >= min_neighbors]
         candidate_separation = separation[neighbor_counts >= min_neighbors]

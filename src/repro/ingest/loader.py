@@ -127,13 +127,30 @@ def _batch_from_csv_rows(
 def _batch_of_rows(rows: list[list[str]]) -> RecordBatch:
     """Cast CSV rows (six texts each) to a validated batch."""
     return RecordBatch(
-        user_id=np.array([row[0] for row in rows]).astype(np.int64),
-        tower_id=np.array([row[1] for row in rows]).astype(np.int64),
+        user_id=_ids_of([row[0] for row in rows]),
+        tower_id=_ids_of([row[1] for row in rows]),
         start_s=np.array([row[2] for row in rows], dtype=np.float64),
         end_s=np.array([row[3] for row in rows], dtype=np.float64),
         bytes_used=np.array([row[4] for row in rows], dtype=np.float64),
         network=np.array([row[5] for row in rows]),
     )
+
+
+def _ids_of(texts: list[str]) -> np.ndarray:
+    """Cast id texts to int64 as ``np.array(texts).astype(np.int64)`` does.
+
+    A text the cast rejects is named as Python's ``int()`` names it
+    (``'1.5'``), not as numpy 2 does (``np.str_('1.5')``).  The cast itself
+    is unchanged, so the same texts load: the string array drops trailing
+    NULs, so ``12`` followed by a NUL reads as 12.
+    """
+    column = np.array(texts)
+    try:
+        return column.astype(np.int64)
+    except ValueError:
+        for text in column.tolist():
+            int(text)
+        raise
 
 
 def _parse_block(lines: list[str]) -> RecordBatch | None:

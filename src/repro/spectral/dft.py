@@ -2,8 +2,10 @@
 
 The paper defines the spectrum as ``X̂[k] = Σ_n x[n] e^(-2πikn/N)`` — the
 standard unnormalised DFT — and analyses the amplitude ``|X̂[k]|`` and phase
-``arg X̂[k]`` of individual components.  These wrappers delegate to
-``numpy.fft`` and add shape checking plus batch (per-row) operation.
+``arg X̂[k]`` of individual components.  The full-spectrum wrappers
+delegate to ``numpy.fft`` and add shape checking plus batch (per-row)
+operation; :func:`dft_basis` evaluates a few bins directly, as a matrix
+product, for when only those bins are needed.
 """
 
 from __future__ import annotations
@@ -19,6 +21,23 @@ def dft(signal: np.ndarray) -> np.ndarray:
     if arr.ndim == 2:
         return np.fft.fft(arr, axis=1)
     raise ValueError(f"signal must be 1-D or 2-D, got shape {arr.shape}")
+
+
+def dft_basis(bins: tuple[int, ...], num_slots: int) -> np.ndarray:
+    """Return the real ``(num_slots, 2·len(bins))`` matrix of the DFT at ``bins``.
+
+    Column ``j`` holds ``cos θ`` and column ``len(bins) + j`` holds ``−sin θ``
+    for ``k = bins[j]``, with ``θ[n] = 2π·(k·n mod N)/N``: the integer
+    reduction keeps every angle in ``[0, 2π)`` exactly, whatever ``k·n``.
+    For a signal matrix ``x`` (one signal per row), ``x @ dft_basis(bins, N)``
+    holds the real parts of ``X̂[k] = Σ_n x[n] e^(−2πikn/N)`` in its first
+    ``len(bins)`` columns and the imaginary parts in the rest.
+    """
+    if num_slots <= 0:
+        raise ValueError(f"num_slots must be positive, got {num_slots}")
+    residues = np.outer(np.arange(num_slots), np.asarray(bins, dtype=np.int64)) % num_slots
+    angles = 2.0 * np.pi * residues / num_slots
+    return np.hstack([np.cos(angles), -np.sin(angles)])
 
 
 def inverse_dft(spectrum: np.ndarray) -> np.ndarray:

@@ -42,6 +42,7 @@ class POICategory(enum.Enum):
 
 
 _CATEGORY_INDEX = {category: index for index, category in enumerate(POICategory.ordered())}
+_CATEGORY_INDEX_BY_VALUE = {category.value: index for category, index in _CATEGORY_INDEX.items()}
 
 #: Mapping from pure region type to the matching POI category.
 REGION_TO_POI = {
@@ -171,12 +172,18 @@ def generate_pois(
 
 
 def poi_coordinate_arrays(pois: list[POI]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(lats, lons, category_indices)`` arrays for a POI list."""
-    if not pois:
-        return np.empty(0), np.empty(0), np.empty(0, dtype=int)
-    lats = np.array([poi.lat for poi in pois], dtype=float)
-    lons = np.array([poi.lon for poi in pois], dtype=float)
-    cats = np.array([poi.category.index for poi in pois], dtype=int)
+    """Return ``(lats, lons, category_indices)`` arrays for a POI list.
+
+    Each category is looked up by its value, read from the member's
+    ``_value_`` attribute: hashing the ``Enum`` member, or reading its
+    ``value`` property, per POI costs more than the rest of the conversion.
+    """
+    count = len(pois)
+    lats = np.fromiter((poi.lat for poi in pois), dtype=float, count=count)
+    lons = np.fromiter((poi.lon for poi in pois), dtype=float, count=count)
+    cats = np.fromiter(
+        (_CATEGORY_INDEX_BY_VALUE[poi.category._value_] for poi in pois), dtype=int, count=count
+    )
     return lats, lons, cats
 
 

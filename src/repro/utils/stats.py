@@ -2,9 +2,26 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+
+#: Elements per row block of the passes that stream a matrix a few rows at a
+#: time (:func:`row_blocks`): a block's temporary is 256 KiB, whatever the
+#: row length.
+BLOCK_ELEMENTS = 1 << 15
+
+
+def row_blocks(num_rows: int, row_length: int) -> Iterator[slice]:
+    """Yield consecutive row slices of at most :data:`BLOCK_ELEMENTS` elements.
+
+    Every block holds at least one row, so a row longer than the budget is
+    its own block.
+    """
+    step = max(1, BLOCK_ELEMENTS // max(row_length, 1))
+    for start in range(0, num_rows, step):
+        yield slice(start, min(start + step, num_rows))
 
 
 @dataclass(frozen=True)
@@ -57,17 +74,31 @@ def zscore_normalize(values: np.ndarray, *, axis: int = -1, eps: float = 1e-12) 
     Constant rows (zero standard deviation) are mapped to all-zeros rather
     than producing NaNs, matching the behaviour required by the traffic
     vectorizer where an entirely idle tower must not poison the clustering.
+
+    ``x − mean`` is written once into the result, and ``arr.std``'s
+    arithmetic (the mean of the squared centred values, then the root) runs
+    on that buffer a block of rows at a time, so the only array of the
+    input's size is the result and the bits are those of
+    ``(x − x.mean()) / x.std()``.
     """
     arr = np.asarray(values, dtype=float)
     mean = arr.mean(axis=axis, keepdims=True)
-    std = arr.std(axis=axis, keepdims=True)
-    centered = arr - mean
+    result = np.subtract(arr, mean)
+    rows = np.moveaxis(result, axis, -1)
+    rows = rows.reshape(mean.size, rows.shape[-1])
+    sums_of_squares = np.empty(mean.size)
+    for block in row_blocks(*rows.shape):
+        centered = rows[block]
+        sums_of_squares[block] = np.add.reduce(centered * centered, axis=1)
+    std = np.sqrt(sums_of_squares / rows.shape[1]).reshape(mean.shape)
     # Scale-aware constant detection: a row whose spread is at floating-point
     # noise level relative to its magnitude is treated as constant, otherwise
     # the division would amplify pure round-off into ±1 values.
     threshold = eps * np.maximum(np.abs(mean), 1.0)
     is_varying = std > threshold
-    return np.where(is_varying, centered / np.where(is_varying, std, 1.0), 0.0)
+    np.divide(result, std, out=result, where=is_varying)
+    np.copyto(result, 0.0, where=~is_varying)
+    return result
 
 
 def min_max_normalize(

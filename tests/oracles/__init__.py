@@ -6,8 +6,9 @@ and from a ``RecordBatch``), record-at-a-time cleaning (``dedup``) and slot
 aggregation (``aggregate``), the per-target simplex solver (``simplex``),
 the full-matrix agglomeration (``generic_backend``), the whole-matrix
 distance expansion (``distance``), the condensed pair layout
-(``condensed``), the full-scan POI count (``poi_profile``) and the
-``tobytes()`` array digest (``fingerprint``).  The tests assert that the
-fast path returns what the oracle does — exactly, or within the tolerance
-the test states.
+(``condensed``), the full-scan POI count (``poi_profile``), the
+``tobytes()`` array digest (``fingerprint``), the full-FFT frequency
+features (``spectral``) and the whole-array z-score (``zscore``).  The
+tests assert that the fast path returns what the oracle does — exactly, or
+within the tolerance the test states.
 """

@@ -14,6 +14,7 @@ from repro.cluster.validity import (
     calinski_harabasz_index,
     centroid_distance_cdf,
     cluster_centroids,
+    cluster_stats,
     davies_bouldin_index,
     silhouette_score,
     within_cluster_distances,
@@ -43,6 +44,14 @@ class TestCentroidsAndScatter:
         data, labels = blobs
         scatter = within_cluster_distances(data, labels)
         assert np.all(scatter < 1.5)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (40, 1), (700, 1008), (3, 40000)], ids=str)
+    def test_scatter_bits_equal_the_whole_cluster_norm(self, shape):
+        # Row blocks or not, each member's distance is the same reduction.
+        members = np.random.default_rng(5).lognormal(size=shape)
+        centroid, scatter = cluster_stats(members)
+        assert centroid.tobytes() == members.mean(axis=0).tobytes()
+        assert scatter == float(np.mean(np.linalg.norm(members - centroid, axis=1)))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

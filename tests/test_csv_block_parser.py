@@ -246,6 +246,8 @@ class TestEquivalenceWithRowLoop:
         [
             ("1,2,-1.0,4.0,5.0,LTE", "start_s must be non-negative, got -1.0"),
             ("1,2,3.0,4.0,5.0,4G", "network must be one of ['3G', 'LTE'], got '4G'"),
+            ("1.5,2,3.0,4.0,5.0,LTE", "invalid literal for int() with base 10: '1.5'"),
+            ("1,x7,3.0,4.0,5.0,LTE", "invalid literal for int() with base 10: 'x7'"),
         ],
     )
     def test_a_bad_row_is_named_by_its_line_alone(self, tmp_path, record, reason):
@@ -256,6 +258,18 @@ class TestEquivalenceWithRowLoop:
             with pytest.raises(TraceFormatError) as caught:
                 list(iter_record_batches_csv(path, chunk_size=chunk_size))
             assert str(caught.value) == f"{path}:3: {reason}"
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_an_id_with_trailing_nuls_reads_as_its_digits(self, tmp_path, column):
+        # The id cast reads a string array, which drops trailing NULs.
+        fields = ["1", "2", "3.0", "4.0", "5.0", "LTE"]
+        fields[column] = "12\x00\x00"
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(COLUMNS) + "\n" + ",".join(fields) + "\n", newline="")
+        for chunk_size in CHUNK_SIZES:
+            (batch,) = list(iter_record_batches_csv(path, chunk_size=chunk_size))
+            ids = batch.user_id if column == 0 else batch.tower_id
+            assert ids.tolist() == [12]
 
     @pytest.mark.parametrize("value", FLOAT_IDS + [str(2**63)])
     def test_float_read_into_an_id_with_a_warning_falls_back(self, tmp_path, monkeypatch, value):

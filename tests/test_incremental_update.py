@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from oracles.spectral import fft_frequency_features
 
 from repro.core.config import ModelConfig
 from repro.core.model import TrafficPatternModel
+from repro.core.stages import spectral as spectral_stage
 from repro.ingest.batch import RecordBatch
 from repro.obs import Tracer
 from repro.synth.scenario import ScenarioConfig, generate_scenario
@@ -208,6 +210,62 @@ class TestStageReuse:
             assert np.array_equal(updated.vectorized.vectors, vectors)
             assert np.array_equal(updated.clustering.dendrogram.merges, dendrogram.merges)
             assert np.array_equal(updated.labels, result.labels)
+
+    def test_first_update_of_an_fft_feature_bundle_reruns_spectral_and_decompose_once(
+        self, daily_batches, tmp_path, monkeypatch
+    ):
+        """Bundles written before the three-bin direct DFT hold full-FFT
+        features under a spectral fingerprint without the algorithm tag.  The
+        first update re-runs spectral (its fingerprint moved) and decompose
+        (the features moved by a few ulps); the update after it reuses every
+        stage, and both equal a fresh fit."""
+
+        def fingerprint_without_algorithm(self, context):
+            traffic = context.traffic
+            return fingerprint(
+                context.traffic_digest(),
+                traffic.tower_ids,
+                traffic.window.num_days,
+                traffic.window.start_weekday,
+                context.config.feature_normalization.value,
+            )
+
+        config = ModelConfig(num_clusters=4)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral_stage, "extract_frequency_features", fft_frequency_features)
+            patch.setattr(
+                spectral_stage.SpectralStage, "fingerprint", fingerprint_without_algorithm
+            )
+            older = TrafficPatternModel(config)
+            older.fit_batches(daily_batches, WINDOW, TOWER_IDS)
+            bundle = older.save(tmp_path / "bundle")
+        fresh = TrafficPatternModel(config).fit_batches(daily_batches, WINDOW, TOWER_IDS)
+        assert not np.array_equal(
+            older.result.frequency_features.amplitudes, fresh.frequency_features.amplitudes
+        )
+
+        reloaded = TrafficPatternModel.load(bundle)
+        first = reloaded.update(empty_batch())
+        assert set(first.extras["stages_reused"]) == {"vectorize", "cluster", "tune"}
+        second = reloaded.update(empty_batch())
+        assert set(second.extras["stages_reused"]) == {
+            "vectorize", "cluster", "tune", "spectral", "decompose",
+        }
+        for updated in (first, second):
+            assert np.array_equal(updated.labels, fresh.labels)
+            for name in ("amplitudes", "phases"):
+                assert np.array_equal(
+                    getattr(updated.frequency_features, name),
+                    getattr(fresh.frequency_features, name),
+                )
+            for name in ("cluster_labels", "row_indices", "tower_ids", "features"):
+                assert np.array_equal(
+                    getattr(updated.representatives, name),
+                    getattr(fresh.representatives, name),
+                )
+            assert np.array_equal(
+                updated.representatives.tower_ids, older.result.representatives.tower_ids
+            )
 
     def test_fingerprints_recorded_on_plain_fit(self, daily_batches):
         model = TrafficPatternModel(ModelConfig(num_clusters=4))

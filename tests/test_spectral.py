@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles.spectral import fft_frequency_features
 
 from repro.spectral.components import (
     PrincipalComponents,
@@ -13,6 +14,7 @@ from repro.spectral.components import (
 from repro.spectral.dft import (
     amplitude_spectrum,
     dft,
+    dft_basis,
     dominant_frequencies,
     inverse_dft,
     phase_spectrum,
@@ -22,8 +24,8 @@ from repro.spectral.variance import (
     amplitude_variance_across_groups,
     most_discriminative_frequencies,
 )
-from repro.utils.timeutils import TimeWindow
-from repro.vectorize.normalize import NormalizationMethod
+from repro.utils.timeutils import SLOTS_PER_DAY, SLOTS_PER_WEEK, TimeWindow
+from repro.vectorize.normalize import NormalizationMethod, normalize_matrix
 
 
 def sinusoid(num_slots, cycles, amplitude=1.0, phase=0.0, offset=0.0):
@@ -57,6 +59,23 @@ class TestDft:
     def test_rejects_3d(self):
         with pytest.raises(ValueError):
             dft(np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("num_slots", [1, 7, 1008, 4032])
+    def test_basis_gives_the_bins_of_the_full_dft(self, rng, num_slots):
+        bins = tuple(sorted({1 % num_slots, num_slots // 7, num_slots // 2, num_slots - 1}))
+        signals = rng.normal(size=(5, num_slots))
+        products = signals @ dft_basis(bins, num_slots)
+        spectrum = dft(signals)[:, list(bins)]
+        assert np.allclose(products[:, : len(bins)], spectrum.real, rtol=0, atol=1e-11)
+        assert np.allclose(products[:, len(bins) :], spectrum.imag, rtol=0, atol=1e-11)
+
+    def test_basis_angles_are_reduced_exactly(self):
+        # k·n reaches 225,792 at the paper's half-day bin; reduced mod N, the
+        # angle of bin 56 at slot 72 is that of slot 0, exactly.
+        basis = dft_basis((56,), 4032)
+        assert basis[72, 0] == 1.0 and basis[72, 1] == 0.0
+        with pytest.raises(ValueError):
+            dft_basis((1,), 0)
 
     def test_dominant_frequencies(self):
         signal = sinusoid(512, 5, amplitude=3.0) + sinusoid(512, 20, amplitude=1.0)
@@ -220,6 +239,146 @@ class TestFrequencyFeatures:
                 amplitude_mean, amplitude_std = per_component[name]["amplitude"]
                 assert amplitude_std >= 0
                 assert 0 <= amplitude_mean <= 1.5
+
+
+def ratio_profile_rows(num_days, params):
+    """Rows of ``base × weekly ratio × daily ratio``, one per parameter row.
+
+    The ratios are looked up per slot and multiplied, the way emiproc's
+    ``create_time_serie`` composes a daily and a weekly ratio profile:
+
+    * daily ratio of slot-of-day ``s``:
+      ``1 + a_day·cos(2π·s/144 + p_day) + a_half·cos(4π·s/144 + p_half)``;
+    * weekly ratio of slot-of-week ``t``: ``1 + a_week·cos(2π·t/1008 + p_week)``,
+      left out when the window holds no whole week.
+
+    Over ``D`` days the three cosines sit exactly on the DFT bins ``D/7``,
+    ``D`` and ``2·D``, and the products of the weekly with the daily terms
+    fall on ``D ± D/7`` and ``2·D ± D/7``, which are none of them.  So bin
+    ``k`` of a row is ``base·a_k·(N/2)·e^(i·p_k)``: amplitude ``base·a_k``
+    and phase ``p_k``.  ``params`` columns: base, then ``(a, p)`` for week,
+    day and half-day.
+    """
+    slots = np.arange(num_days * SLOTS_PER_DAY)
+    of_day = 2 * np.pi * (slots % SLOTS_PER_DAY) / SLOTS_PER_DAY
+    of_week = 2 * np.pi * (slots % SLOTS_PER_WEEK) / SLOTS_PER_WEEK
+    rows = []
+    for base, a_week, p_week, a_day, p_day, a_half, p_half in params:
+        daily = 1 + a_day * np.cos(of_day + p_day) + a_half * np.cos(2 * of_day + p_half)
+        weekly = 1 + a_week * np.cos(of_week + p_week) if num_days % 7 == 0 else 1.0
+        rows.append(base * weekly * daily)
+    return np.array(rows)
+
+
+def assert_matches_the_fft(direct, fft, normalized):
+    """Direct bins against the full FFT's, at 1e-12 of each bin's scale.
+
+    A bin's rounding error (either algorithm's) is bounded relative to its
+    row, not to the bin: the scale of a bin is its amplitude, or the row's
+    largest normalised value when that is larger (an amplitude is at most
+    twice it).  So a bin at least its row's size must agree to 1e-12
+    relative in amplitude and 1e-12 rad in phase, and a bin far below its
+    row, whose phase is ill-conditioned, to 1e-12 of the row.  Phases are
+    compared wherever the amplitude exceeds 1e-9.
+    """
+    row_scale = np.abs(normalized).max(axis=1, keepdims=True) if normalized.size else 0.0
+    scale = np.maximum(fft.amplitudes, row_scale)
+    assert np.all(np.abs(direct.amplitudes - fft.amplitudes) <= 1e-12 * scale)
+    shown = fft.amplitudes > 1e-9
+    gap = np.abs(np.angle(np.exp(1j * (direct.phases - fft.phases))))
+    assert np.all(gap[shown] <= 1e-12 * scale[shown] / fft.amplitudes[shown])
+
+
+class TestDirectBins:
+    """The three-bin direct DFT against an analytic oracle and the FFT."""
+
+    @pytest.mark.parametrize("num_days", [5, 7, 14, 28])
+    def test_recovers_the_amplitudes_and_phases_of_ratio_profiles(self, num_days):
+        rng = np.random.default_rng(num_days)
+        count = 8
+        params = np.column_stack(
+            [
+                rng.uniform(1e2, 1e6, size=count),
+                *(
+                    column
+                    for _ in range(3)
+                    for column in (
+                        rng.uniform(0.05, 0.3, size=count),
+                        rng.uniform(-3.0, 3.0, size=count),
+                    )
+                ),
+            ]
+        )
+        rows = ratio_profile_rows(num_days, params)
+        components = principal_components_for_window(TimeWindow(num_days=num_days))
+        features = extract_frequency_features(rows, np.arange(count), components)
+        peaks = rows.max(axis=1)
+        expected = {
+            "week": (params[:, 0] * params[:, 1] / peaks, params[:, 2]),
+            "day": (params[:, 0] * params[:, 3] / peaks, params[:, 4]),
+            "half_day": (params[:, 0] * params[:, 5] / peaks, params[:, 6]),
+        }
+        names = ["day", "half_day"] if components.week is None else ["week", "day", "half_day"]
+        assert features.amplitudes.shape == (count, len(names))
+        for name in names:
+            amplitudes, phases = expected[name]
+            assert np.all(np.abs(features.amplitude(name) - amplitudes) <= 1e-12)
+            assert np.all(np.abs(features.phase(name) - phases) <= 1e-12)
+
+    @pytest.mark.parametrize("method", list(NormalizationMethod), ids=lambda m: m.value)
+    @pytest.mark.parametrize("num_days", [7, 28])
+    def test_random_rows_match_the_fft(self, method, num_days):
+        rng = np.random.default_rng(2015 + num_days)
+        components = principal_components_for_window(TimeWindow(num_days=num_days))
+        grid = rng.lognormal(0.0, 1.5, size=(300, components.num_slots))
+        grid[rng.choice(300, size=20, replace=False)] = 0.0  # idle towers
+        grid[7] = 4.0  # a constant tower
+        ids = np.arange(len(grid))
+        direct = extract_frequency_features(grid, ids, components, normalization=method)
+        fft = fft_frequency_features(grid, ids, components, normalization=method)
+        assert_matches_the_fft(direct, fft, normalize_matrix(grid, method))
+
+    @pytest.mark.parametrize("method", list(NormalizationMethod), ids=lambda m: m.value)
+    def test_scenario_towers_match_the_fft(self, scenario, method):
+        components = principal_components_for_window(scenario.window)
+        grid = scenario.traffic.traffic.copy()
+        grid[::9] = 0.0  # idle towers
+        ids = scenario.traffic.tower_ids
+        direct = extract_frequency_features(grid, ids, components, normalization=method)
+        fft = fft_frequency_features(grid, ids, components, normalization=method)
+        assert_matches_the_fft(direct, fft, normalize_matrix(grid, method))
+        # No bin of a city tower is far below its row, so the plain bounds
+        # hold too: 1e-12 relative, and 1e-12 rad above an amplitude of 1e-9.
+        assert np.all(
+            np.abs(direct.amplitudes - fft.amplitudes) <= 1e-12 * fft.amplitudes
+        )
+        shown = fft.amplitudes > 1e-9
+        gap = np.abs(np.angle(np.exp(1j * (direct.phases - fft.phases))))
+        assert np.all(gap[shown] <= 1e-12)
+
+    @pytest.mark.parametrize("method", list(NormalizationMethod), ids=lambda m: m.value)
+    def test_idle_and_constant_towers_have_zero_amplitude_and_phase(self, method):
+        # As in the FFT, whose butterflies cancel a constant row exactly: the
+        # row means come out before the product, so no rounding noise (with
+        # a random phase) is left in the bins.
+        components = principal_components_for_window(TimeWindow(num_days=7))
+        grid = np.zeros((3, components.num_slots))
+        grid[1] = 4.0
+        features = extract_frequency_features(grid, np.arange(3), components, normalization=method)
+        fft = fft_frequency_features(grid, np.arange(3), components, normalization=method)
+        for values in (features.amplitudes, features.phases, fft.amplitudes, fft.phases):
+            assert values.tobytes() == np.zeros_like(values).tobytes()  # +0.0, not -0.0
+
+    def test_integer_grids_and_empty_grids(self):
+        components = principal_components_for_window(TimeWindow(num_days=7))
+        counts = np.arange(2 * components.num_slots).reshape(2, -1) % 144
+        as_ints = extract_frequency_features(counts, [0, 1], components)
+        as_floats = extract_frequency_features(counts.astype(float), [0, 1], components)
+        assert as_ints.amplitudes.tobytes() == as_floats.amplitudes.tobytes()
+        empty = extract_frequency_features(
+            np.empty((0, components.num_slots)), np.empty(0, dtype=int), components
+        )
+        assert empty.amplitudes.shape == empty.phases.shape == (0, 3)
 
 
 class TestVariance:

@@ -91,6 +91,15 @@ class TestHelpers:
     def test_coordinate_arrays_empty(self):
         lats, lons, cats = poi_coordinate_arrays([])
         assert lats.size == 0 and lons.size == 0 and cats.size == 0
+        assert lats.dtype == lons.dtype == np.float64 and cats.dtype == np.int_
+
+    def test_coordinate_arrays_hold_each_pois_attributes(self, pois):
+        lats, lons, cats = poi_coordinate_arrays(pois)
+        assert lats.tobytes() == np.array([poi.lat for poi in pois], dtype=float).tobytes()
+        assert lons.tobytes() == np.array([poi.lon for poi in pois], dtype=float).tobytes()
+        assert cats.dtype == np.int_
+        assert cats.tolist() == [poi.category.index for poi in pois]
+        assert set(cats.tolist()) == set(range(len(POICategory.ordered())))
 
     def test_category_totals_sum(self, pois):
         totals = poi_category_totals(pois)

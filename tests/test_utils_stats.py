@@ -2,17 +2,32 @@
 
 import numpy as np
 import pytest
+from oracles.zscore import whole_array_zscore
 
 from repro.utils.stats import (
+    BLOCK_ELEMENTS,
     describe,
     energy,
     min_max_normalize,
     pearson_correlation,
     relative_energy_loss,
+    row_blocks,
     running_mean,
     safe_ratio,
     zscore_normalize,
 )
+
+
+def _rows_at_the_threshold(eps: float = 1e-12) -> np.ndarray:
+    """Rows whose standard deviation sits on either side of, and at,
+    ``eps · max(|mean|, 1)``."""
+    rows = []
+    for mean in (0.0, 1.0, 1e6):
+        threshold = eps * max(abs(mean), 1.0)
+        for factor in (0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0):
+            spread = threshold * factor
+            rows.append(mean + spread * np.array([-1.0, 1.0, -1.0, 1.0]))
+    return np.array(rows)
 
 
 class TestDescribe:
@@ -50,6 +65,56 @@ class TestZscore:
         out = zscore_normalize(matrix, axis=1)
         assert np.std(out[0]) == pytest.approx(1.0)
         assert np.all(out[1] == 0.0)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1008), (1200, 1), (1, 1), (70, 1008), (3, 4032), (2, BLOCK_ELEMENTS + 5), (13,)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_bits_equal_the_whole_array_expression(self, rng, shape, axis):
+        values = rng.lognormal(3.0, 2.0, size=shape)
+        values[::7] = 5.0  # constant rows (or columns)
+        expected = whole_array_zscore(values, axis=axis)
+        assert zscore_normalize(values, axis=axis).tobytes() == expected.tobytes()
+
+    def test_bits_at_the_constant_row_threshold(self):
+        rows = _rows_at_the_threshold()
+        expected = whole_array_zscore(rows, axis=1)
+        # Both sides of the threshold are present, so the cut is exercised.
+        assert 0 < np.count_nonzero(expected.any(axis=1)) < len(rows)
+        assert zscore_normalize(rows, axis=1).tobytes() == expected.tobytes()
+
+    def test_bits_of_non_finite_rows_and_a_middle_axis(self, rng):
+        values = rng.normal(size=(4, 5, 6))
+        values[0, 1, 2] = np.nan
+        values[1, 0, 3] = np.inf
+        for axis in (0, 1, 2):
+            with np.errstate(invalid="ignore"):
+                expected = whole_array_zscore(values, axis=axis)
+                actual = zscore_normalize(values, axis=axis)
+            assert actual.tobytes() == expected.tobytes()
+
+    def test_leaves_a_read_only_input_alone(self, rng):
+        values = rng.normal(size=(5, 9))
+        values.flags.writeable = False
+        before = values.copy()
+        out = zscore_normalize(values, axis=1)
+        assert out.flags.writeable and not np.shares_memory(out, values)
+        assert np.array_equal(values, before)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "num_rows, row_length", [(0, 10), (1, 10), (100, 1008), (5, BLOCK_ELEMENTS * 3), (7, 0)]
+    )
+    def test_blocks_cover_the_rows_in_order_within_the_budget(self, num_rows, row_length):
+        blocks = list(row_blocks(num_rows, row_length))
+        covered = [row for block in blocks for row in range(block.start, block.stop)]
+        assert covered == list(range(num_rows))
+        for block in blocks:
+            rows = block.stop - block.start
+            assert rows == 1 or rows * row_length <= BLOCK_ELEMENTS
 
 
 class TestMinMax:
