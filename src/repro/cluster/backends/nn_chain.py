@@ -12,24 +12,24 @@ no per-merge full-matrix argmin scans.
 
 The backend owns the square ``(n, n)`` matrix it is handed and
 agglomerates on it in place: a slot's distances are its row, read where it
-lies; a merge writes the Lance–Williams distances into the merged slot's row
-and column, and +inf over the retired slot's column.  With +inf on the
-diagonal too, no scan needs a mask, and no second ``(n, n)`` or condensed
-array exists.  That sentinel makes finite distances a precondition, which
+lies.  A merge of ``x`` and ``y`` rewrites row ``x`` from rows ``x`` and
+``y`` over all ``n`` entries, copies it into column ``x`` and writes +inf
+over column ``y``, so no merge gathers or scatters by index.  With +inf on
+the diagonal too, no scan needs a mask, and no second ``(n, n)`` or
+condensed array exists.  That sentinel makes finite distances a
+precondition, which
 :meth:`repro.cluster.hierarchical.AgglomerativeClustering.fit` checks before
 any backend runs.
 
 Merges are discovered in chain order, which is generally *not* sorted by
-merge distance, so the raw merge list is canonicalised afterwards: rows are
-stably sorted by distance and cluster ids are re-assigned with a union-find
-pass (the same post-processing SciPy applies to its ``nn_chain`` output).
-For reducible linkages a merge that consumes the product of an earlier merge
-always happens at a distance no smaller than that earlier merge, so a stable
-sort can never place a child merge before the merge that created its inputs,
-and every cut of the canonical dendrogram agrees with the full-matrix
-Lance–Williams loop (the test oracle) whenever the pairwise distances are
-tie-free (exact ties make the
-hierarchy ambiguous and may be broken differently — see
+merge distance, so the raw merge list is canonicalised afterwards by a
+stable sort on distance (Müllner, arXiv:1109.2378).  For reducible linkages
+a merge that consumes the product of an earlier merge happens at a
+distance no smaller than that earlier merge (rounding on tied distances can
+undercut it by an ulp; see :func:`_canonicalize`), and every cut of the
+canonical dendrogram agrees with the full-matrix Lance–Williams loop (the
+test oracle) whenever the pairwise distances are tie-free (exact ties make
+the hierarchy ambiguous and may be broken differently — see
 :mod:`repro.cluster.backends.base`).
 """
 
@@ -70,87 +70,86 @@ class NNChainBackend(ClusteringBackend):
             self.last_stats = {"merges": 0, "chain_steps": 0}
             return np.empty((0, 4))
 
-        use_squared = linkage is Linkage.WARD
-        if use_squared:
+        squared = linkage is Linkage.WARD
+        if squared:
             work **= 2
         np.fill_diagonal(work, np.inf)
-
-        active = np.ones(n, dtype=bool)
         sizes = np.ones(n, dtype=np.int64)
-        chain = np.empty(n, dtype=np.int64)
-        chain_len = 0
+        scratch = np.empty(n)
 
-        # Raw merge log in execution (chain) order; slots are observation
-        # indices standing for the cluster currently stored in that slot.
-        slot_a = np.empty(n - 1, dtype=np.int64)
-        slot_b = np.empty(n - 1, dtype=np.int64)
-        heights = np.empty(n - 1)
-        merged_sizes = np.empty(n - 1, dtype=np.int64)
-        chain_steps = 0
-
-        for merge_index in range(n - 1):
-            if chain_len == 0:
-                chain[0] = int(np.argmax(active))
-                chain_len = 1
-
-            # Grow the chain until the tip and its nearest neighbour are a
-            # reciprocal pair.  Preferring the chain's previous element on
-            # ties keeps the walk from oscillating between equidistant
-            # clusters and guarantees termination.  The diagonal and the
-            # retired slots' columns read +inf, so the row needs no mask.
-            while True:
-                chain_steps += 1
-                x = int(chain[chain_len - 1])
-                row = work[x]
-                if chain_len > 1:
-                    y = int(chain[chain_len - 2])
-                    d_xy = float(row[y])
-                else:
-                    y = -1
-                    d_xy = np.inf
-                best = int(row.argmin())
-                if float(row[best]) < d_xy:
-                    y = best
-                    d_xy = float(row[best])
-                if chain_len > 1 and y == int(chain[chain_len - 2]):
-                    break
-                chain[chain_len] = y
-                chain_len += 1
-
-            # Merge the reciprocal pair (x, y); the merged cluster stays in
-            # slot x, slot y retires.
-            chain_len -= 2
-            size_x, size_y = int(sizes[x]), int(sizes[y])
-            new_size = size_x + size_y
-            slot_a[merge_index] = x
-            slot_b[merge_index] = y
-            heights[merge_index] = (
-                float(np.sqrt(max(d_xy, 0.0))) if use_squared else d_xy
-            )
-            merged_sizes[merge_index] = new_size
-
-            active[x] = active[y] = False
-            others = np.flatnonzero(active)
-            active[x] = True
-            if others.size:
-                updated = lance_williams_update(
-                    linkage,
-                    row[others],
-                    work[y, others],
-                    d_xy,
-                    size_x,
-                    size_y,
-                    sizes[others],
-                )
-                row[others] = updated
-                work[others, x] = updated
-            # Retire slot y: no live row may pick it again.  Its own row is
-            # never read after this merge.
+        def merge(x: int, y: int) -> int:
+            # The merged cluster's distances overwrite row x and, by
+            # symmetry, column x; slot y retires behind a column of +inf.
+            lance_williams_update(linkage, work, x, y, sizes, scratch)
+            work[:, x] = work[x]
             work[:, y] = np.inf
-            sizes[x] = new_size
+            sizes[x] += sizes[y]
+            return int(sizes[x])
 
+        merges, chain_steps = chain_merges(n, work, merge, squared)
         self.last_stats = {"merges": n - 1, "chain_steps": chain_steps}
-        return _canonicalize(slot_a, slot_b, heights, merged_sizes, n)
+        return merges
+
+
+def chain_merges(n: int, rows, merge, squared: bool) -> tuple[np.ndarray, int]:
+    """Agglomerate ``n`` observations along nearest-neighbour chains.
+
+    ``rows[x]`` is slot ``x``'s row of distances to every slot, +inf for
+    itself and for retired slots (squared distances when ``squared``);
+    ``merge(x, y)`` merges slot ``y`` into slot ``x``, retires ``y`` and
+    returns the merged size.  Returns the canonical merge table and the
+    number of chain steps.
+    """
+    active = np.ones(n, dtype=bool)
+    chain = np.empty(n, dtype=np.int64)
+    chain_len = 0
+
+    # Raw merge log in execution (chain) order; slots are observation
+    # indices standing for the cluster currently stored in that slot.
+    slot_a = np.empty(n - 1, dtype=np.int64)
+    slot_b = np.empty(n - 1, dtype=np.int64)
+    heights = np.empty(n - 1)
+    merged_sizes = np.empty(n - 1, dtype=np.int64)
+    chain_steps = 0
+
+    for merge_index in range(n - 1):
+        if chain_len == 0:
+            chain[0] = int(np.argmax(active))
+            chain_len = 1
+
+        # Grow the chain until the tip and its nearest neighbour are a
+        # reciprocal pair.  Preferring the chain's previous element on ties
+        # keeps the walk from oscillating between equidistant clusters and
+        # guarantees termination.
+        while True:
+            chain_steps += 1
+            x = int(chain[chain_len - 1])
+            row = rows[x]
+            if chain_len > 1:
+                y = int(chain[chain_len - 2])
+                d_xy = float(row[y])
+            else:
+                y = -1
+                d_xy = np.inf
+            best = int(row.argmin())
+            if float(row[best]) < d_xy:
+                y = best
+                d_xy = float(row[best])
+            if chain_len > 1 and y == int(chain[chain_len - 2]):
+                break
+            chain[chain_len] = y
+            chain_len += 1
+
+        # Merge the reciprocal pair (x, y); the merged cluster stays in
+        # slot x, slot y retires.
+        chain_len -= 2
+        slot_a[merge_index] = x
+        slot_b[merge_index] = y
+        heights[merge_index] = float(np.sqrt(max(d_xy, 0.0))) if squared else d_xy
+        merged_sizes[merge_index] = merge(x, y)
+        active[y] = False
+
+    return _canonicalize(slot_a, slot_b, heights, merged_sizes, n), chain_steps
 
 
 def _canonicalize(
@@ -162,33 +161,39 @@ def _canonicalize(
 ) -> np.ndarray:
     """Sort chain-order merges by distance and re-assign canonical ids.
 
-    After the stable sort, a union-find pass over observation slots converts
-    each row's slot indices into the id of the cluster currently containing
-    that observation, numbering new clusters ``n + m`` in sorted order — the
-    convention of SciPy's linkage matrices.
+    Sorted merge ``m`` creates cluster ``n + m``, SciPy's convention.  Each
+    slot a merge joins holds the cluster built by the last earlier merge
+    that slot survived, or its own observation.  Rounding on tied distances
+    can record a merge below one that built its inputs; it is lifted to
+    that height first, so no merge sorts before its inputs.
     """
     n = num_observations
-    order = np.argsort(heights, kind="stable")
+    # Merges grouped by surviving slot, in chain order: each one's
+    # predecessor in its group built its slot-a input, and a group's last
+    # merge built what that slot held when it retired.
+    by_slot = np.argsort(slot_a, kind="stable")
+    grouped = slot_a[by_slot]
+    same = grouped[1:] == grouped[:-1]
+    built_a = np.full(n - 1, -1)
+    built_a[by_slot[1:]] = np.where(same, by_slot[:-1], -1)
+    last = np.full(n, -1)
+    ends = np.append(~same, True)
+    last[grouped[ends]] = by_slot[ends]
+    built_b = last[slot_b]
 
-    parent = np.arange(n)
-    cluster_id = np.arange(n)
+    keys = np.append(heights, -np.inf)  # index -1, "built by no merge"
+    while True:
+        below = np.maximum(keys[built_a], keys[built_b])
+        lifted = below > keys[:-1]
+        if not lifted.any():
+            break
+        keys[:-1][lifted] = below[lifted]
 
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = int(parent[root])
-        while parent[x] != root:
-            parent[x], x = root, int(parent[x])
-        return root
-
-    merges = np.empty((n - 1, 4))
-    for m, raw_index in enumerate(order):
-        root_a = find(int(slot_a[raw_index]))
-        root_b = find(int(slot_b[raw_index]))
-        id_a, id_b = int(cluster_id[root_a]), int(cluster_id[root_b])
-        if id_a > id_b:
-            id_a, id_b = id_b, id_a
-        merges[m] = (id_a, id_b, heights[raw_index], merged_sizes[raw_index])
-        parent[root_b] = root_a
-        cluster_id[root_a] = n + m
-    return merges
+    order = np.argsort(keys[:-1], kind="stable")
+    position = np.empty(n - 1, dtype=np.int64)
+    position[order] = np.arange(n - 1)
+    id_a = np.where(built_a < 0, slot_a, n + position[built_a])
+    id_b = np.where(built_b < 0, slot_b, n + position[built_b])
+    return np.column_stack(
+        (np.minimum(id_a, id_b), np.maximum(id_a, id_b), keys[:-1], merged_sizes)
+    )[order]

@@ -41,7 +41,7 @@ from repro.cluster.backends.base import ClusteringBackend
 from repro.cluster.backends.nn_chain import (
     _REDUCIBLE_LINKAGES,
     NNChainBackend,
-    _canonicalize,
+    chain_merges,
 )
 from repro.cluster.linkage import Linkage
 
@@ -109,64 +109,13 @@ class NNChainLowMemBackend(ClusteringBackend):
             state = _WardState(arr)
         else:
             state = _ScanState(arr, linkage, self.tile_size)
-
-        active = np.ones(n, dtype=bool)
-        chain = np.empty(n, dtype=np.int64)
-        chain_len = 0
-        chain_steps = 0
-
-        # Raw merge log in execution (chain) order; slots are observation
-        # indices standing for the cluster currently stored in that slot —
-        # the same convention as the square-matrix nn_chain backend.
-        slot_a = np.empty(n - 1, dtype=np.int64)
-        slot_b = np.empty(n - 1, dtype=np.int64)
-        heights = np.empty(n - 1)
-        merged_sizes = np.empty(n - 1, dtype=np.int64)
-
-        for merge_index in range(n - 1):
-            if chain_len == 0:
-                chain[0] = int(np.argmax(active))
-                chain_len = 1
-
-            # Grow the chain until the tip and its nearest neighbour are a
-            # reciprocal pair; preferring the previous chain element on ties
-            # keeps the walk from oscillating (same rule as nn_chain).
-            while True:
-                chain_steps += 1
-                x = int(chain[chain_len - 1])
-                row = state.cluster_row(x, active)
-                if chain_len > 1:
-                    y = int(chain[chain_len - 2])
-                    d_xy = float(row[y])
-                else:
-                    y = -1
-                    d_xy = np.inf
-                best = int(np.argmin(row))
-                if float(row[best]) < d_xy:
-                    y = best
-                    d_xy = float(row[best])
-                if chain_len > 1 and y == int(chain[chain_len - 2]):
-                    break
-                chain[chain_len] = y
-                chain_len += 1
-
-            # Merge the reciprocal pair (x, y); the merged cluster stays in
-            # slot x, slot y retires.
-            chain_len -= 2
-            slot_a[merge_index] = x
-            slot_b[merge_index] = y
-            heights[merge_index] = (
-                float(np.sqrt(max(d_xy, 0.0))) if state.squared else d_xy
-            )
-            merged_sizes[merge_index] = state.merge(x, y)
-            active[y] = False
-
+        merges, chain_steps = chain_merges(n, state, state.merge, state.squared)
         self.last_stats = {
             "merges": n - 1,
             "chain_steps": chain_steps,
             "tile_blocks": getattr(state, "tile_blocks", 0),
         }
-        return _canonicalize(slot_a, slot_b, heights, merged_sizes, n)
+        return merges
 
 
 class _WardState:
@@ -178,8 +127,9 @@ class _WardState:
         self.centroids = features.copy()
         self.sq_norms = np.einsum("ij,ij->i", features, features)
         self.sizes = np.ones(features.shape[0], dtype=np.int64)
+        self.active = np.ones(features.shape[0], dtype=bool)
 
-    def cluster_row(self, x: int, active: np.ndarray) -> np.ndarray:
+    def __getitem__(self, x: int) -> np.ndarray:
         """Squared Ward distances from slot ``x`` to every slot (inf-masked)."""
         center = self.centroids[x]
         gram = self.centroids @ center
@@ -187,7 +137,7 @@ class _WardState:
         np.maximum(gap, 0.0, out=gap)
         sizes = self.sizes
         row = (2.0 * sizes[x]) * sizes / (sizes + sizes[x]) * gap
-        row[~active] = np.inf
+        row[~self.active] = np.inf
         row[x] = np.inf
         return row
 
@@ -200,6 +150,7 @@ class _WardState:
         self.centroids[x] = merged
         self.sq_norms[x] = merged @ merged
         self.sizes[x] = new_size
+        self.active[y] = False
         return new_size
 
 
@@ -222,6 +173,7 @@ class _ScanState:
         n = features.shape[0]
         self.sq_norms = np.einsum("ij,ij->i", features, features)
         self.sizes = np.ones(n, dtype=np.int64)
+        self.active = np.ones(n, dtype=bool)
         self.point_slot = np.arange(n)
         self.members: list[np.ndarray | None] = [
             np.array([i], dtype=np.int64) for i in range(n)
@@ -261,7 +213,7 @@ class _ScanState:
                     agg[c0:c1] += sq.sum(axis=0)
         return agg
 
-    def cluster_row(self, x: int, active: np.ndarray) -> np.ndarray:
+    def __getitem__(self, x: int) -> np.ndarray:
         """Linkage distances from slot ``x`` to every slot (inf-masked)."""
         n = self.features.shape[0]
         member_rows = self.members[x]
@@ -277,7 +229,7 @@ class _ScanState:
             # always defined; their garbage means are inf-masked below.
             sums = np.bincount(self.point_slot, weights=agg, minlength=n)
             row = sums / (member_rows.size * self.sizes)
-        row[~active] = np.inf
+        row[~self.active] = np.inf
         row[x] = np.inf
         return row
 
@@ -288,4 +240,5 @@ class _ScanState:
         self.point_slot[members_y] = x
         new_size = int(self.sizes[x]) + int(self.sizes[y])
         self.sizes[x] = new_size
+        self.active[y] = False
         return new_size

@@ -275,15 +275,21 @@ class AgglomerativeClustering:
         Raises
         ------
         ValueError
-            If the input is malformed, holds a NaN or infinite value (the
-            message names the first such row), or the precomputed matrix is
-            not symmetric.
+            If the input is malformed, holds a NaN or infinite value, or
+            the precomputed matrix holds a negative distance (the message
+            names the first such row) or is not symmetric.
         """
         if precomputed_distances is not None:
             distances = np.asarray(precomputed_distances, dtype=float)
             if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
                 raise ValueError("precomputed_distances must be a square matrix")
             _require_finite_rows(distances, "precomputed_distances")
+            negative_rows = (distances < 0).any(axis=1)
+            if negative_rows.any():
+                raise ValueError(
+                    f"precomputed_distances row {int(np.argmax(negative_rows))} "
+                    "holds a negative distance"
+                )
             symmetric_rows = (distances == distances.T).all(axis=1)
             if not symmetric_rows.all():
                 raise ValueError(

@@ -9,6 +9,9 @@ with the Lance–Williams recurrence
 whose coefficients depend on the linkage criterion.  The paper uses
 average linkage; single, complete and Ward linkage are provided for the
 ablation study (benchmark A1).
+
+:func:`lance_williams_update` applies it to a whole row of the square
+matrix in place.
 """
 
 from __future__ import annotations
@@ -65,29 +68,54 @@ def lance_williams_coefficients(
 
 def lance_williams_update(
     linkage: Linkage,
-    d_ik: np.ndarray,
-    d_jk: np.ndarray,
-    d_ij: float,
-    size_i: int,
-    size_j: int,
-    sizes_k: np.ndarray,
-) -> np.ndarray:
-    """Return the updated distances ``d(i∪j, k)`` for a batch of clusters ``k``.
+    work: np.ndarray,
+    x: int,
+    y: int,
+    sizes: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Overwrite row ``x`` of ``work`` with ``d(x∪y, k)`` for every slot ``k``.
 
-    This is the single shared implementation of the recurrence used by every
-    clustering backend, so a fix here keeps their cuts in agreement.  For
-    Ward linkage all distances (``d_ik``, ``d_jk``, ``d_ij`` and the return
-    value) are *squared* Euclidean distances; ``sizes_k`` holds the size of
-    each third cluster and is only consulted by Ward.
+    ``work`` is the agglomeration's square matrix (squared distances for
+    Ward) with +inf on the diagonal and in retired columns, which stay +inf;
+    ``sizes`` holds the sizes before the merge, ``scratch`` is one float64
+    row, and row ``y`` is clobbered.  Each finite entry sees the operations
+    of the recurrence above in its order, zero terms included where a −0.0
+    could tell (average linkage's β and γ terms amount to ``+ 0.0``).
     """
+    row, other = work[x], work[y]
+    size_x, size_y = int(sizes[x]), int(sizes[y])
     if linkage is Linkage.WARD:
-        total = size_i + size_j + sizes_k
-        return (
-            (size_i + sizes_k) / total * d_ik
-            + (size_j + sizes_k) / total * d_jk
-            - sizes_k / total * d_ij
-        )
-    alpha_i, alpha_j, beta, gamma = lance_williams_coefficients(
-        linkage, size_i, size_j, 1
+        d_xy = float(row[y])
+        total = sizes + (size_x + size_y)
+        np.divide(sizes + size_x, total, out=scratch)
+        row *= scratch
+        np.divide(sizes + size_y, total, out=scratch)
+        other *= scratch
+        row += other
+        np.divide(sizes, total, out=scratch)
+        scratch *= d_xy
+        row -= scratch
+        return
+    alpha_x, alpha_y, beta, gamma = lance_williams_coefficients(
+        linkage, size_x, size_y, 1
     )
-    return alpha_i * d_ik + alpha_j * d_jk + beta * d_ij + gamma * np.abs(d_ik - d_jk)
+    if linkage is Linkage.AVERAGE:
+        row *= alpha_x
+        other *= alpha_y
+        row += other
+        row += 0.0
+        return
+    # Where a row reads +inf, |inf - inf| or inf - inf gives NaN: fmin sets
+    # exactly those entries back to +inf.
+    d_xy = float(row[y])
+    with np.errstate(invalid="ignore"):
+        np.subtract(row, other, out=scratch)
+        np.abs(scratch, out=scratch)
+        scratch *= gamma
+        row *= alpha_x
+        other *= alpha_y
+        row += other
+        row += beta * d_xy
+        row += scratch
+    np.fmin(row, np.inf, out=row)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracles.nn_chain import lance_williams_update
 from repro.cluster.backends.base import ClusteringBackend
-from repro.cluster.linkage import Linkage, lance_williams_update
+from repro.cluster.linkage import Linkage
 
 
 class GenericBackend(ClusteringBackend):

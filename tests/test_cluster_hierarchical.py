@@ -203,3 +203,31 @@ class TestNonFiniteInput:
             AgglomerativeClustering().fit(
                 np.empty((0, 0)), precomputed_distances=distances
             )
+
+
+class TestNegativePrecomputedDistances:
+    """A negative distance is refused before any backend runs; −0.0 is not
+    negative and merges at height −0.0."""
+
+    def test_negative_entry_names_its_row(self):
+        with pytest.raises(
+            ValueError, match="^precomputed_distances row 0 holds a negative distance$"
+        ):
+            AgglomerativeClustering().fit(
+                np.empty((0, 0)),
+                precomputed_distances=[[0, -1, 2], [-1, 0, 3], [2, 3, 0]],
+            )
+
+    def test_first_row_holding_one_is_named(self):
+        distances = np.array(
+            [[0.0, 1.0, 2.0, 4.0], [1.0, 0.0, 3.0, -1e-300], [2.0, 3.0, 0.0, 5.0], [4.0, -1e-300, 5.0, 0.0]]
+        )
+        with pytest.raises(ValueError, match="^precomputed_distances row 1 holds"):
+            AgglomerativeClustering().fit(np.empty((0, 0)), precomputed_distances=distances)
+
+    def test_negative_zero_is_accepted(self):
+        dendrogram = AgglomerativeClustering().fit(
+            np.empty((0, 0)), precomputed_distances=[[0, -0.0, 2], [-0.0, 0, 3], [2, 3, 0]]
+        )
+        assert dendrogram.merges[:, :2].tolist() == [[0, 1], [2, 3]]
+        assert dendrogram.merges[:, 2].tolist() == [0.0, 2.5]
