@@ -136,23 +136,17 @@ def _check_tower_count(num_towers: int, config: ModelConfig, source: str) -> Non
         )
 
 
-def _streaming_options(args: argparse.Namespace) -> tuple[int, int]:
-    """Validate ``--chunk-size``/``--workers`` and resolve them to ints.
+def _chunk_size(args: argparse.Namespace) -> int:
+    """Validate ``--chunk-size``; ``0`` means "read the trace whole".
 
-    Returns ``(chunk_size, workers)`` with ``0`` meaning "not requested";
-    out-of-range values fail with the one-line exit-2 operational style.
+    A non-positive value fails with the one-line exit-2 operational style.
     """
     chunk_size = getattr(args, "chunk_size", None)
     if chunk_size is not None and chunk_size <= 0:
         raise CLIError(
             f"--chunk-size must be a positive record count, got {chunk_size}"
         )
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < -1:
-        raise CLIError(
-            f"--workers must be >= -1 (0 = serial, -1 = all cores), got {workers}"
-        )
-    return chunk_size or 0, workers or 0
+    return chunk_size or 0
 
 
 def _record_chunks(path: str | Path, chunk_size: int):
@@ -241,8 +235,9 @@ def _add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="tile edge of the memory-bounded backend's blocked distance "
-        "scans (default 1024 ≈ 8 MB per tile; results are identical for "
-        "every tile size)",
+        "scans (default 1024 ≈ 8 MB per tile; the tile size can move merge "
+        "heights by a few ulps, and changes merges and cuts only where two "
+        "distances are that close)",
     )
 
 
@@ -298,11 +293,11 @@ def _fit_model(
 ) -> tuple[TrafficPatternModel, Scenario | None]:
     from repro.core.config import ModelConfig
     from repro.core.model import TrafficPatternModel
+    from repro.ingest.dedup import clean_chunk
     from repro.ingest.loader import read_stations_csv
     from repro.utils.timeutils import TimeWindow
-    from repro.vectorize.parallel import clean_chunk
 
-    chunk_size, workers = _streaming_options(args)
+    chunk_size = _chunk_size(args)
     backend, tile_size = _cluster_options(args)
     config_kwargs = dict(
         max_clusters=args.max_clusters,
@@ -316,13 +311,6 @@ def _fit_model(
 
     if chunk_size and not args.input:
         raise SystemExit("--chunk-size only applies when fitting from --input")
-    if workers and not (args.input and chunk_size):
-        # Without a chunked trace there is nothing to shard; erroring beats
-        # accepting the flag and running silently serial.
-        raise CLIError(
-            "--workers needs a streaming input: pass --input together with "
-            "--chunk-size so the trace is read in shardable chunks"
-        )
     if args.input:
         if not args.stations:
             raise SystemExit("--stations is required when --input is given")
@@ -333,15 +321,11 @@ def _fit_model(
         tower_ids = [station.tower_id for station in stations]
         # Each chunk is cleaned on its own (clean_chunk) and scattered into
         # the accumulator matrix, so with --chunk-size memory stays bounded
-        # by the chunk size regardless of the trace size.  With --workers
-        # the chunks fan out to a multiprocessing pool that cleans and
-        # scatters into shared-memory shard grids while the main process
-        # keeps reading the CSV.
+        # by the chunk size regardless of the trace size.
         model.fit_batches(
             _record_chunks(args.input, chunk_size),
             TimeWindow(num_days=args.days),
             tower_ids,
-            workers=workers,
             prepare=clean_chunk,
             tracer=tracer,
             metrics=metrics,
@@ -460,23 +444,17 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_update(args: argparse.Namespace) -> int:
     from repro.core.model import TrafficPatternModel
-    from repro.vectorize.parallel import clean_chunk
+    from repro.ingest.dedup import clean_chunk
 
-    chunk_size, workers = _streaming_options(args)
+    chunk_size = _chunk_size(args)
     traced, trace_out = _trace_options(args)
     tracer = Tracer() if traced else None
     metrics = MetricsRegistry() if traced else None
-    if workers and not chunk_size:
-        raise CLIError(
-            "--workers needs --chunk-size so the new trace is read in "
-            "shardable chunks"
-        )
     model = TrafficPatternModel.load(args.model)
     window = model.result.window
     trace_path = _require_file(args.input, "input trace")
     result = model.update(
         _record_chunks(trace_path, chunk_size),
-        workers=workers,
         prepare=clean_chunk,
         tracer=tracer,
         metrics=metrics,
@@ -752,14 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fit for traces larger than memory; each chunk is cleaned "
         "independently; default loads the whole trace)",
     )
-    fit.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan the streamed chunks out to this many multiprocessing "
-        "workers (shared-memory shard grids; -1 uses all cores; requires "
-        "--input with --chunk-size; default is serial)",
-    )
     fit.add_argument("--clusters", type=int, default=None, help="fixed number of clusters")
     fit.add_argument("--max-clusters", type=int, default=10, help="tuner upper bound")
     _add_cluster_arguments(fit)
@@ -794,14 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="stream the new trace in chunks of this many records "
         "(default loads it whole)",
-    )
-    update.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan the streamed chunks out to this many multiprocessing "
-        "workers (-1 uses all cores; requires --chunk-size; default is "
-        "serial)",
     )
     _add_trace_argument(update)
     update.set_defaults(handler=_cmd_update)

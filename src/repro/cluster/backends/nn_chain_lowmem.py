@@ -59,7 +59,11 @@ class NNChainLowMemBackend(ClusteringBackend):
         Edge length of the blocked pairwise-distance tiles used by the
         single/complete/average scans (Ward needs no tiles — its chain step
         is a single matvec).  Larger tiles trade memory for fewer BLAS
-        calls; results are equivalent for every tile size.
+        calls.  The tile width changes how BLAS blocks the
+        ``x² + y² − 2xy`` kernel, so single/complete/average merge heights
+        can differ by a few ulps between tile sizes; merge pairs, sizes and
+        cuts differ only where two candidate distances lie within that
+        rounding.
     """
 
     name = "nn_chain_lowmem"

@@ -229,8 +229,10 @@ class AgglomerativeClustering:
         only in speed and memory; exact ties may be broken differently.
     tile_size:
         Blocked-scan tile edge of the memory-bounded backend (ignored by
-        the others); ``None`` keeps the backend default.  Results are
-        equivalent for every tile size.
+        the others); ``None`` keeps the backend default.  Merge heights
+        can differ by a few ulps between tile sizes; merge pairs, sizes and
+        cuts differ only where two candidate distances lie within that
+        rounding.
     """
 
     def __init__(

@@ -32,8 +32,11 @@ class ModelConfig:
     cluster_tile_size:
         Edge length of the blocked distance tiles used by the
         memory-bounded clustering backend (1024² float64 ≈ 8 MB per tile);
-        ignored by the O(n²) backends.  Results are equivalent for every
-        tile size — this only trades peak memory against BLAS call count.
+        ignored by the O(n²) backends.  It trades peak memory against BLAS
+        call count.  The tile width changes the rounding of the tiled
+        distances, so merge heights can differ by a few ulps between tile
+        sizes; merge pairs, sizes and cuts differ only where two candidate
+        distances lie within that rounding.
     validity_index:
         Validity index minimised/maximised by the metric tuner
         (``"davies_bouldin"`` in the paper).

@@ -145,7 +145,7 @@ class TrafficPatternModel:
 
     def fit_batches(
         self,
-        batches: Iterable[RecordBatch],
+        batches: RecordBatch | Iterable[RecordBatch],
         window: TimeWindow,
         tower_ids: Sequence[int],
         *,
@@ -160,21 +160,18 @@ class TrafficPatternModel:
         Each batch is scattered into the accumulator matrix as it arrives,
         so traces larger than memory can be fitted; ``tower_ids`` must be
         known up front (typically from the station directory) and give the
-        row order.  A whole trace in memory is a stream of one batch.
+        row order.  A whole trace in memory is one batch, passed as it is.
         Batches must be cleaned — pass
-        ``prepare=repro.vectorize.parallel.clean_chunk`` to clean each
-        chunk on the fly (inside the workers when parallel), or clean them
-        with :func:`repro.ingest.dedup.clean_batch` first — otherwise
-        duplicates and conflicting copies inflate the matrix silently.
-
-        ``workers`` shards the aggregation across a multiprocessing pool
-        (``0``, the default, = serial reference, ``-1`` = all cores); see
-        :func:`repro.vectorize.aggregate.accumulate_batches` for the
-        determinism/ulp notes.
+        ``prepare=repro.ingest.dedup.clean_chunk`` to clean each chunk on
+        the fly, or clean them with :func:`repro.ingest.dedup.clean_batch`
+        first — otherwise duplicates and conflicting copies inflate the
+        matrix silently.  ``workers`` is ignored: records reach the grid by
+        one serial path (:func:`repro.vectorize.aggregate.accumulate_batches`),
+        so no keyword changes the fitted arrays.
 
         ``tracer``/``metrics`` thread the optional telemetry plane through
-        the ingest (an ``ingest`` child span under the ``fit`` root, with
-        per-worker child spans when parallel) and the pipeline stages.
+        the ingest (an ``ingest`` child span under the ``fit`` root) and the
+        pipeline stages.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         # Build the context inline rather than delegating to fit(): the
@@ -185,7 +182,6 @@ class TrafficPatternModel:
                     batches,
                     window,
                     tower_ids,
-                    workers=workers,
                     prepare=prepare,
                     tracer=tracer,
                     metrics=metrics,
@@ -247,34 +243,26 @@ class TrafficPatternModel:
         The new batches — typically one fresh day of cleaned traces — are
         scatter-added onto a copy of the stored slot grid by the same call
         :meth:`fit_batches` makes
-        (:func:`repro.vectorize.aggregate.accumulate_batches`).  Serially
-        (``workers=0``, the default) that continues the exact accumulation
-        sequence a full re-aggregation of the concatenated trace would
-        perform, so the merged matrix (and every downstream cut, on
-        tie-free distances) is bit-for-bit identical to a full refit.  Only
-        the downstream stages whose input fingerprints changed are re-run;
-        unchanged stages republish their previous outputs
-        (``extras["stages_reused"]`` lists them).
+        (:func:`repro.vectorize.aggregate.accumulate_batches`).  That
+        continues the exact accumulation sequence a full re-aggregation of
+        the concatenated trace would perform, so the merged matrix (and
+        every downstream cut, on tie-free distances) is bit-for-bit
+        identical to a full refit.  Only the downstream stages whose input
+        fingerprints changed are re-run; unchanged stages republish their
+        previous outputs (``extras["stages_reused"]`` lists them).
 
         Towers absent from the stored grid are ignored and the observation
         window is fixed at fit time — records starting past its end
         contribute nothing.  ``extras["update_stats"]`` on the returned
         result reports how many of the incoming records actually landed on
         the grid, so callers can detect a trace that silently missed the
-        window entirely.  ``prepare``, ``tracer`` and ``metrics`` work as
-        in :meth:`fit_batches`.  A city is only needed to recompute POI
-        profiles from scratch; when omitted, the persisted POI profile
-        re-labels the fresh cluster cut.
-
-        ``workers >= 1`` (``-1`` = all cores) shards the scatter across a
-        multiprocessing pool whose summed shard grids are added onto the
-        stored grid once: deterministic for a fixed worker count, but it may
-        differ from the serial update at the ulp level.
+        window entirely.  ``workers``, ``prepare``, ``tracer`` and
+        ``metrics`` work as in :meth:`fit_batches`.  A city is only needed
+        to recompute POI profiles from scratch; when omitted, the persisted
+        POI profile re-labels the fresh cluster cut.
         """
         result = self.result
         base = result.vectorized.raw
-        if isinstance(batches, RecordBatch):
-            batches = [batches]
         merged = TowerTrafficMatrix(
             tower_ids=base.tower_ids.copy(),
             traffic=base.traffic.copy(),
@@ -287,7 +275,6 @@ class TrafficPatternModel:
                     merged.traffic,
                     TowerRowIndex(merged.tower_ids),
                     batches,
-                    workers=workers,
                     prepare=prepare,
                     tracer=tracer,
                     metrics=metrics,

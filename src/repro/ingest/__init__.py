@@ -17,7 +17,7 @@ from repro.ingest.batch import (
     decode_networks,
     encode_networks,
 )
-from repro.ingest.dedup import DedupReport, clean_batch
+from repro.ingest.dedup import DedupReport, clean_batch, clean_chunk
 from repro.ingest.density import TrafficDensityMap, compute_density_map
 from repro.ingest.geocode import GeocodingReport, geocode_stations
 from repro.ingest.loader import (
@@ -45,6 +45,7 @@ __all__ = [
     "TraceFormatError",
     "TrafficDensityMap",
     "clean_batch",
+    "clean_chunk",
     "compute_density_map",
     "decode_networks",
     "encode_networks",

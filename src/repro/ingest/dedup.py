@@ -11,6 +11,9 @@ logs, such as the identical traffic logs, introduced by technical issues".
   different byte counts) collapse into one record carrying the median byte
   count, which is robust to a single corrupted copy.
 
+:func:`clean_chunk` is the same clean without the report, the ``prepare``
+hook that cleans each chunk of a streamed fit or update.
+
 The record-at-a-time version it is tested against lives in
 ``tests/oracles/dedup.py``.
 """
@@ -175,3 +178,14 @@ def clean_batch(batch: RecordBatch) -> tuple[RecordBatch, DedupReport]:
         num_conflict_records_removed=int(identity_starts.shape[0] - starts.shape[0]),
     )
     return resolved, report
+
+
+def clean_chunk(batch: RecordBatch) -> RecordBatch:
+    """:func:`clean_batch` without its report: the per-chunk ``prepare``.
+
+    The CLI's ``fit --input`` and ``update`` pass it to
+    :func:`~repro.vectorize.aggregate.accumulate_batches`, which cleans
+    each chunk on its own before scattering it.
+    """
+    cleaned, _ = clean_batch(batch)
+    return cleaned

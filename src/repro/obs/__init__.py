@@ -1,7 +1,7 @@
 """Unified telemetry plane: hierarchical span tracing + a metrics registry.
 
 Every performance-critical plane of the reproduction — the staged fit
-pipeline, the shard-parallel ingest pool, the clustering backends, the
+pipeline, the streamed ingest, the clustering backends, the
 batched simplex decomposition and the serving layer — reports into the two
 primitives of this package:
 
@@ -13,7 +13,7 @@ primitives of this package:
   (:func:`repro.viz.ascii.render_trace_tree`);
 * :class:`~repro.obs.metrics.MetricsRegistry` — named counters, gauges and
   fixed-bucket histograms (p50/p95/p99) for cumulative statistics: queries
-  and request latency served, records ingested, worker queue occupancy.
+  and request latency served, chunks and records ingested.
 
 Tracing is **off by default** everywhere: the no-op
 :data:`~repro.obs.trace.NULL_TRACER` singleton stands in when no tracer is

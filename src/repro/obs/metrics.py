@@ -11,7 +11,7 @@ needs:
   a point in time);
 * :class:`Histogram` — fixed-bucket distribution with exact
   ``count``/``sum``/``min``/``max`` and interpolated ``p50``/``p95``/
-  ``p99`` quantiles (query latency, worker queue occupancy).
+  ``p99`` quantiles (query latency).
 
 Instruments are created lazily and get-or-create by name through a
 :class:`MetricsRegistry`; :meth:`MetricsRegistry.snapshot` returns the
@@ -42,9 +42,6 @@ from typing import Any, Iterable
 #: quantile lies in the bucket of the exact one, so inside that range it is
 #: within 26% of it; a served query takes tens of µs, far above the floor.
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = tuple(10.0 ** (k / 10) for k in range(-60, 16))
-
-#: Default buckets for small occupancy/size counts (queue depths etc.).
-DEFAULT_COUNT_BUCKETS: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
 class Counter:

@@ -13,10 +13,6 @@ carry free-form ``attributes`` (set once, describe the work) and integer
 Both clocks are injectable, so tests can drive the tracer with a scripted
 fake clock and assert exact durations — no sleeping, no tolerance bands.
 
-Completed sub-traces measured elsewhere (e.g. by the workers of the parallel
-ingest pool, in their own processes) are grafted onto the live tree with
-:meth:`Tracer.attach` — a finished child span with caller-supplied timings.
-
 The no-op twin
 --------------
 :data:`NULL_TRACER` is a :class:`NullTracer` singleton whose ``span()``
@@ -69,8 +65,7 @@ TRACE_SCHEMA_VERSION = 1
 class Span:
     """One node of a trace: a named, timed unit of work.
 
-    Spans are created by :meth:`Tracer.span` (live measurement) or
-    :meth:`Tracer.attach` (pre-measured graft) — not directly.
+    Spans are created by :meth:`Tracer.span`, not directly.
     """
 
     __slots__ = (
@@ -225,35 +220,6 @@ class Tracer:
         """Return a context manager recording ``name`` under the open span."""
         return _ActiveSpan(self, Span(name, attributes))
 
-    def attach(
-        self,
-        name: str,
-        *,
-        wall_seconds: float = 0.0,
-        cpu_seconds: float = 0.0,
-        counters: Mapping[str, int] | None = None,
-        attributes: Mapping[str, Any] | None = None,
-    ) -> Span:
-        """Graft a pre-measured, already-finished child span onto the tree.
-
-        Used for work measured in another process (e.g. one parallel-ingest
-        worker's shard): the span lands under the currently open span (or as
-        a root) with the caller's timings and counters, bypassing the
-        clocks entirely.
-        """
-        span = Span(name, attributes)
-        span.wall_seconds = float(wall_seconds)
-        span.cpu_seconds = float(cpu_seconds)
-        parent = self.current
-        span.start_s = self._clock() - self._epoch
-        for key, value in (counters or {}).items():
-            span.count(key, value)
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            self.roots.append(span)
-        return span
-
     def _enter(self, span: Span) -> None:
         parent = self.current
         if parent is not None:
@@ -376,8 +342,8 @@ NULL_SPAN = _NullSpan()
 class NullTracer:
     """Do-nothing :class:`Tracer` twin used when tracing is disabled.
 
-    Shares the tracer's duck interface (``span``/``attach``/``current``/
-    ``find``/``to_dict``) but records nothing and allocates nothing per
+    Shares the tracer's duck interface (``span``/``current``/``find``/
+    ``to_dict``) but records nothing and allocates nothing per
     call, so instrumented code needs no ``if tracer is not None`` guards.
     """
 
@@ -386,9 +352,6 @@ class NullTracer:
     roots: list[Span] = []
 
     def span(self, name: str, **attributes: Any) -> _NullSpan:
-        return NULL_SPAN
-
-    def attach(self, name: str, **kwargs: Any) -> _NullSpan:
         return NULL_SPAN
 
     @property

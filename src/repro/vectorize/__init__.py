@@ -13,7 +13,6 @@ from repro.utils.lazy import lazy_exports
 _EXPORTS = {
     "aggregate": ("TowerRowIndex", "accumulate_batches", "aggregate_batches"),
     "normalize": ("NormalizationMethod", "normalize_matrix", "normalize_vector"),
-    "parallel": ("ParallelIngestError", "clean_chunk", "resolve_workers"),
     "slots": ("slot_edges", "slot_spans_of_intervals", "split_bytes_over_slots_batch"),
     "vectorizer": ("TrafficVectorizer", "VectorizedTraffic"),
 }

@@ -3,12 +3,12 @@
 Converts raw connection records into a per-tower × per-slot traffic matrix.
 Every path from records to a slot grid goes through one function:
 
-* :func:`accumulate_batches` — folds a stream of
-  :class:`~repro.ingest.batch.RecordBatch` chunks onto a grid the caller
-  owns, serially or through the shard pool of :mod:`repro.vectorize.parallel`,
-  and counts what it folded.  :func:`aggregate_batches` calls it with a zero
-  grid (the fit), :meth:`~repro.core.model.TrafficPatternModel.update` with a
-  copy of the stored grid.
+* :func:`accumulate_batches` — folds one
+  :class:`~repro.ingest.batch.RecordBatch` or a stream of them onto a grid
+  the caller owns, in stream order, and counts what it folded.
+  :func:`aggregate_batches` calls it with a zero grid (the fit),
+  :meth:`~repro.core.model.TrafficPatternModel.update` with a copy of the
+  stored grid.
 * :func:`scatter_batch_into` — one batch scatter-added onto an existing
   :class:`~repro.synth.traffic.TowerTrafficMatrix`.
 
@@ -30,7 +30,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.synth.traffic import TowerTrafficMatrix
 from repro.utils.timeutils import SLOT_SECONDS, TimeWindow
-from repro.vectorize.parallel import fold_in_workers, resolve_workers
 from repro.vectorize.slots import split_bytes_over_slots_batch
 
 
@@ -106,51 +105,34 @@ def _scatter_batch(batch: RecordBatch, traffic: np.ndarray, index: TowerRowIndex
 def accumulate_batches(
     traffic: np.ndarray,
     index: TowerRowIndex,
-    batches: Iterable[RecordBatch],
+    batches: RecordBatch | Iterable[RecordBatch],
     *,
-    workers: int = 0,
     prepare: Callable[[RecordBatch], RecordBatch] | None = None,
     tracer: Tracer | NullTracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> tuple[int, int]:
-    """Fold a stream of record batches onto ``traffic``, in place.
+    """Fold a record batch, or a stream of them, onto ``traffic`` in place.
 
     ``traffic`` is a ``(towers, slots)`` grid whose rows follow ``index``;
-    records on other towers are ignored.  Returns ``(records_seen,
+    records on other towers are ignored.  Each chunk is scattered onto
+    ``traffic`` in stream order, so memory is one chunk plus the grid.
+    ``prepare`` transforms each chunk before it is scattered (e.g.
+    :func:`~repro.ingest.dedup.clean_chunk`).  Returns ``(records_seen,
     records_folded)``: the records the stream delivered (after
     ``prepare``), and those on a known tower starting inside the window.
     ``chunks``, ``records_seen`` and ``records_folded`` are counted here
     once, on the open span and as ``ingest.*`` in ``metrics``.
-
-    ``workers=0`` scatters each chunk onto ``traffic`` in stream order.
-    ``>= 1`` (``-1``: one per core) fans the chunks out to a pool of zeroed
-    shard grids whose sum is added onto ``traffic`` once
-    (:func:`repro.vectorize.parallel.fold_in_workers`); that is
-    deterministic for a fixed worker count but may differ from the serial
-    grid at the ulp level.  ``prepare`` transforms each chunk before it is
-    scattered (e.g. :func:`~repro.vectorize.parallel.clean_chunk`); on the
-    parallel path it runs in the workers, so it must be picklable.
     """
+    if isinstance(batches, RecordBatch):
+        batches = (batches,)
     tracer = tracer if tracer is not None else NULL_TRACER
-    num_workers = resolve_workers(workers)
-    if num_workers > 0:
-        chunks, records_seen, records_folded = fold_in_workers(
-            traffic,
-            index,
-            batches,
-            workers=num_workers,
-            prepare=prepare,
-            tracer=tracer,
-            metrics=metrics,
-        )
-    else:
-        chunks = records_seen = records_folded = 0
-        for batch in batches:
-            if prepare is not None:
-                batch = prepare(batch)
-            chunks += 1
-            records_seen += len(batch)
-            records_folded += _scatter_batch(batch, traffic, index)
+    chunks = records_seen = records_folded = 0
+    for batch in batches:
+        if prepare is not None:
+            batch = prepare(batch)
+        chunks += 1
+        records_seen += len(batch)
+        records_folded += _scatter_batch(batch, traffic, index)
     span = tracer.current
     counts = (chunks, records_seen, records_folded)
     for name, value in zip(("chunks", "records_seen", "records_folded"), counts):
@@ -161,16 +143,15 @@ def accumulate_batches(
 
 
 def aggregate_batches(
-    batches: Iterable[RecordBatch],
+    batches: RecordBatch | Iterable[RecordBatch],
     window: TimeWindow,
     tower_ids: Sequence[int],
     *,
-    workers: int = 0,
     prepare: Callable[[RecordBatch], RecordBatch] | None = None,
     tracer: Tracer | NullTracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> TowerTrafficMatrix:
-    """Aggregate a stream of record batches without materialising the trace.
+    """Aggregate a record batch, or a stream of them, into a new grid.
 
     Rows follow ``tower_ids`` — towers absent from it are ignored, towers
     without records get all-zero rows, and duplicate ids raise
@@ -184,7 +165,6 @@ def aggregate_batches(
         traffic,
         TowerRowIndex(ordered),
         batches,
-        workers=workers,
         prepare=prepare,
         tracer=tracer,
         metrics=metrics,

@@ -1,18 +1,14 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import csv
-from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 
-#: ``--chunk-size``/``--workers`` variants of one streamed read: whole file,
-#: chunked, and chunked through the two-worker shard pool.
+#: ``--chunk-size`` variants of one streamed read: whole file and chunked.
 STREAMING_VARIANTS = pytest.mark.parametrize(
-    "streaming",
-    [[], ["--chunk-size", "3"], ["--chunk-size", "3", "--workers", "2"]],
-    ids=["whole", "chunked", "parallel"],
+    "streaming", [[], ["--chunk-size", "3"]], ids=["whole", "chunked"]
 )
 
 
@@ -44,12 +40,6 @@ def _malformed_trace(tmp_path):
     trace, stations = _generated_trace(tmp_path)
     _edit_line(trace, 6, lambda line: line.rsplit(",", 1)[0] + ",4G")
     return trace, stations
-
-
-def _shm_segments():
-    """Names of the multiprocessing shared-memory segments that exist now."""
-    shm = Path("/dev/shm")
-    return {path.name for path in shm.glob("psm_*")} if shm.is_dir() else set()
 
 
 def _assert_one_line_error(capsys, prefix):
@@ -86,7 +76,7 @@ class TestParser:
 
     def test_unknown_cluster_backend_is_operational_error(self, capsys):
         # Unknown backend names fail as one-line exit-2 operational errors
-        # (not argparse usage dumps), like --workers/--chunk-size.
+        # (not argparse usage dumps), like --chunk-size.
         exit_code = main(["fit", "--towers", "10", "--cluster-backend", "bogus"])
         assert exit_code == 2
         err = capsys.readouterr().err
@@ -239,7 +229,6 @@ class TestFit:
     def test_malformed_trace_row_exits_2_with_one_liner(self, streaming, tmp_path, capsys):
         trace, stations = _malformed_trace(tmp_path)
         capsys.readouterr()
-        segments = _shm_segments()
         exit_code = main(
             [
                 "fit",
@@ -252,8 +241,6 @@ class TestFit:
         )
         assert exit_code == 2
         _assert_one_line_trace_error(capsys, trace)
-        assert _shm_segments() - segments == set()
-
 
     @STREAMING_VARIANTS
     def test_undecodable_trace_byte_exits_2_with_one_liner(self, streaming, tmp_path, capsys):
@@ -262,7 +249,6 @@ class TestFit:
         lines[5] = lines[5].rsplit(b",", 1)[0] + b",LT\xffE"
         trace.write_bytes(b"\n".join(lines))
         capsys.readouterr()
-        segments = _shm_segments()
         exit_code = main(
             [
                 "fit",
@@ -276,7 +262,6 @@ class TestFit:
         assert exit_code == 2
         err = _assert_one_line_error(capsys, f"{trace}:6: ")
         assert "0xff" in err and "UTF-8" in err
-        assert _shm_segments() - segments == set()
 
     def test_undecodable_station_byte_exits_2_with_one_liner(self, tmp_path, capsys):
         trace, stations = _generated_trace(tmp_path)
@@ -400,13 +385,11 @@ class TestUpdate:
         ) == 0
         trace, _ = _malformed_trace(tmp_path)
         capsys.readouterr()
-        segments = _shm_segments()
         exit_code = main(
             ["update", "--model", str(bundle), "--input", str(trace), *streaming]
         )
         assert exit_code == 2
         _assert_one_line_trace_error(capsys, trace)
-        assert _shm_segments() - segments == set()
         # The failed update left the bundle as it was.
         assert main(["query", "--model", str(bundle)]) == 0
 
@@ -806,8 +789,8 @@ class TestCLIErrorPaths:
         assert len(err.strip().splitlines()) == 1
 
 
-class TestParallelCLI:
-    """Validation and end-to-end paths of --workers (shard-parallel ingest)."""
+class TestStreamingCLI:
+    """``--chunk-size`` validation; the removed ``--workers``; CLI ≡ library."""
 
     def _generate(self, tmp_path, *, towers=20, days=3, seed=9):
         trace_dir = tmp_path / "gen"
@@ -834,136 +817,35 @@ class TestParallelCLI:
         assert main(["fit", "--towers", "10", "--chunk-size", "-5"]) == 2
         assert "--chunk-size must be a positive" in capsys.readouterr().err
 
-    def test_workers_below_minus_one_exits_2(self, capsys):
-        exit_code = main(["fit", "--towers", "10", "--workers", "-3"])
-        assert exit_code == 2
-        err = capsys.readouterr().err
-        assert "--workers must be >= -1" in err
-        assert len(err.strip().splitlines()) == 1
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fit", "--input", "trace.csv", "--stations", "stations.csv",
+             "--chunk-size", "4000"],
+            ["update", "--model", "bundle", "--input", "day.csv", "--chunk-size", "4000"],
+        ],
+        ids=["fit", "update"],
+    )
+    def test_removed_workers_option_is_rejected(self, command, capsys):
+        # Records reach the grid by one serial path, so there is no pool
+        # to size: the flag is gone, not accepted and ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
-    def test_fit_workers_without_streaming_input_exits_2(self, capsys):
-        # Not silently serial: --workers without --input/--chunk-size errors.
-        exit_code = main(["fit", "--towers", "10", "--workers", "2"])
-        assert exit_code == 2
-        err = capsys.readouterr().err
-        assert "--workers needs a streaming input" in err
-        assert len(err.strip().splitlines()) == 1
+    @pytest.mark.parametrize("command", ["fit", "update"])
+    def test_help_lists_no_workers_option(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "--chunk-size" in out and "--workers" not in out
 
-    def test_fit_workers_with_trace_but_no_chunk_size_exits_2(self, tmp_path, capsys):
-        trace_dir = self._generate(tmp_path)
-        capsys.readouterr()
-        exit_code = main(
-            [
-                "fit",
-                "--input", str(trace_dir / "trace.csv"),
-                "--stations", str(trace_dir / "stations.csv"),
-                "--workers", "2",
-            ]
-        )
-        assert exit_code == 2
-        assert "--workers needs a streaming input" in capsys.readouterr().err
-
-    def test_update_workers_without_chunk_size_exits_2(self, tmp_path, capsys):
-        bundle = tmp_path / "bundle"
-        assert main(
-            [
-                "fit",
-                "--towers", "15",
-                "--users", "40",
-                "--days", "2",
-                "--seed", "2",
-                "--clusters", "3",
-                "--save", str(bundle),
-            ]
-        ) == 0
-        capsys.readouterr()
-        exit_code = main(
-            [
-                "update",
-                "--model", str(bundle),
-                "--input", str(bundle / "whatever.csv"),
-                "--workers", "2",
-            ]
-        )
-        assert exit_code == 2
-        err = capsys.readouterr().err
-        assert "--workers needs --chunk-size" in err
-        assert len(err.strip().splitlines()) == 1
-
-    def test_parallel_fit_matches_serial_chunked_fit(self, tmp_path, capsys):
-        import numpy as np
-
-        from repro.io.persist import load_model
-
-        trace_dir = self._generate(tmp_path)
-        bundles = {}
-        for name, extra in (
-            ("serial", []),
-            ("parallel", ["--workers", "2"]),
-        ):
-            bundle = tmp_path / name
-            assert main(
-                [
-                    "fit",
-                    "--input", str(trace_dir / "trace.csv"),
-                    "--stations", str(trace_dir / "stations.csv"),
-                    "--days", "3",
-                    "--clusters", "3",
-                    "--chunk-size", "4000",
-                    "--save", str(bundle),
-                    *extra,
-                ]
-            ) == 0
-            bundles[name] = load_model(bundle).result
-        capsys.readouterr()
-        serial = bundles["serial"].vectorized.raw.traffic
-        parallel = bundles["parallel"].vectorized.raw.traffic
-        assert np.allclose(parallel, serial, rtol=1e-9, atol=0.0)
-        # The parallel bundle serves queries like any other.
-        assert main(["query", "--model", str(tmp_path / "parallel")]) == 0
-        assert "traffic patterns" in capsys.readouterr().out
-
-    def test_parallel_update_matches_serial_chunked_update(self, tmp_path, capsys):
-        import numpy as np
-
-        from repro.io.persist import load_model
-
-        trace_dir = self._generate(tmp_path, seed=13)
-        base = tmp_path / "base"
-        assert main(
-            [
-                "fit",
-                "--input", str(trace_dir / "trace.csv"),
-                "--stations", str(trace_dir / "stations.csv"),
-                "--days", "3",
-                "--clusters", "3",
-                "--save", str(base),
-            ]
-        ) == 0
-        fresh_dir = self._generate(tmp_path / "fresh", seed=14)
-        for name, extra in (
-            ("serial-upd", []),
-            ("parallel-upd", ["--workers", "2"]),
-        ):
-            assert main(
-                [
-                    "update",
-                    "--model", str(base),
-                    "--input", str(fresh_dir / "trace.csv"),
-                    "--chunk-size", "4000",
-                    "--save", str(tmp_path / name),
-                    *extra,
-                ]
-            ) == 0
-        capsys.readouterr()
-        serial = load_model(tmp_path / "serial-upd").result.vectorized.raw.traffic
-        parallel = load_model(tmp_path / "parallel-upd").result.vectorized.raw.traffic
-        assert np.allclose(parallel, serial, rtol=1e-9, atol=0.0)
-
-    def test_update_without_workers_is_serial_after_a_parallel_fit(self, tmp_path, capsys):
-        # --workers belongs to the run, not the bundle: updating a bundle
-        # fitted with --workers 2 runs no worker pool unless asked to, and
-        # equals the serial library update bit for bit.
+    def test_cli_update_equals_the_library_update(self, tmp_path, capsys):
+        # Read whole or in chunks, a CLI update folds the cleaned chunks
+        # exactly as the library's update does, and its trace shows one
+        # ingest span with no children.
         import json
 
         import numpy as np
@@ -972,11 +854,6 @@ class TestParallelCLI:
         from repro.ingest.dedup import clean_batch
         from repro.ingest.loader import iter_record_batches_csv, read_record_batch_csv
         from repro.io.persist import load_model
-
-        def span_names(span):
-            yield span["name"]
-            for child in span["children"]:
-                yield from span_names(child)
 
         trace_dir = self._generate(tmp_path)
         fresh = self._generate(tmp_path / "fresh", seed=14) / "trace.csv"
@@ -989,7 +866,6 @@ class TestParallelCLI:
                 "--days", "3",
                 "--clusters", "3",
                 "--chunk-size", "4000",
-                "--workers", "2",
                 "--save", str(bundle),
             ]
         ) == 0
@@ -1007,19 +883,20 @@ class TestParallelCLI:
                 ]
             ) == 0
             (root,) = json.loads(target.read_text())["spans"]
-            names = list(span_names(root))
-            assert "ingest" in names
-            assert not [n for n in names if n.startswith("worker-")]
+            ingest = root["children"][0]
+            assert (root["name"], ingest["name"], ingest["children"]) == (
+                "update", "ingest", []
+            )
             chunks = (
                 iter_record_batches_csv(fresh, chunk_size=chunk_size)
                 if chunk_size
                 else [read_record_batch_csv(fresh)]
             )
             cleaned = [clean_batch(chunk)[0] for chunk in chunks]
-            serial = TrafficPatternModel.load(bundle).update(cleaned, workers=0)
+            library = TrafficPatternModel.load(bundle).update(cleaned)
             assert np.array_equal(
                 load_model(tmp_path / name).result.vectorized.raw.traffic,
-                serial.vectorized.raw.traffic,
+                library.vectorized.raw.traffic,
             )
 
 
@@ -1066,7 +943,7 @@ class TestTraceCLI:
             assert span["status"] in ("ok", "error")
         assert "metrics" in payload
 
-    def test_traced_parallel_fit_records_worker_spans(self, tmp_path, capsys):
+    def test_traced_streamed_fit_counts_its_ingest(self, tmp_path, capsys):
         import json
 
         trace_dir = self._generate(tmp_path / "gen")
@@ -1080,7 +957,6 @@ class TestTraceCLI:
                 "--days", "3",
                 "--clusters", "3",
                 "--chunk-size", "4000",
-                "--workers", "2",
                 "--save", str(bundle),
                 "--trace", str(target),
             ]
@@ -1090,13 +966,13 @@ class TestTraceCLI:
         names = [child["name"] for child in root["children"]]
         assert names == ["ingest", *self.STAGES]
         ingest = root["children"][0]
-        workers = [child["name"] for child in ingest["children"]]
-        assert workers == ["worker-0", "worker-1"]
-        total = sum(
-            child["counters"]["records_seen"] for child in ingest["children"]
+        assert ingest["children"] == []
+        counters = ingest["counters"]
+        assert counters["chunks"] >= 2
+        assert counters["records_seen"] >= counters["records_folded"] > 0
+        assert payload["metrics"]["counters"]["ingest.records_seen"] == (
+            counters["records_seen"]
         )
-        assert total == ingest["counters"]["records_seen"] > 0
-        assert payload["metrics"]["counters"]["ingest.records_seen"] == total
         # The sidecar next to the bundle carries the same trace.
         sidecar = json.loads((bundle / "trace.json").read_text())
         assert sidecar["schema"] == "repro-trace"

@@ -3,8 +3,8 @@
 The load-bearing property mirrors ``test_cluster_backends``: on tie-free
 distances the lowmem backend must reproduce the full-matrix oracle's cuts
 for every reducible linkage, at every cluster count and distance threshold —
-while never materialising any pairwise matrix.  Results must also be
-invariant to the blocked-scan tile size (tiling is purely a memory knob).
+while never materialising any pairwise matrix.  The blocked-scan tile size
+may move merge heights by a few ulps, but not the merges or the cuts.
 Exact ties remain ambiguous, as for every backend pair: the duplicate-point
 test asserts cut validity only, not cross-backend equality.
 """
@@ -233,43 +233,59 @@ class TestCutEquivalence:
 
 
 class TestTileInvariance:
-    """Tiling is a pure memory knob: every tile size gives the same answer."""
+    """Tile size is a memory knob: heights move by ulps, merges and cuts do not.
 
-    TILES = [13, 64, 100, 1024]
+    The tile width changes how BLAS blocks the ``x² + y² − 2xy`` kernel, so
+    the distances round differently.  Over seeds 0–39 of
+    ``normal(size=(150, 6))``, tiles 64/100/1024 against 13 gave bitwise
+    different merge tables in 18 of 240 single/complete comparisons (heights
+    at most 4 ulps apart) and in nearly every average comparison (at most
+    7 ulps); merge pairs and sizes never differed.  Seed 1 (single) and
+    seed 22 (complete) are among the bitwise-different inputs on x86-64
+    OpenBLAS, and so is seed 2024 (single).
+    """
 
-    @pytest.mark.parametrize("linkage", [Linkage.SINGLE, Linkage.COMPLETE])
-    def test_min_max_scans_are_bitwise_tile_invariant(self, linkage, rng):
-        # min/max reductions are order-insensitive, so the merge history is
-        # bit-for-bit identical across tile sizes.
-        vectors = rng.normal(size=(150, 6))
-        reference = AgglomerativeClustering(
-            linkage=linkage, backend="nn_chain_lowmem", tile_size=self.TILES[0]
+    REFERENCE_TILE = 13
+    TILES = [64, 100, 1024]
+    #: Largest height difference allowed between tile sizes, in ulps of the
+    #: reference height (4 and 7 measured; see the class docstring).
+    HEIGHT_ULPS = 16
+
+    def _fit(self, vectors, linkage, tile):
+        return AgglomerativeClustering(
+            linkage=linkage, backend="nn_chain_lowmem", tile_size=tile
         ).fit(vectors)
-        for tile in self.TILES[1:]:
-            other = AgglomerativeClustering(
-                linkage=linkage, backend="nn_chain_lowmem", tile_size=tile
-            ).fit(vectors)
-            assert np.array_equal(reference.merges, other.merges)
 
+    def _assert_heights_close(self, reference, other):
+        heights = reference.merge_distances
+        assert np.all(
+            np.abs(other.merge_distances - heights)
+            <= self.HEIGHT_ULPS * np.spacing(heights)
+        )
+
+    @pytest.mark.parametrize("tile", TILES)
+    @pytest.mark.parametrize("seed", [1, 22, 2024])
+    @pytest.mark.parametrize("linkage", [Linkage.SINGLE, Linkage.COMPLETE])
+    def test_min_max_scans_keep_merge_pairs_and_sizes_across_tiles(
+        self, linkage, seed, tile
+    ):
+        vectors = np.random.default_rng(seed).normal(size=(150, 6))
+        reference = self._fit(vectors, linkage, self.REFERENCE_TILE)
+        other = self._fit(vectors, linkage, tile)
+        assert np.array_equal(reference.merges[:, [0, 1, 3]], other.merges[:, [0, 1, 3]])
+        self._assert_heights_close(reference, other)
+
+    @pytest.mark.parametrize("seed", [1, 2024])
     @pytest.mark.parametrize("linkage", REDUCIBLE_LINKAGES)
-    def test_cuts_are_tile_invariant(self, linkage, rng):
-        # Average sums accumulate tile by tile, so heights may differ by fp
-        # noise across tile sizes — but every cut must be the same partition.
-        vectors = rng.normal(size=(150, 6))
-        fits = [
-            AgglomerativeClustering(
-                linkage=linkage, backend="nn_chain_lowmem", tile_size=tile
-            ).fit(vectors)
-            for tile in self.TILES
-        ]
-        for other in fits[1:]:
-            assert np.allclose(
-                fits[0].merge_distances, other.merge_distances, atol=1e-9
-            )
+    def test_cuts_are_tile_invariant(self, linkage, seed):
+        vectors = np.random.default_rng(seed).normal(size=(150, 6))
+        reference = self._fit(vectors, linkage, self.REFERENCE_TILE)
+        for tile in self.TILES:
+            other = self._fit(vectors, linkage, tile)
+            self._assert_heights_close(reference, other)
             for k in (2, 5, 20, 75):
-                assert partitions_equal(
-                    fits[0].labels_at_num_clusters(k),
-                    other.labels_at_num_clusters(k),
+                assert np.array_equal(
+                    reference.labels_at_num_clusters(k), other.labels_at_num_clusters(k)
                 )
 
 

@@ -1,11 +1,11 @@
-"""Tests for repro.ingest.dedup: hand-computed cases for clean_batch."""
+"""Tests for repro.ingest.dedup: hand-computed cases for clean_batch and clean_chunk."""
 
 import numpy as np
 import pytest
 
 from oracles.records import TrafficRecord, batch_of
 from repro.ingest.batch import RecordBatch
-from repro.ingest.dedup import clean_batch
+from repro.ingest.dedup import clean_batch, clean_chunk
 
 
 def make_record(user=1, tower=2, start=0.0, end=60.0, volume=100.0, network="LTE"):
@@ -121,3 +121,31 @@ class TestReport:
         cleaned, report = clean(*corrupted)
         assert report.num_exact_duplicates_removed == 40
         assert cleaned.total_bytes == pytest.approx(sum(r.bytes_used for r in originals))
+
+
+class TestCleanChunk:
+    @pytest.mark.parametrize(
+        "records",
+        [
+            (),
+            (make_record(),),
+            (make_record(), make_record(), make_record(user=2)),
+            (make_record(), make_record(volume=300.0), make_record(volume=200.0)),
+        ],
+        ids=["empty", "single", "duplicates", "conflict"],
+    )
+    def test_is_clean_batch_without_its_report(self, records):
+        batch = batch_of(records)
+        expected, _ = clean_batch(batch)
+        cleaned = clean_chunk(batch)
+        for got, want in zip(cleaned.columns(), expected.columns()):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_the_old_import_path_names_the_same_function(self):
+        # The end-to-end benchmark still imports clean_chunk from
+        # repro.vectorize.parallel, which only re-exports it.
+        from repro.vectorize import parallel
+
+        assert parallel.clean_chunk is clean_chunk
+        assert parallel.__all__ == ["clean_chunk"]

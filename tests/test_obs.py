@@ -157,67 +157,6 @@ class TestInjectableClockDeterminism:
         assert run() == run()
 
 
-class TestAttachAndWorkerMergeOrdering:
-    def test_attach_grafts_finished_spans_in_call_order(self):
-        tracer = deterministic_tracer()
-        with tracer.span("ingest"):
-            for worker_id in (0, 1, 2):
-                tracer.attach(
-                    f"worker-{worker_id}",
-                    wall_seconds=2.5,
-                    cpu_seconds=1.25,
-                    counters={"chunks": 4, "records_seen": 100 + worker_id},
-                )
-        (ingest,) = tracer.roots
-        names = [child.name for child in ingest.children]
-        assert names == ["worker-0", "worker-1", "worker-2"]
-        assert ingest.children[1].wall_seconds == 2.5
-        assert ingest.children[1].counters["records_seen"] == 101
-
-    def test_attach_without_open_span_becomes_a_root(self):
-        tracer = Tracer()
-        tracer.attach("orphan", wall_seconds=1.0)
-        assert [span.name for span in tracer.roots] == ["orphan"]
-
-    def test_parallel_ingest_worker_spans_are_deterministically_ordered(self):
-        from repro.ingest.batch import RecordBatch
-        from repro.utils.timeutils import TimeWindow
-        from repro.vectorize.aggregate import aggregate_batches
-
-        window = TimeWindow(num_days=2)
-        rng = np.random.default_rng(5)
-
-        def batches(n_batches=6, n=500):
-            for _ in range(n_batches):
-                starts = rng.uniform(0, window.num_seconds, size=n)
-                yield RecordBatch(
-                    user_id=rng.integers(0, 50, size=n),
-                    tower_id=rng.integers(0, 10, size=n),
-                    start_s=starts,
-                    end_s=starts + rng.uniform(0, 600, size=n),
-                    bytes_used=rng.uniform(1, 1e4, size=n),
-                    network=np.zeros(n, dtype=np.uint8),
-                )
-
-        tracer = Tracer()
-        metrics = MetricsRegistry()
-        with tracer.span("ingest"):
-            aggregate_batches(
-                batches(),
-                window,
-                list(range(10)),
-                workers=2,
-                tracer=tracer,
-                metrics=metrics,
-            )
-        (ingest,) = tracer.roots
-        names = [child.name for child in ingest.children]
-        assert names == ["worker-0", "worker-1"]
-        seen = sum(child.counters["records_seen"] for child in ingest.children)
-        assert seen == ingest.counters["records_seen"] == 6 * 500
-        assert metrics.counter("ingest.records_seen").snapshot() == seen
-
-
 class TestTraceExport:
     def test_to_dict_schema(self):
         tracer = deterministic_tracer()
@@ -537,8 +476,8 @@ class TestPipelineIntegration:
         # and its trace covers the ingest and all six stages.
         from repro.core.model import TrafficPatternModel
         from repro.ingest.batch import RecordBatch
+        from repro.ingest.dedup import clean_chunk
         from repro.utils.timeutils import SLOT_SECONDS, TimeWindow
-        from repro.vectorize.parallel import clean_chunk
 
         window = TimeWindow(num_days=7)
         rng = np.random.default_rng(2015)
